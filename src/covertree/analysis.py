@@ -25,6 +25,7 @@ from .errors import (
     ClassificationMismatchError,
     EmptySetError,
     InsufficientDataError,
+    SupportMismatchError,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -306,62 +307,51 @@ def bound_check(report, *, calibration_radius=4, floor=DEVIATION_FLOOR):
 
 # --- rigorous envelope from eigenspace initial values ---
 
-def _one_step_envelope(f0, f1, roots):
+def _one_step_envelope(f0, f1, roots, n):
+    """Summed profile envelopes at the radii ``n`` of one-step recursions;
+    ``f0``, ``f1`` and each of the ``roots`` arrays hold one entry per
+    eigenspace."""
     a_plus, a_minus, d = roots
-    if abs(d) <= spectral.DISCRIMINANT_TOL:
-        alpha = 0.5 * abs(a_plus + a_minus)
-        u = abs(f0)
-        v = abs(f1 / (0.5 * (a_plus + a_minus)) - f0)
-        return lambda n: (u + v * n) * alpha ** n
-    u_plus = (f1 - a_minus * f0) / (a_plus - a_minus)
-    u_minus = (a_plus * f0 - f1) / (a_plus - a_minus)
-    c_plus, c_minus = abs(u_plus), abs(u_minus)
-    r_plus, r_minus = abs(a_plus), abs(a_minus)
-    return lambda n: c_plus * r_plus ** n + c_minus * r_minus ** n
+    rep = np.abs(d) <= spectral.DISCRIMINANT_TOL
+    # distinct roots: |u_plus| |a_plus|**n + |u_minus| |a_minus|**n
+    ap, am, g0, g1 = a_plus[~rep], a_minus[~rep], f0[~rep], f1[~rep]
+    c_plus = np.abs((g1 - am * g0) / (ap - am))
+    c_minus = np.abs((ap * g0 - g1) / (ap - am))
+    env = (c_plus[:, None] * np.abs(ap)[:, None] ** n
+           + c_minus[:, None] * np.abs(am)[:, None] ** n).sum(axis=0)
+    # repeated root alpha: (|f0| + |f1 / alpha - f0| n) |alpha|**n
+    alpha, g0, g1 = 0.5 * (a_plus[rep] + a_minus[rep]), f0[rep], f1[rep]
+    u, v = np.abs(g0), np.abs(g1 / alpha - g0)
+    return env + ((u[:, None] + v[:, None] * n) * np.abs(alpha)[:, None] ** n).sum(axis=0)
 
 
-def _double_step_envelope(f0, f1, mu, p, q):
+def _double_step_envelope(f0, f1, mu, p, q, n):
+    """Profile envelope at the radii ``n`` of one eigenspace under the
+    semiregular double step."""
     t_plus, t_minus, d = spectral.transfer_eigenvalues(mu, p, q)
     a_mat = spectral.transfer_matrix(mu, p, q)
     w = np.array([f1, f0], dtype=complex)
+    k = n // 2
     if abs(d) <= spectral.DISCRIMINANT_TOL:
         t = abs(t_plus + t_minus) / 2
         nil = float(np.linalg.norm(a_mat - ((t_plus + t_minus) / 2).real * np.eye(2), 2))
         scale = float(np.linalg.norm(w))
+        env = scale * (t ** k + k * t ** np.maximum(k - 1, 0) * nil)
+    else:
+        def eigvec(t):
+            v1 = np.array([a_mat[0, 1], t - a_mat[0, 0]], dtype=complex)
+            v2 = np.array([t - a_mat[1, 1], a_mat[1, 0]], dtype=complex)
+            v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
+            return v / np.linalg.norm(v)
 
-        def env(n):
-            if n == 0:
-                return abs(f0)
-            if n == 1:
-                return abs(f1)
-            k = n // 2 if n % 2 == 0 else (n - 1) // 2
-            return scale * (t ** k + k * t ** max(k - 1, 0) * nil)
-
-        return env
-
-    def eigvec(t):
-        v1 = np.array([a_mat[0, 1], t - a_mat[0, 0]], dtype=complex)
-        v2 = np.array([t - a_mat[1, 1], a_mat[1, 0]], dtype=complex)
-        v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-        return v / np.linalg.norm(v)
-
-    v_plus, v_minus = eigvec(t_plus), eigvec(t_minus)
-    coeff = np.linalg.solve(np.column_stack([v_plus, v_minus]), w)
-    a, b = coeff
-
-    def env(n):
-        if n == 0:
-            return abs(f0)
-        if n == 1:
-            return abs(f1)
-        if n % 2 == 0:
-            k, comp = n // 2, 1
-        else:
-            k, comp = (n - 1) // 2, 0
-        return (abs(a * v_plus[comp]) * abs(t_plus) ** k
-                + abs(b * v_minus[comp]) * abs(t_minus) ** k)
-
-    return env
+        v_plus, v_minus = eigvec(t_plus), eigvec(t_minus)
+        a, b = np.linalg.solve(np.column_stack([v_plus, v_minus]), w)
+        # radius 2k reads component 1 of the pair (F(2k+1), F(2k)), radius 2k+1 component 0
+        comp = 1 - n % 2
+        env = (np.abs(a * v_plus)[comp] * abs(t_plus) ** k
+               + np.abs(b * v_minus)[comp] * abs(t_minus) ** k)
+    # radii 0 and 1 are the initial values themselves
+    return np.where(n == 0, abs(f0), np.where(n == 1, abs(f1), env))
 
 
 def envelope_series(g, f, base, theorem, radius, decomp=None):
@@ -371,36 +361,46 @@ def envelope_series(g, f, base, theorem, radius, decomp=None):
     profile, computed in closed form from that component's two initial values;
     the sum dominates |M_r(f) - target| at every radius whenever the radial
     recursions hold, with no empirical calibration.
+
+    A supplied ``decomp`` must be the regime's eigendecomposition; the graph
+    still passes the regime's classification gate.  The initial values of all
+    eigenspace components come from one projection of ``f``, read at the rows
+    of the radius-0 and radius-1 arcs.
     """
-    lap, cls = spectral.theorem_laplacian(g, theorem)
     if decomp is None:
+        lap, cls = spectral.theorem_laplacian(g, theorem)
         decomp = spectral.eig_sym(lap)
-    support = lap.field_support()
+    else:
+        cls = spectral.theorem_classification(g, theorem)
+    support = cover.VERTICES if theorem == 1 else cover.EDGES
     cover.check_field(g, f, support)
+    if decomp.field_support() != support:
+        raise SupportMismatchError(f"regime {theorem} needs an eigenbasis on {support}")
+    if support == cover.VERTICES:
+        rows0, rows1 = [g.tail(base)], [g.head(base)]
+    else:
+        rows0 = [g.edge_of(base)]
+        rows1 = [g.edge_of(h) for h in g.continuations(base)]
+    coeffs = decomp.basis.T @ f.values
+    starts = [a for a, _ in decomp.group_slices]
+    f0s = np.add.reduceat(decomp.basis[rows0].mean(axis=0) * coeffs, starts)
+    f1s = np.add.reduceat(decomp.basis[rows1].mean(axis=0) * coeffs, starts)
+    keep = [k for k, mu in enumerate(decomp.distinct)
+            if abs(mu - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL]
+    mus, f0s, f1s = [decomp.distinct[k] for k in keep], f0s[keep], f1s[keep]
+    n = np.arange(radius + 1)
     if theorem == 3:
         p_base = g.degree(g.tail(base)) - 1
         q_far = g.degree(g.head(base)) - 1
-    env = [0.0] * (radius + 1)
-    for k, mu in enumerate(decomp.distinct):
-        if abs(mu - 1.0) <= spectral.TRIVIAL_EIGENVALUE_TOL:
-            continue
-        comp = decomp.project(k, f.values)
-        if support == cover.VERTICES:
-            f0 = float(comp[g.tail(base)])
-            f1 = float(comp[g.head(base)])
-        else:
-            sizes, sums = cover.arc_edge_sums(g, ScalarField(support, comp), base, 1)
-            f0 = sums[0]
-            f1 = sums[1] / sizes[1]
-        if theorem == 1:
-            prof = _one_step_envelope(f0, f1, spectral.characteristic_roots_regular_vertex(mu, cls.q))
-        elif theorem == 2:
-            prof = _one_step_envelope(f0, f1, spectral.characteristic_roots_regular_edge(mu, cls.q))
-        else:
-            prof = _double_step_envelope(f0, f1, mu, p_base, q_far)
-        for n in range(radius + 1):
-            env[n] += prof(n)
-    return env
+        env = np.zeros(radius + 1)
+        for mu, f0, f1 in zip(mus, f0s, f1s):
+            env += _double_step_envelope(float(f0), float(f1), mu, p_base, q_far, n)
+    else:
+        roots_of = (spectral.characteristic_roots_regular_vertex if theorem == 1
+                    else spectral.characteristic_roots_regular_edge)
+        roots = np.array([roots_of(mu, cls.q) for mu in mus], dtype=complex).reshape(-1, 3).T
+        env = _one_step_envelope(f0s, f1s, roots, n)
+    return env.tolist()
 
 
 def envelope_check(report, env):
@@ -452,17 +452,18 @@ def check_sphere_decomposition(g, v0, f, radius):
     return True
 
 
-def check_lemma_gap(g, tol=1e-9):
+def check_lemma_gap(g, tol=1e-9, decomp=None):
     """No edge-Laplacian eigenvalue strictly inside the semiregular gap
-    ((p-1)/(p+q), (q-1)/(p+q)); vacuously true when p == q."""
-    lap = spectral.edge_laplacian(g)
+    ((p-1)/(p+q), (q-1)/(p+q)); vacuously true when p == q.  ``decomp`` is
+    the edge Laplacian's eigendecomposition, computed when not supplied."""
+    if decomp is None:
+        decomp = spectral.eig_sym(spectral.edge_laplacian(g))
     cls = graph_core.classify(g)
     if cls.kind == graph_core.SEMIREGULAR:
         p, q = cls.p, cls.q
     else:
         p = q = cls.q
     lo, hi = spectral.forbidden_gap(p, q)
-    decomp = spectral.eig_sym(lap)
     return not any(lo + tol < mu < hi - tol for mu in decomp.distinct)
 
 

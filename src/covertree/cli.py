@@ -136,12 +136,11 @@ def _resolve_base(g, tokens):
 
 
 def _load_tube(g, path):
-    with open(path, "r", encoding="ascii") as fh:
-        rows = []
-        for raw in fh.read().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                rows.append(line.split())
+    rows = []
+    for raw in graph_core.read_ascii(path).splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            rows.append(line.split())
     if not rows or rows[0][0] != "tube" or len(rows[0]) != 3:
         raise _UsageError("tube file must start with 'tube <root> <count>'")
     try:
@@ -173,7 +172,9 @@ def _emit(text, output):
 def _cmd_gen(args):
     try:
         g = graph_core.generate(args.name, *args.params)
-    except TypeError as exc:
+    except UnknownGeneratorError:
+        raise
+    except (TypeError, GraphError) as exc:
         raise _UsageError(f"bad parameters for generator {args.name!r}: {exc}") from exc
     graph_core.save_graph(g, args.output)
     print(f"wrote {args.name} graph: {g.vertex_count} vertices, {g.edge_count} edges")
@@ -336,7 +337,7 @@ def _cmd_verify(args):
         record("vanishing-star decay", analysis.check_doob_condition(g, decomp),
                "extreme-eigenvalue eigenvectors")
     if args.theorem == 3:
-        record("spectral gap", analysis.check_lemma_gap(g),
+        record("spectral gap", analysis.check_lemma_gap(g, decomp=decomp),
                f"no eigenvalues inside {spectral.forbidden_gap(cls.p, cls.q)}")
 
     if args.output:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import graph_core
 from .errors import (
     CoverError,
     DisconnectedSubtreeError,
@@ -533,13 +534,14 @@ def read_field(text):
             raise GraphFileError(f"bad field line: {' '.join(row)}") from exc
         if not (0 <= idx < count) or values[idx] is not None:
             raise GraphFileError(f"bad or repeated field index {idx}")
+        if not math.isfinite(val):
+            raise GraphFileError(f"non-finite field value: {' '.join(row)}")
         values[idx] = val
     return ScalarField(header[1], values)
 
 
 def load_field(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return read_field(fh.read())
+    return read_field(graph_core.read_ascii(path))
 
 
 def save_field(f, path):
@@ -587,5 +589,4 @@ def read_geodesic(g, text):
 
 
 def load_geodesic(g, path):
-    with open(path, "r", encoding="ascii") as fh:
-        return read_geodesic(g, fh.read())
+    return read_geodesic(g, graph_core.read_ascii(path))

@@ -83,10 +83,6 @@ class SpectralError(CovertreeError):
     pass
 
 
-class ConvergenceFailureError(SpectralError):
-    """Eigensolver sweep cap exceeded before the off-diagonal mass vanished."""
-
-
 class BipartiteEigenvalueError(SpectralError):
     pass
 

@@ -415,9 +415,17 @@ def read_graph(text):
     return build_graph(n, edges, allows_loops="loops" in flags, allows_multi="multi" in flags)
 
 
-def load_graph(path):
+def read_ascii(path):
+    """Text of an input file, which must be ASCII."""
     with open(path, "r", encoding="ascii") as fh:
-        return read_graph(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFileError(f"{path}: non-ASCII byte at offset {exc.start}") from exc
+
+
+def load_graph(path):
+    return read_graph(read_ascii(path))
 
 
 def save_graph(g, path):

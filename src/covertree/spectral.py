@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +19,6 @@ from . import cover, graph_core
 from .errors import (
     BipartiteEigenvalueError,
     ClassificationMismatchError,
-    ConvergenceFailureError,
     EigenvalueOutOfRangeError,
     ForbiddenGapEigenvalueError,
     NotRegularError,
@@ -101,45 +100,6 @@ def edge_laplacian(g):
     return LaplacianMatrix(EDGE, a / divisor, divisor)
 
 
-# --- dense symmetric eigensolver: cyclic Jacobi rotations ---
-
-_JACOBI_OFF_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
-
-
-def _jacobi(matrix):
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.array([a[0, 0]]), v
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off < _JACOBI_OFF_TOL:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    raise ConvergenceFailureError(
-        f"Jacobi sweeps exceeded {_JACOBI_MAX_SWEEPS} with off-diagonal mass {off:.3e}"
-    )
-
-
 @dataclass(eq=False)
 class SpectralDecomposition:
     """Sorted orthonormal eigenpairs with eigenvalues grouped into eigenspaces."""
@@ -148,10 +108,10 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray        # ascending, with multiplicity
     basis: np.ndarray              # column i pairs with eigenvalues[i]
     group_slices: tuple[tuple[int, int], ...]
+    distinct: tuple[float, ...] = field(init=False)   # mean eigenvalue per group
 
-    @property
-    def distinct(self):
-        return tuple(
+    def __post_init__(self):
+        self.distinct = tuple(
             float(np.mean(self.eigenvalues[a:b])) for a, b in self.group_slices
         )
 
@@ -182,8 +142,8 @@ class SpectralDecomposition:
 
 
 def eig_sym(lap):
-    """Full eigendecomposition of a Laplacian by cyclic Jacobi rotations."""
-    w, v = _jacobi(lap.matrix)
+    """Full eigendecomposition of a Laplacian by LAPACK's symmetric solver."""
+    w, v = np.linalg.eigh(lap.matrix)
     order = np.argsort(w, kind="stable")
     w = w[order]
     v = v[:, order]
@@ -443,12 +403,12 @@ class RatePrediction:
         raise KeyError(f"no eigenvalue near {mu}")
 
 
-def theorem_laplacian(g, theorem):
-    """Classification gate plus the Laplacian for one of the three regimes.
+def theorem_classification(g, theorem):
+    """Classification gate for one of the three regimes.
 
-    Returns (laplacian, classification).  Regime 1 needs a nonbipartite
-    regular graph and works on vertices; regime 2 a simple regular graph on
-    edges; regime 3 a simple semiregular graph with p, q >= 2 on edges.
+    Regime 1 needs a nonbipartite regular graph and works on vertices; regime
+    2 a simple regular graph on edges; regime 3 a simple semiregular graph
+    with p, q >= 2 on edges.
     """
     cls = graph_core.classify(g)
     if theorem == 1:
@@ -456,21 +416,28 @@ def theorem_laplacian(g, theorem):
             raise ClassificationMismatchError(
                 f"regime 1 needs a nonbipartite regular graph of degree >= 3, got {cls.kind}"
             )
-        return vertex_laplacian(g), cls
+        return cls
     if theorem == 2:
         if cls.kind not in (graph_core.REGULAR, graph_core.REGULAR_BIPARTITE) or not cls.simple:
             raise ClassificationMismatchError(
                 f"regime 2 needs a simple regular graph of degree >= 3, got {cls.kind}"
             )
-        return edge_laplacian(g), cls
+        return cls
     if theorem == 3:
         if cls.kind != graph_core.SEMIREGULAR or not cls.simple or cls.p < 2:
             raise ClassificationMismatchError(
                 f"regime 3 needs a simple semiregular graph with p, q >= 2, got {cls.kind}"
                 + (f" (p={cls.p})" if cls.kind == graph_core.SEMIREGULAR else "")
             )
-        return edge_laplacian(g), cls
+        return cls
     raise ValueError(f"theorem selector must be 1, 2 or 3, got {theorem}")
+
+
+def theorem_laplacian(g, theorem):
+    """Classification gate plus the Laplacian of the regime: returns
+    (laplacian, classification)."""
+    cls = theorem_classification(g, theorem)
+    return (vertex_laplacian(g) if theorem == 1 else edge_laplacian(g)), cls
 
 
 def decay_rate_for(cls, theorem, mu):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from covertree import graph_core
@@ -26,3 +28,19 @@ def k34():
 @pytest.fixture(scope="session")
 def k23():
     return graph_core.generate("complete_bipartite", 2, 3)
+
+
+@pytest.fixture(scope="session")
+def seeded_cubic():
+    """Factory for cubic graphs: ``cycle_with_chords`` on n (even) vertices
+    plus a seeded perfect chord matching, redrawn until the graph is simple."""
+    def build(n, seed):
+        rng = random.Random(seed)
+        while True:
+            ends = list(range(n))
+            rng.shuffle(ends)
+            chords = list(zip(ends[::2], ends[1::2]))
+            if not any((u - v) % n in (1, n - 1) for u, v in chords):
+                return graph_core.generate("cycle_with_chords", n,
+                                           *[x for chord in chords for x in chord])
+    return build

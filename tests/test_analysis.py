@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,78 @@ def test_envelope_catches_corrupted_series(k4):
     env = envelope_series(k4, f, 0, 1, 10)
     report.deviations[7] = env[7] * 2 + 1.0
     assert not envelope_check(report, env)
+
+
+def _reference_envelope(g, f, base, theorem, radius, decomp):
+    """The envelope summed eigenspace by eigenspace, each from its own
+    projection of ``f``."""
+    cls = graph_core.classify(g)
+    n = np.arange(radius + 1)
+    env = np.zeros(radius + 1)
+    for k, mu in enumerate(decomp.distinct):
+        if abs(mu - 1.0) <= spectral.TRIVIAL_EIGENVALUE_TOL:
+            continue
+        comp = decomp.project(k, f.values)
+        if f.support == VERTICES:
+            f0, f1 = comp[g.tail(base)], comp[g.head(base)]
+        else:
+            sizes, sums = cover.arc_edge_sums(g, ScalarField(EDGES, comp), base, 1)
+            f0, f1 = sums[0], sums[1] / sizes[1]
+        if theorem == 3:
+            env += analysis._double_step_envelope(
+                f0, f1, mu, g.degree(g.tail(base)) - 1, g.degree(g.head(base)) - 1, n)
+        else:
+            roots_of = (spectral.characteristic_roots_regular_vertex if theorem == 1
+                        else spectral.characteristic_roots_regular_edge)
+            roots = [np.array([x], dtype=complex) for x in roots_of(mu, cls.q)]
+            env += analysis._one_step_envelope(np.array([f0]), np.array([f1]), roots, n)
+    return env
+
+
+@pytest.mark.parametrize("name,theorem", [
+    ("k4", 1), ("petersen", 1), ("cubic-60", 1), ("k4", 2), ("petersen", 2), ("k34", 3),
+])
+def test_envelope_equals_per_eigenspace_reference(name, theorem, request, seeded_cubic):
+    g = seeded_cubic(60, 60) if name == "cubic-60" else request.getfixturevalue(name)
+    lap, _ = spectral.theorem_laplacian(g, theorem)
+    decomp = spectral.eig_sym(lap)
+    f = random_field(g, lap.field_support(), 11)
+    for base in (0, 1, g.half_edge_count // 2, g.half_edge_count - 1):
+        env = envelope_series(g, f, base, theorem, 12, decomp=decomp)
+        ref = _reference_envelope(g, f, base, theorem, 12, decomp)
+        assert np.allclose(env, ref, rtol=1e-12, atol=0)
+        assert np.allclose(env, envelope_series(g, f, base, theorem, 12), rtol=1e-12, atol=0)
+
+
+def test_one_step_envelope_dominates_radial_series_in_both_root_cases():
+    # one eigenspace at the repeated-root threshold, one with a complex pair
+    q = 2
+    mus = [2 * math.sqrt(q) / (q + 1), -1 / 3]
+    f0, f1 = np.array([0.3, -0.7]), np.array([-0.2, 0.4])
+    roots = np.array([spectral.characteristic_roots_regular_vertex(mu, q) for mu in mus],
+                     dtype=complex).T
+    n = np.arange(31)
+    env = analysis._one_step_envelope(f0, f1, roots, n)
+    series = [spectral.radial_series(a, b, mu, spectral.RegularVertex(q), 30)
+              for mu, a, b in zip(mus, f0, f1)]
+    assert np.all(np.abs(np.sum(series, axis=0)) <= env * (1 + 1e-12))
+    alpha = q ** -0.5
+    repeated = (0.3 + abs(-0.2 / alpha - 0.3) * n) * alpha ** n
+    assert np.allclose(env - repeated,
+                       analysis._one_step_envelope(f0[1:], f1[1:], roots[:, 1:], n),
+                       rtol=1e-12, atol=0)
+
+
+def test_envelope_with_decomp_keeps_the_regime_gate(k33, petersen):
+    decomp = spectral.eig_sym(spectral.vertex_laplacian(k33))
+    f = random_field(k33, VERTICES, 4)
+    with pytest.raises(ClassificationMismatchError):
+        envelope_series(k33, f, 0, 1, 6, decomp=decomp)
+    decomp = spectral.eig_sym(spectral.vertex_laplacian(petersen))
+    with pytest.raises(SupportMismatchError):
+        envelope_series(petersen, random_field(petersen, EDGES, 4), 0, 1, 6, decomp=decomp)
+    with pytest.raises(SupportMismatchError):
+        envelope_series(petersen, random_field(petersen, EDGES, 4), 0, 2, 6, decomp=decomp)
 
 
 # --- structural checks ---

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +73,12 @@ def test_gen_bad_params(tmp_path):
     assert main(["gen", "petersen", "3", "-o", str(tmp_path / "x.g")]) == 2
 
 
+def test_gen_out_of_range_chord_is_usage_error(tmp_path, capsys):
+    assert main(["gen", "cycle_with_chords", "4", "0", "9", "-o", str(tmp_path / "x.g")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.g").exists()
+
+
 # --- usage and I/O errors ---
 
 def test_usage_errors(tmp_path, k4_file):
@@ -87,6 +94,38 @@ def test_malformed_graph_file(tmp_path):
     bad = tmp_path / "bad.g"
     bad.write_text("graph 2 1\n0 5\n")
     assert main(["classify", "--graph", str(bad)]) == 3
+
+
+def test_non_finite_field_value(tmp_path, k4_file, capsys):
+    field = tmp_path / "nan.fld"
+    field.write_text("field vertices 4\n0 nan\n1 0.5\n2 0.25\n3 1.0\n")
+    assert main(["average", "--graph", k4_file, "--field", str(field),
+                 "--set", "arc", "--base", "0", "1", "--radius", "4"]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", ["graph", "field", "geodesic", "tube"])
+def test_non_ascii_input_file(kind, tmp_path, petersen_file, capsys):
+    g = graph_core.load_graph(petersen_file)
+    files = {"graph": petersen_file, "field": _write_field(tmp_path, g, VERTICES, 9)}
+    geo = cover.GeodesicSpec(tuple(g.half_edge(i, (i + 1) % 5) for i in range(5)))
+    files["geodesic"] = tmp_path / "outer.geo"
+    files["geodesic"].write_text(cover.write_geodesic(g, geo))
+    files["tube"] = tmp_path / "x.tube"
+    files["tube"].write_text("tube 0 2\n.\n0\n")
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(b"# caf\xc3\xa9\n" + Path(files[kind]).read_bytes())
+    files[kind] = bad
+    base = ["average", "--graph", str(files["graph"]), "--field", str(files["field"]),
+            "--radius", "4"]
+    if kind == "geodesic":
+        argv = base + ["--set", "horocycle", "--geodesic", str(files["geodesic"])]
+    elif kind == "tube":
+        argv = base + ["--set", "tube", "--tube", str(files["tube"])]
+    else:
+        argv = base + ["--set", "arc", "--base", "0", "1"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_classification_gate_is_usage_error(tmp_path):
@@ -231,6 +270,24 @@ def test_verify_k34_theorem3(tmp_path):
 
 def test_verify_petersen_theorem1(petersen_file):
     assert main(["verify", "--graph", petersen_file, "--theorem", "1"]) == 0
+
+
+@pytest.mark.parametrize("generator,theorem", [
+    (("petersen",), 1), (("petersen",), 2), (("complete_bipartite", 3, 4), 3),
+])
+def test_verify_eigensolves_once(generator, theorem, tmp_path, monkeypatch):
+    path = tmp_path / "g.g"
+    graph_core.save_graph(graph_core.generate(*generator), path)
+    calls = []
+    real_eig_sym = spectral.eig_sym
+
+    def counting_eig_sym(lap):
+        calls.append(lap.kind)
+        return real_eig_sym(lap)
+
+    monkeypatch.setattr(spectral, "eig_sym", counting_eig_sym)
+    assert main(["verify", "--graph", str(path), "--theorem", str(theorem)]) == 0
+    assert len(calls) == 1
 
 
 def test_verify_override_beta_fails(k4_file):

@@ -144,6 +144,21 @@ def test_eig_sym_invariants(petersen, builder):
                        np.linalg.eigvalsh(lap.matrix), atol=1e-10)
 
 
+@pytest.mark.parametrize("case", ["cubic-60", "cubic-120", "cubic-240",
+                                  "petersen-edge", "k34-edge"])
+def test_eig_sym_residual_orthonormality_order(case, request, seeded_cubic):
+    if case.startswith("cubic"):
+        n = int(case.split("-")[1])
+        lap = vertex_laplacian(seeded_cubic(n, n))
+    else:
+        lap = edge_laplacian(request.getfixturevalue(case.split("-")[0]))
+    decomp = eig_sym(lap)
+    v, w = decomp.basis, decomp.eigenvalues
+    assert np.max(np.abs(lap.matrix @ v - v * w)) <= 1e-12
+    assert np.max(np.abs(v.T @ v - np.eye(lap.size))) <= 1e-12
+    assert np.all(np.diff(w) >= 0)
+
+
 def test_eig_sym_trivial_eigenvalue_simple(k4, petersen, k33, k34):
     for g, lap in ((k4, vertex_laplacian(k4)), (petersen, vertex_laplacian(petersen)),
                    (k33, vertex_laplacian(k33)), (k34, edge_laplacian(k34))):
