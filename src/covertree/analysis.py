@@ -66,15 +66,32 @@ def enumeration_budget(budget=None):
     return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
 
 
-def _aggregate(size_lists, sum_lists, radius):
-    averages = []
+def _arc_union(g, f, bases, radius, cap, what):
+    """Per-radius (sizes, averages) over the disjoint union of the arcs at
+    ``bases``, vertex or edge arcs by the field's support.  The budget applies
+    to the union at the last radius and is checked before any averaging.
+
+    Arc averages are weighted by exact size fractions and centred on the first
+    non-empty arc's, so the union's size never has to fit a float and arcs
+    with equal averages give exactly that average.
+    """
+    vertices = f.support == cover.VERTICES
+    count_of = cover.arc_vertex_count if vertices else cover.arc_edge_count
+    count = sum(count_of(g, h, radius) for h in bases)
+    if count > cap:
+        raise BudgetExceededError(f"{what} at radius {radius} has {count} elements (cap {cap})")
+    sums_of = cover.arc_vertex_sums if vertices else cover.arc_edge_sums
+    series = [sums_of(g, f, h, radius) for h in bases]
     sizes = []
+    averages = []
     for r in range(radius + 1):
-        total = sum(sizes_b[r] for sizes_b in size_lists)
-        sizes.append(total)
-        if total == 0:
+        arcs = [(sizes_b[r], sums_b[r] / sizes_b[r]) for sizes_b, sums_b in series if sizes_b[r]]
+        if not arcs:
             raise EmptySetError(f"set at radius {r} is empty")
-        averages.append(math.fsum(sums_b[r] for sums_b in sum_lists) / total)
+        total = sum(n for n, _ in arcs)
+        centre = arcs[0][1]
+        sizes.append(total)
+        averages.append(centre + math.fsum(n / total * (a - centre) for n, a in arcs[1:]))
     return sizes, averages
 
 
@@ -124,8 +141,8 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
 
     ``base`` is a half-edge id (arc), ``root`` a vertex id (spheres),
     ``subtree`` a list of CoverVertex (tube) and ``geodesic`` a GeodesicSpec
-    (horocycle).  Averages are computed with the exact integer transfer step,
-    which reproduces brute-force enumeration.
+    (horocycle).  Sizes are exact and averages come from the transfer
+    operator, which reproduces brute-force enumeration.
     """
     if set_kind not in SET_KINDS:
         raise ValueError(f"set kind must be one of {SET_KINDS}")
@@ -140,48 +157,24 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
 
     if set_kind == "arc":
         cover.check_field(g, f)
-        if f.support == cover.VERTICES:
-            count = cover.arc_vertex_count(g, base, radius)
-            series = [cover.arc_vertex_sums(g, f, base, radius)]
-        else:
-            count = cover.arc_edge_count(g, base, radius)
-            series = [cover.arc_edge_sums(g, f, base, radius)]
-        if count > cap:
-            raise BudgetExceededError(f"arc at radius {radius} has {count} elements (cap {cap})")
-        anchor = g.tail(base)
-    elif set_kind == "sphere":
-        cover.check_field(g, f, cover.VERTICES)
-        count = sum(cover.arc_vertex_count(g, h, radius) for h in g.out(root))
-        if count > cap:
-            raise BudgetExceededError(f"sphere at radius {radius} has {count} elements (cap {cap})")
-        series = [cover.arc_vertex_sums(g, f, h, radius) for h in g.out(root)]
-        sizes, averages = _aggregate([s for s, _ in series], [s for _, s in series], radius)
-        sizes[0] = 1  # every arc shares the root at radius 0
+        sizes, averages = _arc_union(g, f, [base], radius, cap, "arc")
+        return _finish_report(g, f, cls, set_kind, radius, sizes, averages, g.tail(base))
+    if set_kind in ("sphere", "edge-sphere"):
+        cover.check_field(g, f, cover.VERTICES if set_kind == "sphere" else cover.EDGES)
+        sizes, averages = _arc_union(g, f, g.out(root), radius, cap, set_kind.replace("-", " "))
+        if set_kind == "sphere":
+            sizes[0] = 1  # every arc shares the root at radius 0
         return _finish_report(g, f, cls, set_kind, radius, sizes, averages, root)
-    elif set_kind == "edge-sphere":
-        cover.check_field(g, f, cover.EDGES)
-        count = sum(cover.arc_edge_count(g, h, radius) for h in g.out(root))
-        if count > cap:
-            raise BudgetExceededError(f"edge sphere at radius {radius} has {count} elements (cap {cap})")
-        series = [cover.arc_edge_sums(g, f, h, radius) for h in g.out(root)]
-        anchor = root
-    elif set_kind == "tube":
+    if set_kind == "tube":
         cover.check_field(g, f)
         members, boundary, internal = _tube_boundary(g, subtree)
         if f.support == cover.VERTICES:
-            count = sum(cover.arc_vertex_count(g, h, radius) for h in boundary)
-            if count > cap:
-                raise BudgetExceededError(f"tube at radius {radius} has {count} elements (cap {cap})")
-            series = [cover.arc_vertex_sums(g, f, h, radius) for h in boundary]
-            sizes, averages = _aggregate([s for s, _ in series], [s for _, s in series], radius)
+            sizes, averages = _arc_union(g, f, boundary, radius, cap, "tube")
+            # radius 0 is the subtree itself
             sizes[0] = len(members)
             averages[0] = math.fsum(f.values[cv.vertex] for cv in members) / len(members)
         else:
-            count = sum(cover.arc_edge_count(g, h, radius) for h in boundary)
-            if count > cap:
-                raise BudgetExceededError(f"edge tube at radius {radius} has {count} elements (cap {cap})")
-            series = [cover.arc_edge_sums(g, f, h, radius) for h in boundary]
-            sizes, averages = _aggregate([s for s, _ in series], [s for _, s in series], radius)
+            sizes, averages = _arc_union(g, f, boundary, radius, cap, "edge tube")
             # radius 0 also contains the subtree's internal edges
             boundary_sum = averages[0] * sizes[0]
             inner = [float(f.values[e]) for e in internal]
@@ -190,23 +183,30 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
         parts = {("p" if cv.vertex in (cls.part_p or ()) else "q") for cv in members}
         anchor = next(iter(members)).vertex if len(parts) == 1 else None
         return _finish_report(g, f, cls, set_kind, radius, sizes, averages, anchor)
-    else:  # horocycle
-        cover.check_field(g, f, cover.VERTICES)
-        geodesic.validate(g)
-        sizes = []
-        averages = []
-        for r in range(radius + 1):
-            h = g.twin(geodesic.half_edge_at(r))
-            n = cover.arc_vertex_count(g, h, r + 1)
-            if n > cap:
-                raise BudgetExceededError(f"horocycle at radius {r} has {n} elements (cap {cap})")
-            sizes.append(n)
-            averages.append(cover.arc_average_transfer(g, f, h, r + 1))
-        anchor = geodesic.root(g)
-        return _finish_report(g, f, cls, set_kind, radius, sizes, averages, anchor)
-
-    sizes, averages = _aggregate([s for s, _ in series], [s for _, s in series], radius)
-    return _finish_report(g, f, cls, set_kind, radius, sizes, averages, anchor)
+    # horocycle
+    cover.check_field(g, f, cover.VERTICES)
+    geodesic.validate(g)
+    # the radius-r piece is the arc of radius r + 1 at the r-th base, and the
+    # bases repeat with the period.  The distinct bases are counted in
+    # lockstep, so the budget stops at the first radius over the cap; then
+    # one series per distinct base gives every average.
+    bases = [g.twin(h) for h in geodesic.half_edges]
+    op = cover.transfer_operator(g)
+    counters = {h: op.counts(h, radius + 1) for h in bases}
+    for r in range(radius + 1):
+        n = {h: next(c) for h, c in counters.items()}[bases[r % len(bases)]]
+        if n > cap:
+            raise BudgetExceededError(f"horocycle at radius {r} has {n} elements (cap {cap})")
+        if n == 0:
+            raise EmptySetError(f"horocycle at radius {r} is empty")
+    series = {h: cover.arc_vertex_sums(g, f, h, radius + 1) for h in counters}
+    sizes = []
+    averages = []
+    for r in range(radius + 1):
+        sizes_h, sums_h = series[bases[r % len(bases)]]
+        sizes.append(sizes_h[r + 1])
+        averages.append(sums_h[r + 1] / sizes_h[r + 1])
+    return _finish_report(g, f, cls, set_kind, radius, sizes, averages, geodesic.root(g))
 
 
 def _finish_report(g, f, cls, set_kind, radius, sizes, averages, anchor):
@@ -516,7 +516,7 @@ def check_bipartite_split(g, f, base, radius, calibration_radius=4):
 
 def check_doob_condition(g, decomp, max_radius=10, tol=1e-9, bases=None):
     """Every edge eigenvector at the extreme eigenvalue has vanishing star sums,
-    and its brute-force arc averages follow the exact alternating-step decay.
+    and its transfer arc averages follow the exact alternating-step decay.
 
     The extreme eigenvalue is -1/q for regular graphs and -2/(p+q) for
     semiregular ones; a spectrum without it passes vacuously.
@@ -547,10 +547,8 @@ def check_doob_condition(g, decomp, max_radius=10, tol=1e-9, bases=None):
         for base in bases:
             q_far = g.degree(g.head(base)) - 1
             p_base = g.degree(g.tail(base)) - 1
-            averages = [
-                cover.set_average(f, layer)
-                for layer in cover.arc_edge_layers(g, base, max_radius)
-            ]
+            sizes, sums = cover.arc_edge_sums(g, f, base, max_radius)
+            averages = [s / n for s, n in zip(sums, sizes)]
             expected = [averages[0]]
             for n in range(max_radius):
                 ratio = -1.0 / q_far if n % 2 == 0 else -1.0 / p_base

@@ -3,13 +3,14 @@
 Cover vertices are non-backtracking half-edge paths from a root vertex;
 nothing global is ever materialised.  The module enumerates spherical arcs,
 spheres, tubes and horocycle subsets, and averages lifted functions over them
-both by brute-force enumeration and by an exact non-backtracking transfer
-step over half-edges.
+both by brute-force enumeration and by a non-backtracking transfer operator
+over half-edges (exact integer sizes, float path distributions).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
     GraphError,
     GraphFileError,
     InvalidGeodesicError,
+    SizeOutOfRangeError,
     SupportMismatchError,
 )
 
@@ -417,31 +419,132 @@ def set_average(f, elements):
     return total / len(elements)
 
 
-# --- non-backtracking transfer step over half-edges ---
+# --- non-backtracking transfer operator over half-edges ---
 #
-# The number of non-backtracking paths of length L >= 1 that start with a given
-# half-edge, ending with half-edge h, evolves by the exact integer step below.
-# Arc averages are uniform over paths, so sums weighted by these counts
-# reproduce brute-force enumeration exactly.
+# The paths of an arc are the non-backtracking half-edge paths that start with
+# its base half-edge, so its sizes and averages come from powers of
+# Hashimoto's edge operator B, where B[h, h2] = 1 when h2 continues h without
+# backtracking.  Sizes are exact integers, counted on the quotient of B by the
+# coarsest equitable partition of the half-edges (one class on regular graphs,
+# two on semiregular ones).  Averages come from a float path distribution that
+# only ever adds non-negative terms and is rescaled by a power of two (exact)
+# each step; they are centred on the value at the base, so a constant field
+# averages to itself exactly.
 
-def _nb_count_step(g, counts):
-    out = [0] * g.half_edge_count
-    for h, c in enumerate(counts):
-        if c:
-            for h2 in g.continuations(h):
-                out[h2] += c
-    return out
+class TransferOperator:
+    """Hashimoto's operator of one graph as continuation pairs ``src -> dst``,
+    with the class of every half-edge in the coarsest equitable partition and
+    the integer quotient matrix as sparse rows of (class, count) pairs."""
+
+    __slots__ = ("size", "src", "dst", "heads", "edges", "classes", "quotient")
+
+    def __init__(self, g):
+        self.size = g.half_edge_count
+        self.src = np.repeat(np.arange(self.size),
+                             [len(g.continuations(h)) for h in range(self.size)])
+        self.dst = np.array([h2 for h in range(self.size) for h2 in g.continuations(h)],
+                            dtype=np.intp)
+        self.heads = np.array(g.heads, dtype=np.intp)
+        self.edges = np.array([g.edge_of(h) for h in range(self.size)], dtype=np.intp)
+        self.classes, self.quotient = _equitable_partition(g)
+
+    def counts(self, base, n):
+        """Yield the exact numbers of paths of 1 .. n half-edges starting with
+        ``base``: (Q^k 1)[class(base)] for k = 0 .. n-1, since B P = P Q for
+        the class indicator matrix P."""
+        row = self.classes[base]
+        vec = [1] * len(self.quotient)
+        for k in range(n):
+            if k:
+                vec = [sum(c * vec[j] for j, c in terms) for terms in self.quotient]
+            yield vec[row]
+
+    def averages(self, at, base, n):
+        """Path-weighted averages of the per-half-edge values ``at`` over the
+        last half-edges of the paths of 1 .. n half-edges starting with
+        ``base`` (0.0 where there are no such paths)."""
+        centre = float(at[base])
+        rows = np.vstack([np.ones(self.size), at - centre])  # path count, centred sum
+        p = np.zeros(self.size)
+        p[base] = 1.0
+        out = []
+        for k in range(n):
+            if k:
+                p = np.ldexp(p, -math.frexp(total)[1])
+                p = np.bincount(self.dst, weights=p[self.src], minlength=self.size)
+            total, moment = (rows @ p).tolist()
+            if total == 0.0:  # dead end: every longer path is missing too
+                return out + [0.0] * (n - k)
+            out.append(centre + moment / total)
+        return out
+
+
+def _equitable_partition(g):
+    """Coarsest partition of the half-edges in which all members of a class
+    have the same number of continuations in each class, by colour refinement.
+
+    Returns (class of each half-edge, quotient rows): row i lists the
+    (class j, count) pairs of any member of class i.
+    """
+    colour = [0] * g.half_edge_count
+    count = 1
+    while True:
+        ids = {}
+        refined = [
+            ids.setdefault((colour[h], tuple(sorted(colour[x] for x in g.continuations(h)))),
+                           len(ids))
+            for h in range(g.half_edge_count)
+        ]
+        if len(ids) == count:
+            break
+        colour, count = refined, len(ids)
+    members = {}
+    for h, c in enumerate(colour):
+        members.setdefault(c, h)
+    quotient = []
+    for c in range(count):
+        tally = {}
+        for x in g.continuations(members[c]):
+            tally[colour[x]] = tally.get(colour[x], 0) + 1
+        quotient.append(tuple(sorted(tally.items())))
+    return colour, tuple(quotient)
+
+
+def transfer_operator(g):
+    """The graph's transfer operator, built on first use and kept on the graph."""
+    if g._transfer is None:
+        g._transfer = TransferOperator(g)
+    return g._transfer
+
+
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def _sums(sizes, averages):
+    """Per-radius sums (size times average) of an arc series.
+
+    The operator yields averages; they are multiplied back into sums only to
+    keep the (sizes, sums) results of the arc_*_sums functions, and callers
+    divide again.  This is the one place a size meets a float: a sum past the
+    float range raises SizeOutOfRangeError naming the radius.
+    """
+    sums = []
+    for r, (n, avg) in enumerate(zip(sizes, averages)):
+        total = float(n) * avg if n <= _FLOAT_MAX else math.inf
+        if not math.isfinite(total):
+            raise SizeOutOfRangeError(
+                f"arc at radius {r} has about 2**{n.bit_length() - 1} elements; "
+                "their sum is past the float range")
+        sums.append(total)
+    return sums
 
 
 def arc_vertex_count(g, base, r):
-    """|A_r(base)| by exact integer counting."""
-    if r == 0:
-        return 1
-    counts = [0] * g.half_edge_count
-    counts[base] = 1
-    for _ in range(r - 1):
-        counts = _nb_count_step(g, counts)
-    return sum(counts)
+    """|A_r(base)| by exact integer counting; keeps only the last size."""
+    size = 1
+    for size in transfer_operator(g).counts(base, r):
+        pass
+    return size
 
 
 def arc_edge_count(g, base, r):
@@ -452,35 +555,24 @@ def arc_edge_count(g, base, r):
 def arc_vertex_sums(g, f, base, max_radius):
     """Per-radius (size, sum of lifted values) over vertex arcs A_0 .. A_R."""
     check_field(g, f, VERTICES)
-    vals = f.values
-    sizes = [1]
-    sums = [float(vals[g.tail(base)])]
-    counts = [0] * g.half_edge_count
-    counts[base] = 1
-    for _ in range(max_radius):
-        sizes.append(sum(counts))
-        sums.append(math.fsum(c * vals[g.head(h)] for h, c in enumerate(counts) if c))
-        counts = _nb_count_step(g, counts)
-    return sizes[: max_radius + 1], sums[: max_radius + 1]
+    op = transfer_operator(g)
+    sizes = [1, *op.counts(base, max_radius)]
+    averages = [float(f.values[g.tail(base)])]
+    averages += op.averages(f.values[op.heads], base, max_radius)
+    return sizes, _sums(sizes, averages)
 
 
 def arc_edge_sums(g, f, base, max_radius):
     """Per-radius (size, sum of lifted values) over edge arcs A'_0 .. A'_R."""
     check_field(g, f, EDGES)
-    vals = f.values
-    sizes = []
-    sums = []
-    counts = [0] * g.half_edge_count
-    counts[base] = 1
-    for _ in range(max_radius + 1):
-        sizes.append(sum(counts))
-        sums.append(math.fsum(c * vals[g.edge_of(h)] for h, c in enumerate(counts) if c))
-        counts = _nb_count_step(g, counts)
-    return sizes, sums
+    op = transfer_operator(g)
+    sizes = list(op.counts(base, max_radius + 1))
+    return sizes, _sums(sizes, op.averages(f.values[op.edges], base, max_radius + 1))
 
 
 def arc_average_transfer(g, f, base, r):
-    """Arc average of the lifted field, via the transfer step instead of enumeration.
+    """Arc average of the lifted field, via the transfer operator instead of
+    enumeration.
 
     Agrees with set_average over arc_vertices/arc_edges to ~1e-15 relative;
     the declared equivalence tolerance is 1e-12.

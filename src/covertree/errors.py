@@ -77,6 +77,10 @@ class SupportMismatchError(CoverError):
     pass
 
 
+class SizeOutOfRangeError(CoverError):
+    """A set has more elements than a float can hold, so it has no float average."""
+
+
 # --- spectral ---
 
 class SpectralError(CovertreeError):

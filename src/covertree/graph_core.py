@@ -40,6 +40,8 @@ class Graph:
         "vertex_count", "edge_count", "allows_loops", "allows_multi",
         "tails", "heads", "twins",
         "_edge_of", "_edge_pairs", "_out", "_degrees", "_continuations",
+        # derived data built on first use (classify, cover.transfer_operator)
+        "_classification", "_transfer",
     )
 
     def __init__(self, vertex_count, half_edges, *, allows_loops=False, allows_multi=False):
@@ -99,6 +101,8 @@ class Graph:
             tuple(h2 for h2 in self._out[heads[h]] if h2 != twins[h])
             for h in range(count)
         )
+        self._classification = None
+        self._transfer = None
         self._check_connected()
 
     def _check_connected(self):
@@ -272,7 +276,14 @@ def _two_coloring(g):
 
 
 def classify(g):
-    """Classify a graph by degree structure and bipartiteness."""
+    """Classify a graph by degree structure and bipartiteness; computed once
+    per graph and kept on it."""
+    if g._classification is None:
+        g._classification = _classify(g)
+    return g._classification
+
+
+def _classify(g):
     simple = g.is_simple()
     degs = g.degrees()
     parts = _two_coloring(g)

@@ -435,6 +435,23 @@ def test_doob_condition(k4, k34):
     assert check_doob_condition(k34, spectral.eig_sym(spectral.edge_laplacian(k34)))
 
 
+def test_doob_transfer_averages_equal_enumeration(k4, k34):
+    # check_doob_condition reads its arc averages from the transfer operator;
+    # at every extreme-eigenvalue column they equal the enumerated ones
+    for g, extreme in ((k4, -0.5), (k34, -0.4)):
+        decomp = spectral.eig_sym(spectral.edge_laplacian(g))
+        k_ext = [k for k, mu in enumerate(decomp.distinct) if abs(mu - extreme) < 1e-9][0]
+        basis = decomp.group_basis(k_ext)
+        for col in range(basis.shape[1]):
+            f = ScalarField(EDGES, basis[:, col])
+            for base in (0, g.half_edge_count - 1):
+                sizes, sums = cover.arc_edge_sums(g, f, base, 10)
+                layers = list(cover.arc_edge_layers(g, base, 10))
+                assert sizes == [len(layer) for layer in layers]
+                for s, n, layer in zip(sums, sizes, layers):
+                    assert s / n == pytest.approx(cover.set_average(f, layer), abs=1e-12)
+
+
 def test_doob_condition_vacuous(k4):
     # a decomposition without the extreme eigenvalue passes vacuously
     lap = spectral.edge_laplacian(k4)

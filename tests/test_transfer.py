@@ -1,0 +1,228 @@
+"""The array-backed transfer operator against a big-integer reference step.
+
+The reference counts non-backtracking paths exactly, one half-edge at a time,
+with Python integers; the operator must give the same sizes exactly and the
+same path-weighted averages to 1e-12, on regular, semiregular, irregular,
+dead-end and loop/multi-edge graphs.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from covertree import analysis, cover, graph_core
+from covertree.cli import main, random_field
+from covertree.cover import EDGES, VERTICES
+from covertree.errors import BudgetExceededError, SizeOutOfRangeError
+
+SIZE_RADIUS = 40
+AVERAGE_RADIUS = 60
+
+
+def reference_counts(g, base, steps):
+    """Exact path counts per last half-edge after 0 .. steps steps from ``base``."""
+    counts = [0] * g.half_edge_count
+    counts[base] = 1
+    out = [counts]
+    for _ in range(steps):
+        nxt = [0] * g.half_edge_count
+        for h, c in enumerate(counts):
+            if c:
+                for h2 in g.continuations(h):
+                    nxt[h2] += c
+        counts = nxt
+        out.append(counts)
+    return out
+
+
+def reference_average(counts, at):
+    n = sum(counts)
+    return math.fsum(c * at[h] for h, c in enumerate(counts) if c) / n
+
+
+def _graphs(seeded_cubic):
+    return {
+        "k4": graph_core.generate("complete", 4),
+        "petersen": graph_core.generate("petersen"),
+        "k34": graph_core.generate("complete_bipartite", 3, 4),
+        "k25": graph_core.generate("complete_bipartite", 2, 5),
+        "cubic60": seeded_cubic(60, 5),
+        "chords": graph_core.generate("cycle_with_chords", 9, 0, 4, 2, 7),
+        "path": graph_core.build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        "loops": graph_core.build_graph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)],
+                                        allows_loops=True, allows_multi=True),
+    }
+
+
+GRAPH_NAMES = ("k4", "petersen", "k34", "k25", "cubic60", "chords", "path", "loops")
+
+
+@pytest.mark.parametrize("name", GRAPH_NAMES)
+def test_operator_matches_big_integer_reference(name, seeded_cubic):
+    g = _graphs(seeded_cubic)[name]
+    fv = random_field(g, VERTICES, 31)
+    fe = random_field(g, EDGES, 32)
+    at_vertex = [fv.values[g.head(h)] for h in range(g.half_edge_count)]
+    at_edge = [fe.values[g.edge_of(h)] for h in range(g.half_edge_count)]
+    worst = 0.0
+    for base in range(g.half_edge_count):
+        ref = reference_counts(g, base, AVERAGE_RADIUS + 1)
+        v_sizes, v_sums = cover.arc_vertex_sums(g, fv, base, AVERAGE_RADIUS)
+        e_sizes, e_sums = cover.arc_edge_sums(g, fe, base, AVERAGE_RADIUS)
+        # A_r has the paths of r half-edges, A'_r those of r + 1
+        assert v_sizes == [1] + [sum(c) for c in ref[:AVERAGE_RADIUS]]
+        assert e_sizes == [sum(c) for c in ref[:AVERAGE_RADIUS + 1]]
+        for r in range(SIZE_RADIUS + 1):
+            assert cover.arc_vertex_count(g, base, r) == v_sizes[r]
+            assert cover.arc_edge_count(g, base, r) == e_sizes[r]
+        for r in range(1, AVERAGE_RADIUS + 1):
+            if v_sizes[r]:
+                want = reference_average(ref[r - 1], at_vertex)
+                worst = max(worst, abs(v_sums[r] / v_sizes[r] - want))
+            else:
+                assert v_sums[r] == 0.0
+        for r in range(AVERAGE_RADIUS + 1):
+            if e_sizes[r]:
+                want = reference_average(ref[r], at_edge)
+                worst = max(worst, abs(e_sums[r] / e_sizes[r] - want))
+            else:
+                assert e_sums[r] == 0.0
+    assert worst <= 1e-12
+
+
+def test_equitable_partition_is_coarsest_on_regular_and_semiregular(seeded_cubic):
+    graphs = _graphs(seeded_cubic)
+    for name, classes in (("k4", 1), ("petersen", 1), ("cubic60", 1), ("k34", 2), ("k25", 2)):
+        assert len(cover.transfer_operator(graphs[name]).quotient) == classes, name
+
+
+@pytest.mark.parametrize("name", GRAPH_NAMES)
+def test_quotient_intertwines_the_operator(name, seeded_cubic):
+    # B P = P Q: every member of class i has Q[i][j] continuations in class j
+    g = _graphs(seeded_cubic)[name]
+    op = cover.transfer_operator(g)
+    for h in range(g.half_edge_count):
+        tally = {}
+        for x in g.continuations(h):
+            tally[op.classes[x]] = tally.get(op.classes[x], 0) + 1
+        assert tuple(sorted(tally.items())) == op.quotient[op.classes[h]]
+    pairs = sorted(zip(op.src.tolist(), op.dst.tolist()))
+    assert pairs == sorted((h, x) for h in range(g.half_edge_count) for x in g.continuations(h))
+
+
+def test_operator_and_classification_are_built_once_and_kept_on_the_graph():
+    g = graph_core.generate("petersen")
+    assert g._transfer is None and g._classification is None
+    f = random_field(g, VERTICES, 1)
+    analysis.deviation_series(g, f, set_kind="sphere", radius=4, root=0)
+    op, cls = g._transfer, g._classification
+    assert op is not None and cls is not None
+    analysis.deviation_series(g, f, set_kind="arc", radius=4, base=3)
+    assert cover.transfer_operator(g) is op and graph_core.classify(g) is cls
+
+
+def test_constant_field_averages_exactly_on_every_set_family():
+    for g in (graph_core.generate("complete", 4), graph_core.generate("petersen")):
+        f = cover.constant_field(g, VERTICES, 1.7)
+        fe = cover.constant_field(g, EDGES, -0.3)
+        cycle = 3 if g.vertex_count == 4 else 5   # a triangle of K4, the outer 5-cycle
+        geo = cover.GeodesicSpec(tuple(g.half_edge(i, (i + 1) % cycle) for i in range(cycle)))
+        anchors = [(f, "arc", {"base": 1}), (fe, "arc", {"base": 1}),
+                   (f, "sphere", {"root": 0}), (fe, "edge-sphere", {"root": 0}),
+                   (f, "horocycle", {"geodesic": geo})]
+        reports = [analysis.deviation_series(g, field, set_kind=kind, radius=30,
+                                             budget=10 ** 40, **anchor)
+                   for field, kind, anchor in anchors]
+        for report in reports:
+            assert all(d == 0.0 for d in report.deviations), report.set_kind
+
+
+# --- horocycles: one series per distinct base ---
+
+def test_horocycle_runs_one_series_per_distinct_base(petersen, monkeypatch):
+    f = random_field(petersen, VERTICES, 23)
+    geo = cover.GeodesicSpec(tuple(petersen.half_edge(i, (i + 1) % 5) for i in range(5)))
+    radius = 40
+    expected = [cover.arc_average_transfer(petersen, f, petersen.twin(geo.half_edge_at(r)), r + 1)
+                for r in range(radius + 1)]
+    calls = []
+    original = cover.arc_vertex_sums
+
+    def counting(g, f, base, max_radius):
+        calls.append((base, max_radius))
+        return original(g, f, base, max_radius)
+
+    monkeypatch.setattr(cover, "arc_vertex_sums", counting)
+    report = analysis.deviation_series(petersen, f, set_kind="horocycle", radius=radius,
+                                       geodesic=geo, budget=10 ** 40)
+    assert sorted(calls) == sorted((petersen.twin(h), radius + 1) for h in geo.half_edges)
+    assert report.sizes == [2 ** r for r in range(radius + 1)]
+    assert max(abs(a - b) for a, b in zip(report.averages, expected)) <= 1e-12
+
+
+def test_horocycle_budget_names_the_first_radius_over_the_cap(petersen):
+    f = random_field(petersen, VERTICES, 23)
+    geo = cover.GeodesicSpec(tuple(petersen.half_edge(i, (i + 1) % 5) for i in range(5)))
+    with pytest.raises(BudgetExceededError, match="horocycle at radius 7 has 128 elements"):
+        analysis.deviation_series(petersen, f, set_kind="horocycle", radius=2000,
+                                  geodesic=geo, budget=100)
+
+
+def test_horocycle_budget_stops_before_counting_a_huge_radius(petersen):
+    # the budget is checked while counting, so counting stops at radius 7
+    f = random_field(petersen, VERTICES, 23)
+    geo = cover.GeodesicSpec(tuple(petersen.half_edge(i, (i + 1) % 5) for i in range(5)))
+    with pytest.raises(BudgetExceededError, match="horocycle at radius 7 has 128 elements"):
+        analysis.deviation_series(petersen, f, set_kind="horocycle", radius=10 ** 8,
+                                  geodesic=geo, budget=100)
+
+
+# --- sizes past the float range ---
+
+def test_arc_past_float_range_names_the_radius(petersen):
+    f = random_field(petersen, VERTICES, 1)
+    # |A_r| = 2**(r - 1) on a cubic graph, past the float range from r = 1025
+    with pytest.raises(SizeOutOfRangeError, match="radius 1025"):
+        analysis.deviation_series(petersen, f, set_kind="arc", radius=1100, base=0,
+                                  budget=10 ** 400)
+    report = analysis.deviation_series(petersen, f, set_kind="arc", radius=1024, base=0,
+                                       budget=10 ** 400)
+    assert report.sizes[-1] == 2 ** 1023 and np.isfinite(report.averages).all()
+
+
+def test_arc_sum_past_float_range_names_the_radius(petersen):
+    # the float range ends just below 2**1024: 2**1023 elements fit, a sum of
+    # 2.5 for each of them does not
+    f = cover.constant_field(petersen, VERTICES, 2.5)
+    with pytest.raises(SizeOutOfRangeError, match="arc at radius 1024 .* sum is past"):
+        cover.arc_vertex_sums(petersen, f, 0, 1024)
+    assert cover.arc_vertex_sums(petersen, f, 0, 1023)[1][-1] == 2.5 * 2.0 ** 1022
+
+
+def test_sphere_past_float_range_still_averages(petersen):
+    # three arcs of 2**1023 elements each: every arc fits a float, their union
+    # does not, and the union's average needs no float size
+    f = random_field(petersen, VERTICES, 1)
+    report = analysis.deviation_series(petersen, f, set_kind="sphere", radius=1024, root=0,
+                                       budget=10 ** 400)
+    assert report.sizes[-1] == 3 * 2 ** 1023
+    arcs = [cover.arc_average_transfer(petersen, f, h, 1024) for h in petersen.out(0)]
+    assert report.averages[-1] == pytest.approx(sum(arcs) / 3, abs=1e-12)
+    constant = cover.constant_field(petersen, VERTICES, 1.7)
+    report = analysis.deviation_series(petersen, constant, set_kind="sphere", radius=1024,
+                                       root=0, budget=10 ** 400)
+    assert all(a == 1.7 for a in report.averages)
+
+
+def test_average_past_float_range_exits_3(tmp_path, capsys, monkeypatch, petersen):
+    graph = tmp_path / "pet.g"
+    graph_core.save_graph(petersen, graph)
+    field = tmp_path / "f.fld"
+    cover.save_field(random_field(petersen, VERTICES, 1), field)
+    monkeypatch.setenv(analysis.BUDGET_ENV_VAR, str(10 ** 400))
+    rc = main(["average", "--graph", str(graph), "--field", str(field), "--set", "arc",
+               "--base", "0", "1", "--radius", "1100"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and "radius 1025" in err and "Traceback" not in err
