@@ -28,6 +28,7 @@ from .cover import (
     CoverEdge,
     CoverVertex,
     GeodesicSpec,
+    PathLayer,
     ScalarField,
     arc_average_transfer,
     arc_edges,

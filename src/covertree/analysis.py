@@ -11,6 +11,7 @@ runnable pass/fail checks.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -69,17 +70,27 @@ def enumeration_budget(budget=None):
 def _arc_union(g, f, bases, radius, cap, what):
     """Per-radius (sizes, averages) over the disjoint union of the arcs at
     ``bases``, vertex or edge arcs by the field's support.  The budget applies
-    to the union at the last radius and is checked before any averaging.
+    to the union at every radius from 1: the arcs are counted in lockstep, so
+    a huge radius fails at the first radius over the cap, before any
+    averaging.
 
     Arc averages are weighted by exact size fractions and centred on the first
     non-empty arc's, so the union's size never has to fit a float and arcs
     with equal averages give exactly that average.
     """
     vertices = f.support == cover.VERTICES
-    count_of = cover.arc_vertex_count if vertices else cover.arc_edge_count
-    count = sum(count_of(g, h, radius) for h in bases)
-    if count > cap:
-        raise BudgetExceededError(f"{what} at radius {radius} has {count} elements (cap {cap})")
+    op = cover.transfer_operator(g)
+    if vertices:  # A_0 is the tail alone; A_r has the paths of r half-edges
+        counters = [itertools.chain([1], op.counts(h, radius)) for h in bases]
+    else:         # A'_r has the paths of r + 1 half-edges
+        counters = [op.counts(h, radius + 1) for h in bases]
+    unions = map(sum, zip(*counters))
+    # radius 0 is not capped: it has one element per base, a half-edge leaving
+    # the root or the caller's subtree, and spheres and tubes replace it
+    next(unions, None)
+    for r, n in enumerate(unions, start=1):
+        if n > cap:
+            raise BudgetExceededError(f"{what} at radius {r} has {n} elements (cap {cap})")
     sums_of = cover.arc_vertex_sums if vertices else cover.arc_edge_sums
     series = [sums_of(g, f, h, radius) for h in bases]
     sizes = []
@@ -172,7 +183,7 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
             sizes, averages = _arc_union(g, f, boundary, radius, cap, "tube")
             # radius 0 is the subtree itself
             sizes[0] = len(members)
-            averages[0] = math.fsum(f.values[cv.vertex] for cv in members) / len(members)
+            averages[0] = cover.set_average(f, members)
         else:
             sizes, averages = _arc_union(g, f, boundary, radius, cap, "edge tube")
             # radius 0 also contains the subtree's internal edges
@@ -425,8 +436,9 @@ def check_sphere_decomposition(g, v0, f, radius):
 
     For r >= 1 the sphere average must equal the equally weighted mean of the
     arc averages over the outgoing half-edges (the arcs all have the same
-    size on the constant-degree graphs this is used for), and the arc sizes
-    must add up to the sphere size with the arcs pairwise disjoint.
+    size on the constant-degree graphs this is used for), and the arcs must
+    be pairwise disjoint with the sphere's rows as their union, compared on
+    the path rows of the layers.
     """
     cover.check_field(g, f, cover.VERTICES)
     out = g.out(v0)
@@ -435,15 +447,13 @@ def check_sphere_decomposition(g, v0, f, radius):
         next(it)  # radius 0 is the shared root, not part of the decomposition
     for r in range(1, radius + 1):
         layers = [next(it) for it in layer_iters]
-        union = set()
-        total = 0
-        for layer in layers:
-            total += len(layer)
-            union.update(layer)
-        if len(union) != total:
-            return False
         sphere = cover.sphere_vertices(g, v0, r)
-        if union != sphere:
+        rows = np.concatenate([layer.paths for layer in layers])
+        union = np.unique(rows, axis=0)
+        if len(union) != len(rows):
+            return False
+        if (any(layer.root != sphere.root for layer in layers)
+                or not np.array_equal(union, np.unique(sphere.paths, axis=0))):
             return False
         sphere_avg = cover.set_average(f, sphere)
         arc_mean = math.fsum(cover.set_average(f, layer) for layer in layers) / len(layers)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,8 @@ def cover_root(g, v):
 
 def cover_vertex(g, root, path):
     """Validated CoverVertex from a half-edge path starting at ``root``."""
+    if not 0 <= root < g.vertex_count:
+        raise CoverError(f"root vertex {root} out of range")
     path = tuple(path)
     at = root
     prev = None
@@ -118,22 +121,116 @@ def tree_distance(u, v):
 
 
 # --- arcs and spheres (root coordinates) ---
+#
+# A layer of an arc or a sphere is an (N, depth) matrix of half-edge paths from
+# one root, one row per element.  Layer r + 1 repeats each row of layer r once
+# per continuation of its last half-edge and appends that continuation.  The
+# continuations come from this module's own table, not from the transfer
+# operator's arrays, and no rows are ever merged, so enumeration stays an
+# independent oracle for the transfer.
+
+class _ArcTable:
+    """Continuations of every half-edge as a CSR table, with the head vertex
+    and the edge id of every half-edge."""
+
+    __slots__ = ("starts", "counts", "steps", "heads", "edges")
+
+    def __init__(self, g):
+        self.counts = np.array([len(g.continuations(h)) for h in range(g.half_edge_count)],
+                               dtype=np.intp)
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.steps = np.array([x for h in range(g.half_edge_count) for x in g.continuations(h)],
+                              dtype=np.intp)
+        self.heads = np.array(g.heads, dtype=np.intp)
+        self.edges = np.array([g.edge_of(h) for h in range(g.half_edge_count)], dtype=np.intp)
+
+    def extend(self, paths):
+        """The paths one half-edge longer, in the order of their parents."""
+        last = paths[:, -1]
+        parent = np.repeat(np.arange(len(paths)), self.counts[last])
+        first = self.starts[last][parent]
+        # rank of each new row among the continuations of its parent
+        rank = np.arange(len(parent)) - np.searchsorted(parent, parent)
+        return np.column_stack([paths[parent], self.steps[first + rank]])
+
+
+def _arc_table(g):
+    """The graph's arc table, built on first use and kept on the graph."""
+    if g._arc_table is None:
+        g._arc_table = _ArcTable(g)
+    return g._arc_table
+
+
+class PathLayer(Set):
+    """Read-only set of cover vertices, or of the tree edges above them, held
+    as the rows of an (N, depth) ``intp`` matrix of half-edge paths from one
+    root.
+
+    ``len`` is the number of rows.  Iterating builds the CoverVertex (or
+    CoverEdge) objects one at a time; ``in``, ``==`` and ``<=`` against
+    frozensets of them work through the Set mixins, and set operators return
+    frozensets.  ``support`` says which kind of element the rows stand for.
+    """
+
+    __slots__ = ("g", "root", "paths", "support", "_rows")
+
+    def __init__(self, g, root, paths, support):
+        paths.setflags(write=False)
+        self.g = g
+        self.root = root
+        self.paths = paths
+        self.support = support
+        self._rows = None
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __len__(self):
+        return len(self.paths)
+
+    def __iter__(self):
+        g, root = self.g, self.root
+        for row in self.paths.tolist():
+            path = tuple(row)
+            cv = CoverVertex(root, path, g.head(path[-1]) if path else root)
+            yield cv if self.support == VERTICES else CoverEdge(cv, g.edge_of(path[-1]))
+
+    def __contains__(self, item):
+        kind = CoverVertex if self.support == VERTICES else CoverEdge
+        if type(item) is not kind:
+            return False
+        cv = item if kind is CoverVertex else item.deeper
+        if self._rows is None:
+            self._rows = frozenset(map(tuple, self.paths.tolist()))
+        return cv.root == self.root and cv.path in self._rows
+
+    def __repr__(self):
+        return (f"PathLayer({self.support}, root={self.root}, "
+                f"depth={self.paths.shape[1]}, n={len(self)})")
+
+    def ids(self):
+        """The base vertex (or edge) every element projects to."""
+        if not self.paths.shape[1]:
+            return np.full(len(self), self.root, dtype=np.intp)
+        table = _arc_table(self.g)
+        return (table.heads if self.support == VERTICES else table.edges)[self.paths[:, -1]]
+
+
+def _root_layer(g, v):
+    return PathLayer(g, v, np.empty((1, 0), dtype=np.intp), VERTICES)
+
 
 def arc_vertex_layers(g, base, max_radius):
-    """Yield the vertex arcs A_0 .. A_R of the directed edge ``base`` as frozensets."""
+    """Yield the vertex arcs A_0 .. A_R of the directed edge ``base`` as path layers."""
     tail = g.tail(base)
-    yield frozenset([cover_root(g, tail)])
-    if max_radius == 0:
-        return
-    layer = [CoverVertex(tail, (base,), g.head(base))]
-    yield frozenset(layer)
-    for _ in range(2, max_radius + 1):
-        nxt = []
-        for cv in layer:
-            for h in g.continuations(cv.path[-1]):
-                nxt.append(CoverVertex(cv.root, cv.path + (h,), g.head(h)))
-        layer = nxt
-        yield frozenset(layer)
+    yield _root_layer(g, tail)
+    table = _arc_table(g)
+    paths = np.array([[base]], dtype=np.intp)
+    for r in range(1, max_radius + 1):
+        if r > 1:
+            paths = table.extend(paths)
+        yield PathLayer(g, tail, paths, VERTICES)
 
 
 def arc_vertices(g, base, r):
@@ -149,12 +246,12 @@ def arc_edge_layers(g, base, max_radius):
 
     The edges of A'_r have their nearer endpoint at distance r from the tail
     on the branch through ``base``, so their deeper endpoints are exactly the
-    vertex arc of radius r + 1.
+    vertex arc of radius r + 1: the same path rows, read as edges.
     """
     layers = arc_vertex_layers(g, base, max_radius + 1)
     next(layers)  # depth-0 layer carries no tree edge
     for layer in layers:
-        yield frozenset(CoverEdge(cv, g.edge_of(cv.path[-1])) for cv in layer)
+        yield PathLayer(g, layer.root, layer.paths, EDGES)
 
 
 def arc_edges(g, base, r):
@@ -164,22 +261,23 @@ def arc_edges(g, base, r):
     raise AssertionError("unreachable")
 
 
+def _stacked(g, v0, arcs, depth, support):
+    """One layer holding the rows of the arcs at v0's half-edges."""
+    rows = [np.empty((0, depth), dtype=np.intp)]  # a vertex without half-edges has none
+    rows += [arc.paths for arc in arcs]
+    return PathLayer(g, v0, np.concatenate(rows), support)
+
+
 def sphere_vertices(g, v0, r):
     """The sphere S_r(v0): the disjoint union of the d(v0) arcs of radius r."""
     if r == 0:
-        return frozenset([cover_root(g, v0)])
-    out = set()
-    for h in g.out(v0):
-        out.update(arc_vertices(g, h, r))
-    return frozenset(out)
+        return _root_layer(g, v0)
+    return _stacked(g, v0, [arc_vertices(g, h, r) for h in g.out(v0)], r, VERTICES)
 
 
 def sphere_edges(g, v0, r):
     """Tree edges whose nearer endpoint lies at distance r from the root."""
-    out = set()
-    for h in g.out(v0):
-        out.update(arc_edges(g, h, r))
-    return frozenset(out)
+    return _stacked(g, v0, [arc_edges(g, h, r) for h in g.out(v0)], r + 1, EDGES)
 
 
 # --- tubes around a finite connected subtree ---
@@ -377,14 +475,23 @@ def indicator_field(g, support, index):
     return ScalarField(support, values)
 
 
+def _mean(values):
+    """Correctly rounded mean of a list of floats."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        raise SizeOutOfRangeError(
+            f"the sum of {len(values)} field values is past the float range") from None
+
+
 def graph_average(f):
     """Mean of the field over the whole base graph."""
-    return math.fsum(f.values) / len(f.values)
+    return _mean(f.values.tolist())
 
 
 def part_average(f, part):
     """Mean of a vertex field over a vertex subset."""
-    return math.fsum(f.values[v] for v in part) / len(part)
+    return _mean([float(f.values[v]) for v in part])
 
 
 def _expected_length(g, support):
@@ -400,23 +507,31 @@ def check_field(g, f, support=None):
         )
 
 
+_NEEDS_FIELD = {VERTICES: "vertex set needs a vertex field", EDGES: "edge set needs an edge field"}
+
+
 def set_average(f, elements):
-    """Mean of the lifted field over a set of cover vertices or cover edges."""
-    elements = list(elements)
-    if not elements:
-        raise EmptySetError("cannot average over an empty set")
-    first = elements[0]
-    if isinstance(first, CoverVertex):
-        if f.support != VERTICES:
-            raise SupportMismatchError("vertex set needs a vertex field")
-        total = math.fsum(f.values[cv.vertex] for cv in elements)
-    elif isinstance(first, CoverEdge):
-        if f.support != EDGES:
-            raise SupportMismatchError("edge set needs an edge field")
-        total = math.fsum(f.values[ce.edge] for ce in elements)
+    """Mean of the lifted field over a set of cover vertices or cover edges.
+
+    A PathLayer is read straight from its path rows, without building its
+    objects; fsum rounds correctly, so the mean has the same bits either way.
+    """
+    if isinstance(elements, PathLayer):
+        support, ids = elements.support, elements.ids()
     else:
-        raise SupportMismatchError(f"cannot average over {type(first).__name__}")
-    return total / len(elements)
+        elements = list(elements)
+        first = elements[0] if elements else None
+        if isinstance(first, CoverEdge):
+            support, ids = EDGES, [ce.edge for ce in elements]
+        elif first is None or isinstance(first, CoverVertex):
+            support, ids = VERTICES, [cv.vertex for cv in elements]
+        else:
+            raise SupportMismatchError(f"cannot average over {type(first).__name__}")
+    if not len(ids):
+        raise EmptySetError("cannot average over an empty set")
+    if f.support != support:
+        raise SupportMismatchError(_NEEDS_FIELD[support])
+    return _mean(f.values[ids].tolist())
 
 
 # --- non-backtracking transfer operator over half-edges ---

@@ -78,7 +78,8 @@ class SupportMismatchError(CoverError):
 
 
 class SizeOutOfRangeError(CoverError):
-    """A set has more elements than a float can hold, so it has no float average."""
+    """A set's size, or the sum of the values averaged over it, is past the
+    float range, so it has no float average."""
 
 
 # --- spectral ---

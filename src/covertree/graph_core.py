@@ -40,8 +40,9 @@ class Graph:
         "vertex_count", "edge_count", "allows_loops", "allows_multi",
         "tails", "heads", "twins",
         "_edge_of", "_edge_pairs", "_out", "_degrees", "_continuations",
-        # derived data built on first use (classify, cover.transfer_operator)
-        "_classification", "_transfer",
+        # derived data built on first use (classify, cover.transfer_operator,
+        # cover's arc enumeration)
+        "_classification", "_transfer", "_arc_table",
     )
 
     def __init__(self, vertex_count, half_edges, *, allows_loops=False, allows_multi=False):
@@ -51,6 +52,9 @@ class Graph:
         count = len(half_edges)
         if count % 2 != 0:
             raise TwinPairingError("odd number of half-edges")
+        if vertex_count > count // 2 + 1:  # checked before anything is sized by vertex_count
+            raise DisconnectedGraphError(
+                f"{count // 2} edges cannot connect {vertex_count} vertices")
 
         tails = tuple(t for t, _, _ in half_edges)
         heads = tuple(h for _, h, _ in half_edges)
@@ -103,6 +107,7 @@ class Graph:
         )
         self._classification = None
         self._transfer = None
+        self._arc_table = None
         self._check_connected()
 
     def _check_connected(self):

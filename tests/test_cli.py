@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertree import cover, graph_core, spectral
 from covertree.cli import generic_field, main, random_field
 from covertree.cover import EDGES, VERTICES
+from covertree.errors import SizeOutOfRangeError
 
 
 @pytest.fixture()
@@ -104,6 +110,17 @@ def test_non_finite_field_value(tmp_path, k4_file, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_field_sum_past_float_range_exits_3(tmp_path, k4_file, capsys):
+    field = tmp_path / "huge.fld"
+    field.write_text("field vertices 4\n0 1e308\n1 1e308\n2 0.25\n3 1.0\n")
+    assert main(["average", "--graph", k4_file, "--field", str(field),
+                 "--set", "arc", "--base", "0", "1", "--radius", "4"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "past the float range" in err
+    with pytest.raises(SizeOutOfRangeError, match="sum of 4 field values"):
+        cover.graph_average(cover.load_field(str(field)))
+
+
 @pytest.mark.parametrize("kind", ["graph", "field", "geodesic", "tube"])
 def test_non_ascii_input_file(kind, tmp_path, petersen_file, capsys):
     g = graph_core.load_graph(petersen_file)
@@ -126,6 +143,98 @@ def test_non_ascii_input_file(kind, tmp_path, petersen_file, capsys):
         argv = base + ["--set", "arc", "--base", "0", "1"]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+# Tokens of the four input formats plus hostile values, so fuzzed files get
+# past the header checks as well as failing at them.
+_FUZZ_TOKENS = [b"graph", b"field", b"vertices", b"edges", b"geodesic", b"tube", b"loops",
+                b"multi", b"0", b"1", b"2", b"3", b"4", b"5", b"9", b"10", b"15", b"-1",
+                b"99999", b"0.5", b"1e308", b"-1e308", b"nan", b"inf", b".", b"#",
+                b"\n", b"\t", b"\xff", b"\x00"]
+
+
+def _fuzz_bytes(valid):
+    """Arbitrary bytes, a soup of format tokens, or ``valid`` with up to three
+    of its tokens replaced."""
+    parts = re.split(rb"(\s+)", valid)   # tokens at even indices
+
+    def edit(edits):
+        out = list(parts)
+        for i, token in edits:
+            out[2 * i] = token
+        return b"".join(out)
+
+    token = st.one_of(st.sampled_from(_FUZZ_TOKENS), st.integers(-2, 99).map(b"%d".__mod__))
+    return st.one_of(
+        st.binary(max_size=200),
+        st.lists(token, max_size=40).map(b" ".join),
+        st.lists(st.tuples(st.integers(0, len(parts) // 2), token), min_size=1, max_size=3).map(edit),
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Valid Petersen graph, field, geodesic and tube files; fuzzing replaces one."""
+    d = tmp_path_factory.mktemp("fuzz")
+    g = graph_core.generate("petersen")
+    files = {"graph": d / "pet.g", "field": d / "v.fld", "geodesic": d / "outer.geo",
+             "tube": d / "x.tube"}
+    graph_core.save_graph(g, files["graph"])
+    cover.save_field(random_field(g, VERTICES, 9), files["field"])
+    geo = cover.GeodesicSpec(tuple(g.half_edge(i, (i + 1) % 5) for i in range(5)))
+    files["geodesic"].write_text(cover.write_geodesic(g, geo))
+    files["tube"].write_text("tube 0 1\n.\n")
+    return d, files
+
+
+def _fuzz_argvs(files, kind, bad):
+    files = dict(files, **{kind: bad})
+    average = ["average", "--graph", str(files["graph"]), "--field", str(files["field"]),
+               "--radius", "3"]
+    if kind == "graph":
+        return [["classify", "--graph", str(bad)],
+                average + ["--set", "arc", "--base", "0", "1"]]
+    if kind == "field":
+        return [average + ["--set", "arc", "--base", "0", "1"],
+                average + ["--set", "edge-sphere", "--root", "0"]]
+    if kind == "geodesic":
+        return [average + ["--set", "horocycle", "--geodesic", str(bad)]]
+    return [average + ["--set", "tube", "--tube", str(bad)]]
+
+
+@pytest.mark.parametrize("kind", ["graph", "field", "geodesic", "tube"])
+@given(draw=st.data())
+@settings(max_examples=100, deadline=None)
+def test_arbitrary_input_files_exit_cleanly(fuzz_inputs, kind, draw):
+    # an uncaught exception fails the test; anything else must be 0, 2 or 3
+    directory, files = fuzz_inputs
+    data = draw.draw(_fuzz_bytes(files[kind].read_bytes()), label="file")
+    bad = directory / f"fuzzed.{kind}"
+    bad.write_bytes(data)
+    for argv in _fuzz_argvs(files, kind, bad):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 2, 3), argv
+        assert rc == 0 or err.getvalue().startswith("error:"), argv
+
+
+def test_tube_root_out_of_range_exits_3(tmp_path, petersen_file, capsys):
+    g = graph_core.load_graph(petersen_file)
+    tube = tmp_path / "far.tube"
+    tube.write_text("tube 99 1\n.\n")
+    assert main(["average", "--graph", petersen_file,
+                 "--field", _write_field(tmp_path, g, VERTICES, 9),
+                 "--set", "tube", "--tube", str(tube), "--radius", "3"]) == 3
+    assert capsys.readouterr().err.startswith("error: root vertex 99 out of range")
+
+
+def test_vertex_count_beyond_the_edges_fails_before_allocating(tmp_path, capsys):
+    # m edges connect at most m + 1 vertices; the header alone rejects more
+    big = tmp_path / "big.g"
+    big.write_text("graph 1000000 1\n0 1\n")
+    assert main(["classify", "--graph", str(big)]) == 3
+    assert capsys.readouterr().err == "error: 1 edges cannot connect 1000000 vertices\n"
 
 
 def test_classification_gate_is_usage_error(tmp_path):

@@ -1,8 +1,12 @@
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertree import cover, graph_core
+from covertree.cli import random_field
 from covertree.cover import (
     EDGES,
     VERTICES,
@@ -27,6 +31,7 @@ from covertree.cover import (
     set_average,
     sphere_edges,
     sphere_vertices,
+    tree_arc,
     tree_distance,
     tree_sphere,
     tube_edges,
@@ -44,6 +49,7 @@ from covertree.errors import (
     SupportMismatchError,
 )
 from test_graph_core import connected_graphs
+from test_transfer import _graphs
 
 
 def _check_non_backtracking(g, cv):
@@ -95,6 +101,52 @@ def test_k34_edge_arc_branching(k34):
     sizes = [len(arc_edges(k34, base, r)) for r in range(5)]
     # |A'_r| multiplies by q, p, q, p, ... when based on the degree-(p+1) side
     assert sizes == [1, 3, 6, 18, 36]
+
+
+# --- path layers against the object BFS over cover_neighbors ---
+
+ORACLE_GRAPHS = ("k4", "petersen", "k34", "cubic60", "chords", "path", "loops")
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_path_layers_match_the_object_bfs(name, seeded_cubic):
+    g = _graphs(seeded_cubic)[name]
+    fv = random_field(g, VERTICES, 41)
+    fe = random_field(g, EDGES, 42)
+    for base in range(g.half_edge_count):
+        tail = cover_root(g, g.tail(base))
+        child = cover_vertex(g, tail.root, [base])
+        bfs = [tree_arc(g, tail, child, r) for r in range(8)]
+        for r, layer in enumerate(arc_vertex_layers(g, base, 6)):
+            assert len(layer) == len(bfs[r]) and layer == bfs[r]
+            if bfs[r]:
+                assert set_average(fv, layer) == math.fsum(
+                    fv.values[cv.vertex] for cv in bfs[r]) / len(bfs[r])
+        for r, layer in enumerate(arc_edge_layers(g, base, 6)):
+            deeper = bfs[r + 1]
+            assert len(layer) == len(deeper) and {ce.deeper for ce in layer} == deeper
+            edges = [g.edge_of(cv.path[-1]) for cv in deeper]
+            assert Counter(ce.edge for ce in layer) == Counter(edges)
+            if deeper:
+                assert set_average(fe, layer) == math.fsum(fe.values[e] for e in edges) / len(edges)
+    for v in range(g.vertex_count):
+        for r in range(7):
+            assert sphere_vertices(g, v, r) == tree_sphere(g, cover_root(g, v), r)
+
+
+def test_path_layer_set_behaviour(petersen):
+    arc = arc_vertices(petersen, 0, 3)
+    objects = frozenset(arc)
+    assert len(objects) == len(arc) == 4
+    assert all(cv in arc for cv in objects)
+    assert cover_root(petersen, 0) not in arc
+    assert next(iter(arc_edges(petersen, 0, 2))) not in arc      # an edge is not a vertex
+    assert cover_vertex(petersen, 1, [petersen.half_edge(1, 2)]) not in arc_vertices(
+        petersen, 0, 1)                                          # same path, other root
+    assert arc == objects and objects == arc and arc <= objects
+    assert (arc | set()) == objects and isinstance(arc | set(), frozenset)
+    with pytest.raises(ValueError):
+        arc.paths[0, 0] = 1                                      # read-only rows
 
 
 # --- spheres ---

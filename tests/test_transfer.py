@@ -7,6 +7,8 @@ dead-end and loop/multi-edge graphs.
 """
 
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -176,6 +178,63 @@ def test_horocycle_budget_stops_before_counting_a_huge_radius(petersen):
     with pytest.raises(BudgetExceededError, match="horocycle at radius 7 has 128 elements"):
         analysis.deviation_series(petersen, f, set_kind="horocycle", radius=10 ** 8,
                                   geodesic=geo, budget=100)
+
+
+def _star(g, v):
+    root = cover.cover_root(g, v)
+    return [root] + cover.cover_children(g, root)
+
+
+# On Petersen |A_r| = 2**(r - 1) and |A'_r| = 2**r; the star of a vertex has
+# four members and six boundary arcs.
+BUDGET_CASES = [
+    ("arc", VERTICES, "base", "arc at radius 8 has 128 elements (cap 100)"),
+    ("sphere", VERTICES, "root", "sphere at radius 7 has 192 elements (cap 100)"),
+    ("edge-sphere", EDGES, "root", "edge sphere at radius 6 has 192 elements (cap 100)"),
+    ("tube", VERTICES, "subtree", "tube at radius 6 has 192 elements (cap 100)"),
+]
+
+
+@pytest.mark.parametrize("kind,support,anchor,message", BUDGET_CASES)
+def test_budget_stops_at_the_first_radius_over_the_cap(petersen, kind, support, anchor, message):
+    # the arcs are counted in lockstep, so a huge radius fails after a few steps
+    f = random_field(petersen, support, 23)
+    anchors = {"base": 0, "root": 0, "subtree": _star(petersen, 0)}
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=re.escape(message)):
+        analysis.deviation_series(petersen, f, set_kind=kind, radius=10 ** 8, budget=100,
+                                  **{anchor: anchors[anchor]})
+    assert time.perf_counter() - start < 1.0
+
+
+def test_budget_counts_spheres_from_radius_1(petersen):
+    # S_0 is the root alone, not the three arcs' shared tail
+    f = random_field(petersen, VERTICES, 1)
+    with pytest.raises(BudgetExceededError, match=re.escape("sphere at radius 1 has 3 elements")):
+        analysis.deviation_series(petersen, f, set_kind="sphere", radius=5, root=0, budget=2)
+
+
+@pytest.mark.parametrize("kind", ["arc", "sphere", "edge-sphere", "tube"])
+def test_average_huge_radius_exits_3_naming_the_radius(kind, tmp_path, capsys, petersen):
+    graph = tmp_path / "pet.g"
+    graph_core.save_graph(petersen, graph)
+    field = tmp_path / "f.fld"
+    cover.save_field(random_field(petersen, EDGES if kind == "edge-sphere" else VERTICES, 1),
+                     field)
+    tube = tmp_path / "star.tube"
+    tube.write_text("tube 0 4\n.\n" + "".join(f"{h}\n" for h in petersen.out(0)))
+    anchor = {"arc": ["--base", "0", "1"], "sphere": ["--root", "0"],
+              "edge-sphere": ["--root", "0"], "tube": ["--tube", str(tube)]}[kind]
+    start = time.perf_counter()
+    rc = main(["average", "--graph", str(graph), "--field", str(field), "--set", kind,
+               "--radius", "100000000", *anchor])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    # the default cap is 10**7 elements
+    first = {"arc": 25, "sphere": 23, "edge-sphere": 22, "tube": 22}[kind]
+    assert rc == 3
+    assert err.startswith(f"error: {kind.replace('-', ' ')} at radius {first} has ")
+    assert err.endswith("elements (cap 10000000)\n")
 
 
 # --- sizes past the float range ---
