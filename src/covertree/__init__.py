@@ -58,6 +58,7 @@ from .graph_core import (
 from .spectral import (
     LaplacianMatrix,
     RatePrediction,
+    Regime,
     SpectralDecomposition,
     decay_rate_regular_edge,
     decay_rate_regular_vertex,
@@ -66,6 +67,7 @@ from .spectral import (
     eig_sym,
     fourier_coefficients,
     rate_prediction,
+    regime,
     transfer_eigenvalues,
     transfer_matrix,
     vertex_laplacian,

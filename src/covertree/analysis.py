@@ -378,16 +378,13 @@ def envelope_series(g, f, base, theorem, radius, decomp=None):
     eigenspace components come from one projection of ``f``, read at the rows
     of the radius-0 and radius-1 arcs.
     """
+    reg = spectral.regime(g, theorem, base)
     if decomp is None:
-        lap, cls = spectral.theorem_laplacian(g, theorem)
-        decomp = spectral.eig_sym(lap)
-    else:
-        cls = spectral.theorem_classification(g, theorem)
-    support = cover.VERTICES if theorem == 1 else cover.EDGES
-    cover.check_field(g, f, support)
-    if decomp.field_support() != support:
-        raise SupportMismatchError(f"regime {theorem} needs an eigenbasis on {support}")
-    if support == cover.VERTICES:
+        decomp = spectral.eig_sym(spectral.theorem_laplacian(g, theorem)[0])
+    cover.check_field(g, f, reg.support)
+    if decomp.support != reg.support:
+        raise SupportMismatchError(f"regime {theorem} needs an eigenbasis on {reg.support}")
+    if reg.support == cover.VERTICES:
         rows0, rows1 = [g.tail(base)], [g.head(base)]
     else:
         rows0 = [g.edge_of(base)]
@@ -396,21 +393,16 @@ def envelope_series(g, f, base, theorem, radius, decomp=None):
     starts = [a for a, _ in decomp.group_slices]
     f0s = np.add.reduceat(decomp.basis[rows0].mean(axis=0) * coeffs, starts)
     f1s = np.add.reduceat(decomp.basis[rows1].mean(axis=0) * coeffs, starts)
-    keep = [k for k, mu in enumerate(decomp.distinct)
-            if abs(mu - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL]
-    mus, f0s, f1s = [decomp.distinct[k] for k in keep], f0s[keep], f1s[keep]
+    mus = np.array(decomp.distinct)
+    keep = np.abs(mus - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL
+    mus, f0s, f1s = mus[keep], f0s[keep], f1s[keep]
     n = np.arange(radius + 1)
-    if theorem == 3:
-        p_base = g.degree(g.tail(base)) - 1
-        q_far = g.degree(g.head(base)) - 1
-        env = np.zeros(radius + 1)
-        for mu, f0, f1 in zip(mus, f0s, f1s):
-            env += _double_step_envelope(float(f0), float(f1), mu, p_base, q_far, n)
+    if reg.p == reg.q:
+        env = _one_step_envelope(f0s, f1s, reg.roots(mus), n)
     else:
-        roots_of = (spectral.characteristic_roots_regular_vertex if theorem == 1
-                    else spectral.characteristic_roots_regular_edge)
-        roots = np.array([roots_of(mu, cls.q) for mu in mus], dtype=complex).reshape(-1, 3).T
-        env = _one_step_envelope(f0s, f1s, roots, n)
+        env = np.zeros(radius + 1)
+        for mu, f0, f1 in zip(mus.tolist(), f0s, f1s):
+            env += _double_step_envelope(float(f0), float(f1), mu, reg.p, reg.q, n)
     return env.tolist()
 
 
@@ -462,18 +454,21 @@ def check_sphere_decomposition(g, v0, f, radius):
     return True
 
 
+def _edge_regime(g, base=0):
+    """Regime 3 on a semiregular graph and regime 2 on any other, at ``base``;
+    the regime's gate rejects graphs fit for neither."""
+    semiregular = graph_core.classify(g).kind == graph_core.SEMIREGULAR
+    return spectral.regime(g, 3 if semiregular else 2, base)
+
+
 def check_lemma_gap(g, tol=1e-9, decomp=None):
     """No edge-Laplacian eigenvalue strictly inside the semiregular gap
     ((p-1)/(p+q), (q-1)/(p+q)); vacuously true when p == q.  ``decomp`` is
     the edge Laplacian's eigendecomposition, computed when not supplied."""
     if decomp is None:
         decomp = spectral.eig_sym(spectral.edge_laplacian(g))
-    cls = graph_core.classify(g)
-    if cls.kind == graph_core.SEMIREGULAR:
-        p, q = cls.p, cls.q
-    else:
-        p = q = cls.q
-    lo, hi = spectral.forbidden_gap(p, q)
+    reg = _edge_regime(g)
+    lo, hi = spectral.forbidden_gap(reg.p, reg.q)
     return not any(lo + tol < mu < hi - tol for mu in decomp.distinct)
 
 
@@ -487,12 +482,8 @@ def check_ramanujan(g, tol=1e-9):
     q = cls.q
     decomp = spectral.eig_sym(spectral.vertex_laplacian(g))
     threshold = 2 * math.sqrt(q) / (q + 1) + tol
-    for mu in decomp.distinct:
-        if abs(abs(mu) - 1.0) <= spectral.TRIVIAL_EIGENVALUE_TOL:
-            continue
-        if abs(mu) > threshold:
-            return False
-    return True
+    return all(abs(mu) <= threshold for mu in decomp.distinct
+               if abs(abs(mu) - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL)
 
 
 def check_bipartite_split(g, f, base, radius, calibration_radius=4):
@@ -508,18 +499,11 @@ def check_bipartite_split(g, f, base, radius, calibration_radius=4):
     report = deviation_series(g, f, set_kind="arc", radius=radius, base=base)
     decomp = spectral.eig_sym(spectral.vertex_laplacian(g))
     _, norms = spectral.fourier_coefficients(f, decomp)
-    beta = 0.0
-    kind = spectral.EXACT_GEOMETRIC
-    for k, mu in enumerate(decomp.distinct):
-        if abs(abs(mu) - 1.0) <= spectral.TRIVIAL_EIGENVALUE_TOL:
-            continue
-        if norms[k] <= spectral.ACTIVITY_TOL:
-            continue
-        b, kd = spectral.decay_rate_regular_vertex(mu, cls.q)
-        if b > beta:
-            beta, kind = b, kd
-    report.predicted_beta = beta
-    report.predicted_kind = kind
+    rates = [spectral.decay_rate_regular_vertex(mu, cls.q) for k, mu in enumerate(decomp.distinct)
+             if abs(abs(mu) - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL
+             and norms[k] > spectral.ACTIVITY_TOL]
+    report.predicted_beta, report.predicted_kind = max(
+        rates, key=lambda rate: rate[0], default=(0.0, spectral.EXACT_GEOMETRIC))
     _, passed = bound_check(report, calibration_radius=calibration_radius)
     return report, passed
 
@@ -528,40 +512,29 @@ def check_doob_condition(g, decomp, max_radius=10, tol=1e-9, bases=None):
     """Every edge eigenvector at the extreme eigenvalue has vanishing star sums,
     and its transfer arc averages follow the exact alternating-step decay.
 
-    The extreme eigenvalue is -1/q for regular graphs and -2/(p+q) for
-    semiregular ones; a spectrum without it passes vacuously.
+    The extreme eigenvalue is -2/(p+q), which is -1/q on regular graphs; a
+    spectrum without it passes vacuously.
     """
-    cls = graph_core.classify(g)
-    if cls.kind == graph_core.SEMIREGULAR:
-        target = -2.0 / (cls.p + cls.q)
-    else:
-        target = -1.0 / cls.q
-    group = None
-    for k, mu in enumerate(decomp.distinct):
-        if abs(mu - target) <= spectral.GROUPING_TOL * 10:
-            group = k
-            break
+    reg = _edge_regime(g)
+    target = -2.0 / (reg.p + reg.q)
+    group = next((k for k, mu in enumerate(decomp.distinct)
+                  if abs(mu - target) <= spectral.GROUPING_TOL * 10), None)
     if group is None:
         return True  # vacuous: the extreme eigenvalue does not occur
-    basis = decomp.group_basis(group)
-    star = {v: [g.edge_of(h) for h in g.out(v)] for v in range(g.vertex_count)}
-    for col in range(basis.shape[1]):
-        vec = basis[:, col]
-        for v, edges in star.items():
-            if abs(math.fsum(vec[e] for e in edges)) > tol:
-                return False
+    star = [[g.edge_of(h) for h in g.out(v)] for v in range(g.vertex_count)]
     if bases is None:
         bases = [0, g.half_edge_count - 1]
-    for col in range(basis.shape[1]):
-        f = ScalarField(cover.EDGES, basis[:, col])
+    for vec in decomp.group_basis(group).T:
+        if any(abs(math.fsum(vec[e] for e in edges)) > tol for edges in star):
+            return False
+        f = ScalarField(cover.EDGES, vec)
         for base in bases:
-            q_far = g.degree(g.head(base)) - 1
-            p_base = g.degree(g.tail(base)) - 1
+            reg = _edge_regime(g, base)
             sizes, sums = cover.arc_edge_sums(g, f, base, max_radius)
             averages = [s / n for s, n in zip(sums, sizes)]
             expected = [averages[0]]
             for n in range(max_radius):
-                ratio = -1.0 / q_far if n % 2 == 0 else -1.0 / p_base
+                ratio = -1.0 / reg.q if n % 2 == 0 else -1.0 / reg.p
                 expected.append(expected[-1] * ratio)
             if any(abs(a - e) > tol for a, e in zip(averages, expected)):
                 return False

@@ -9,6 +9,7 @@ over half-edges (exact integer sizes, float path distributions).
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from collections.abc import Set
@@ -233,12 +234,14 @@ def arc_vertex_layers(g, base, max_radius):
         yield PathLayer(g, tail, paths, VERTICES)
 
 
+def _layer_at(layers, r):
+    """Layer ``r`` of a generator that yields layers 0, 1, .., r."""
+    return next(itertools.islice(layers, r, None))
+
+
 def arc_vertices(g, base, r):
     """The arc A_r(base): cover vertices at distance r from the tail, through ``base``."""
-    for k, layer in enumerate(arc_vertex_layers(g, base, r)):
-        if k == r:
-            return layer
-    raise AssertionError("unreachable")
+    return _layer_at(arc_vertex_layers(g, base, r), r)
 
 
 def arc_edge_layers(g, base, max_radius):
@@ -255,10 +258,7 @@ def arc_edge_layers(g, base, max_radius):
 
 
 def arc_edges(g, base, r):
-    for k, layer in enumerate(arc_edge_layers(g, base, r)):
-        if k == r:
-            return layer
-    raise AssertionError("unreachable")
+    return _layer_at(arc_edge_layers(g, base, r), r)
 
 
 def _stacked(g, v0, arcs, depth, support):
@@ -330,10 +330,7 @@ def _tube_layers(g, members, max_radius):
 def tube_vertices(g, members, r):
     """Cover vertices at tree distance exactly r from a connected subtree."""
     seen, _ = validate_subtree(g, members)
-    for k, layer in enumerate(_tube_layers(g, seen, r)):
-        if k == r:
-            return frozenset(layer)
-    raise AssertionError("unreachable")
+    return frozenset(_layer_at(_tube_layers(g, seen, r), r))
 
 
 def tube_edges(g, members, r):
@@ -355,10 +352,7 @@ def tube_edges(g, members, r):
 
 def tree_sphere(g, center, r):
     """Sphere of radius r around an arbitrary cover vertex."""
-    for k, layer in enumerate(_tube_layers(g, {center}, r)):
-        if k == r:
-            return frozenset(layer)
-    raise AssertionError("unreachable")
+    return frozenset(_layer_at(_tube_layers(g, {center}, r), r))
 
 
 def tree_arc(g, base_cv, toward_cv, radius):

@@ -1,9 +1,12 @@
 """Vertex and edge Laplacians, dense symmetric eigendecomposition, Fourier
-activity of fields, and per-eigenvalue radial decay rates.
+activity of fields, per-eigenvalue radial decay rates, and the three regimes.
 
 The decay-rate functions return the per-radius factor rho such that arc
 averages of an eigenfunction's lift deviate from the graph average by at most
-C * rho**r, together with the qualitative kind of that bound.
+C * rho**r, together with the qualitative kind of that bound.  A ``Regime``,
+built by ``regime(g, theorem, base)``, bundles what one theorem needs: the
+classification gate, the field support, the tree degrees at the base, the
+rate, the characteristic roots and the radial recursion.
 """
 
 from __future__ import annotations
@@ -41,24 +44,18 @@ ACTIVITY_TOL = 1e-9
 DISCRIMINANT_TOL = 1e-10
 TRIVIAL_EIGENVALUE_TOL = 1e-9
 
-VERTEX = "vertex"
-EDGE = "edge"
-
 
 @dataclass(eq=False)
 class LaplacianMatrix:
     """Degree-normalised adjacency operator, on vertices or on edges."""
 
-    kind: str          # VERTEX or EDGE
+    support: str       # cover.VERTICES or cover.EDGES
     matrix: np.ndarray
     divisor: int       # q+1 for the vertex case, 2q or p+q for the edge case
 
     @property
     def size(self):
         return self.matrix.shape[0]
-
-    def field_support(self):
-        return cover.VERTICES if self.kind == VERTEX else cover.EDGES
 
 
 def vertex_laplacian(g):
@@ -75,7 +72,7 @@ def vertex_laplacian(g):
     a = np.zeros((g.vertex_count, g.vertex_count))
     for h in range(g.half_edge_count):
         a[g.tail(h), g.head(h)] += 1.0
-    return LaplacianMatrix(VERTEX, a / d, d)
+    return LaplacianMatrix(cover.VERTICES, a / d, d)
 
 
 def edge_laplacian(g):
@@ -97,14 +94,14 @@ def edge_laplacian(g):
     a = np.zeros((lg.vertex_count, lg.vertex_count))
     for h in range(lg.half_edge_count):
         a[lg.tail(h), lg.head(h)] += 1.0
-    return LaplacianMatrix(EDGE, a / divisor, divisor)
+    return LaplacianMatrix(cover.EDGES, a / divisor, divisor)
 
 
 @dataclass(eq=False)
 class SpectralDecomposition:
     """Sorted orthonormal eigenpairs with eigenvalues grouped into eigenspaces."""
 
-    kind: str
+    support: str                   # cover.VERTICES or cover.EDGES
     eigenvalues: np.ndarray        # ascending, with multiplicity
     basis: np.ndarray              # column i pairs with eigenvalues[i]
     group_slices: tuple[tuple[int, int], ...]
@@ -131,12 +128,6 @@ class SpectralDecomposition:
         b = self.group_basis(k)
         return b @ (b.T @ values)
 
-    def projection_norm(self, k, values):
-        return float(np.linalg.norm(self.group_basis(k).T @ values))
-
-    def field_support(self):
-        return cover.VERTICES if self.kind == VERTEX else cover.EDGES
-
     def reconstruct(self):
         return (self.basis * self.eigenvalues) @ self.basis.T
 
@@ -153,7 +144,7 @@ def eig_sym(lap):
         if i == len(w) or w[i] - w[i - 1] > GROUPING_TOL:
             slices.append((start, i))
             start = i
-    return SpectralDecomposition(lap.kind, w, v, tuple(slices))
+    return SpectralDecomposition(lap.support, w, v, tuple(slices))
 
 
 def fourier_coefficients(f, decomp):
@@ -162,9 +153,9 @@ def fourier_coefficients(f, decomp):
     Coefficients use the plain sum inner product; an eigenspace with norm
     below the activity threshold is inactive for this field.
     """
-    if f.support != decomp.field_support():
+    if f.support != decomp.support:
         raise SupportMismatchError(
-            f"field on {f.support} cannot expand in a {decomp.kind} eigenbasis"
+            f"field on {f.support} cannot expand in an eigenbasis on {decomp.support}"
         )
     if len(f.values) != decomp.basis.shape[0]:
         raise SupportMismatchError("field length does not match the eigenbasis")
@@ -178,17 +169,19 @@ def fourier_coefficients(f, decomp):
 # --- per-eigenvalue decay rates ---
 
 def characteristic_roots_regular_vertex(mu, q):
-    """Roots of  x**2 - ((q+1)/q) mu x + 1/q,  complex pair when D < 0."""
+    """Roots of  x**2 - ((q+1)/q) mu x + 1/q,  complex pair when D < 0;
+    ``mu`` may be an array, and the roots are complex."""
     d = (q + 1) ** 2 * mu * mu - 4 * q
-    s = math.sqrt(d) if d >= 0 else cmath.sqrt(d)
+    s = np.sqrt(np.asarray(d, dtype=complex))
     return ((q + 1) * mu + s) / (2 * q), ((q + 1) * mu - s) / (2 * q), d
 
 
 def characteristic_roots_regular_edge(mu, q):
-    """Roots of  x**2 + ((q-1-2 mu q)/q) x + 1/q."""
+    """Roots of  x**2 + ((q-1-2 mu q)/q) x + 1/q;  ``mu`` may be an array,
+    and the roots are complex."""
     b = q - 1 - 2 * mu * q
     d = b * b - 4 * q
-    s = math.sqrt(d) if d >= 0 else cmath.sqrt(d)
+    s = np.sqrt(np.asarray(d, dtype=complex))
     return (mu - (q - 1) / (2 * q)) + s / (2 * q), (mu - (q - 1) / (2 * q)) - s / (2 * q), d
 
 
@@ -233,8 +226,8 @@ def decay_rate_regular_edge(mu, q):
         return q ** -0.5, POLYNOMIAL_FACTOR
     if d < 0:
         return q ** -0.5, EXACT_GEOMETRIC
-    hi, lo, _ = characteristic_roots_regular_edge(mu, q)
-    return max(abs(hi), abs(lo)), EXACT_GEOMETRIC
+    # the larger root modulus of  mu - (q-1)/(2q) +- sqrt(d)/(2q)
+    return abs(mu - (q - 1) / (2 * q)) + math.sqrt(d) / (2 * q), EXACT_GEOMETRIC
 
 
 class DiscriminantRoots(NamedTuple):
@@ -323,55 +316,91 @@ def decay_rate_semiregular_edge(mu, p, q):
     return math.sqrt(max(abs(t_plus), abs(t_minus))), EXACT_GEOMETRIC
 
 
-# --- radial recursion regimes ---
+# --- the three regimes ---
 
 @dataclass(frozen=True)
-class RegularVertex:
-    q: int
+class Regime:
+    """One of the three regimes at a base half-edge: functions on the
+    vertices of a regular graph (theorem 1), on the edges of a regular graph
+    (theorem 2) or on the edges of a semiregular graph (theorem 3).  Each is
+    one radial recursion of Hashimoto's non-backtracking operator, read
+    through the Ihara-Bass correspondence (Kotani-Sunada 2000).
 
+    ``p`` + 1 and ``q`` + 1 are the tree degrees at the base's tail and head;
+    they differ only in regime 3, where the recursion is a double step.
+    """
 
-@dataclass(frozen=True)
-class RegularEdge:
-    q: int
-
-
-@dataclass(frozen=True)
-class SemiregularEdge:
-    """Edge recursion on a semiregular cover; ``p`` + 1 is the degree of the
-    vertex the arc is based at, ``q`` + 1 the degree across the base edge."""
-
+    theorem: int
+    cls: graph_core.Classification
+    support: str       # cover.VERTICES or cover.EDGES
     p: int
     q: int
+
+    def rate(self, mu):
+        """Per-radius decay rate and its kind for the eigenvalue ``mu``."""
+        if self.support == cover.VERTICES:
+            return decay_rate_regular_vertex(mu, self.q)
+        if self.p == self.q:
+            return decay_rate_regular_edge(mu, self.q)
+        return decay_rate_semiregular_edge(mu, self.cls.p, self.cls.q)
+
+    def roots(self, mus):
+        """Characteristic roots (plus, minus, discriminant) of the one-step
+        recursion (p == q) at every eigenvalue of the array ``mus``."""
+        roots_of = (characteristic_roots_regular_vertex if self.support == cover.VERTICES
+                    else characteristic_roots_regular_edge)
+        return roots_of(mus, self.q)
+
+    def steps(self):
+        """Coefficients (A, B, D) of  F(n) = ((mu A - B) F(n-1) - F(n-2)) / D
+        at even and at odd n."""
+        if self.support == cover.VERTICES:
+            return ((self.q + 1, 0, self.q),) * 2
+        s = self.p + self.q
+        return (s, self.q - 1, self.p), (s, self.p - 1, self.q)
+
+
+def regime(g, theorem, base=0):
+    """The regime of ``theorem`` on ``g`` at the half-edge ``base``, after
+    the classification gate.
+
+    Regime 1 needs a nonbipartite regular graph and works on vertices; regime
+    2 a simple regular graph on edges; regime 3 a simple semiregular graph
+    with p, q >= 2 on edges.
+    """
+    cls = graph_core.classify(g)
+    if theorem == 1:
+        if cls.kind != graph_core.REGULAR:
+            raise ClassificationMismatchError(
+                f"regime 1 needs a nonbipartite regular graph of degree >= 3, got {cls.kind}"
+            )
+    elif theorem == 2:
+        if cls.kind not in (graph_core.REGULAR, graph_core.REGULAR_BIPARTITE) or not cls.simple:
+            raise ClassificationMismatchError(
+                f"regime 2 needs a simple regular graph of degree >= 3, got {cls.kind}"
+            )
+    elif theorem == 3:
+        if cls.kind != graph_core.SEMIREGULAR or not cls.simple or cls.p < 2:
+            raise ClassificationMismatchError(
+                f"regime 3 needs a simple semiregular graph with p, q >= 2, got {cls.kind}"
+                + (f" (p={cls.p})" if cls.kind == graph_core.SEMIREGULAR else "")
+            )
+    else:
+        raise ValueError(f"theorem selector must be 1, 2 or 3, got {theorem}")
+    support = cover.VERTICES if theorem == 1 else cover.EDGES
+    return Regime(theorem, cls, support,
+                  g.degree(g.tail(base)) - 1, g.degree(g.head(base)) - 1)
 
 
 def radial_series(f0, f1, mu, regime, n_max):
     """Radial averages F(0..n_max) of an eigenfunction lift, by exact recursion
-    iteration from the two initial values."""
+    iteration from the two initial values under the ``Regime``'s steps."""
     values = [float(f0), float(f1)]
-    if isinstance(regime, RegularVertex):
-        q = regime.q
-        for _ in range(2, n_max + 1):
-            values.append(((q + 1) * mu * values[-1] - values[-2]) / q)
-    elif isinstance(regime, RegularEdge):
-        q = regime.q
-        for _ in range(2, n_max + 1):
-            values.append(-((q - 1 - 2 * mu * q) * values[-1] + values[-2]) / q)
-    elif isinstance(regime, SemiregularEdge):
-        p, q = regime.p, regime.q
-        s = p + q
-        for n in range(2, n_max + 1):
-            if n % 2 == 0:
-                values.append(((mu * s - (q - 1)) * values[-1] - values[-2]) / p)
-            else:
-                values.append(((mu * s - (p - 1)) * values[-1] - values[-2]) / q)
-    else:
-        raise TypeError(f"unknown recursion regime {regime!r}")
+    steps = regime.steps()
+    for n in range(2, n_max + 1):
+        a, b, d = steps[n % 2]
+        values.append(((mu * a - b) * values[-1] - values[-2]) / d)
     return values[: n_max + 1]
-
-
-def predicted_radial_average(f0, f1, mu, regime, n):
-    """F(n) from the radial recursion; cross-checks brute-force arc averages."""
-    return radial_series(f0, f1, mu, regime, n)[n]
 
 
 # --- rate prediction for a whole field ---
@@ -403,49 +432,11 @@ class RatePrediction:
         raise KeyError(f"no eigenvalue near {mu}")
 
 
-def theorem_classification(g, theorem):
-    """Classification gate for one of the three regimes.
-
-    Regime 1 needs a nonbipartite regular graph and works on vertices; regime
-    2 a simple regular graph on edges; regime 3 a simple semiregular graph
-    with p, q >= 2 on edges.
-    """
-    cls = graph_core.classify(g)
-    if theorem == 1:
-        if cls.kind != graph_core.REGULAR:
-            raise ClassificationMismatchError(
-                f"regime 1 needs a nonbipartite regular graph of degree >= 3, got {cls.kind}"
-            )
-        return cls
-    if theorem == 2:
-        if cls.kind not in (graph_core.REGULAR, graph_core.REGULAR_BIPARTITE) or not cls.simple:
-            raise ClassificationMismatchError(
-                f"regime 2 needs a simple regular graph of degree >= 3, got {cls.kind}"
-            )
-        return cls
-    if theorem == 3:
-        if cls.kind != graph_core.SEMIREGULAR or not cls.simple or cls.p < 2:
-            raise ClassificationMismatchError(
-                f"regime 3 needs a simple semiregular graph with p, q >= 2, got {cls.kind}"
-                + (f" (p={cls.p})" if cls.kind == graph_core.SEMIREGULAR else "")
-            )
-        return cls
-    raise ValueError(f"theorem selector must be 1, 2 or 3, got {theorem}")
-
-
 def theorem_laplacian(g, theorem):
     """Classification gate plus the Laplacian of the regime: returns
-    (laplacian, classification)."""
-    cls = theorem_classification(g, theorem)
-    return (vertex_laplacian(g) if theorem == 1 else edge_laplacian(g)), cls
-
-
-def decay_rate_for(cls, theorem, mu):
-    if theorem == 1:
-        return decay_rate_regular_vertex(mu, cls.q)
-    if theorem == 2:
-        return decay_rate_regular_edge(mu, cls.q)
-    return decay_rate_semiregular_edge(mu, cls.p, cls.q)
+    (laplacian, regime at base 0)."""
+    reg = regime(g, theorem)
+    return (vertex_laplacian(g) if reg.support == cover.VERTICES else edge_laplacian(g)), reg
 
 
 def rate_prediction(g, theorem, f=None, decomp=None):
@@ -455,15 +446,15 @@ def rate_prediction(g, theorem, f=None, decomp=None):
     threshold do not constrain the rate; activity is decided on projections,
     never on individual coefficients of a multiple eigenvalue.
     """
-    lap, cls = theorem_laplacian(g, theorem)
+    reg = regime(g, theorem)
     if decomp is None:
-        decomp = eig_sym(lap)
+        decomp = eig_sym(theorem_laplacian(g, theorem)[0])
     norms = None
     if f is not None:
         _, norms = fourier_coefficients(f, decomp)
     rows = []
     for k, mu in enumerate(decomp.distinct):
-        beta, kind = decay_rate_for(cls, theorem, mu)
+        beta, kind = reg.rate(mu)
         norm = float(norms[k]) if norms is not None else None
         active = True if norms is None else norm > ACTIVITY_TOL
         rows.append(EigenvalueRate(mu, decomp.multiplicity(k), beta, kind, active, norm))

@@ -44,13 +44,10 @@ def _line(num, name, ok, detail=""):
     print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'}{tail}")
 
 
-def _layer_averages(layers, basis, key):
-    """Per-layer brute-force averages of every basis column at once."""
-    rows = []
-    for layer in layers:
-        ids = np.fromiter((key(x) for x in layer), dtype=np.intp, count=len(layer))
-        rows.append(basis[ids, :].mean(axis=0))
-    return rows
+def _layer_averages(layers, basis):
+    """Per-layer brute-force averages of every basis column at once, read at
+    the base vertex (or edge) of every enumerated path."""
+    return [basis[layer.ids(), :].mean(axis=0) for layer in layers]
 
 
 def test_criterion_01_transfer_equals_enumeration():
@@ -84,8 +81,7 @@ def test_criterion_02_recursion_fidelity():
         g = GENERATORS[name]()
         decomp = spectral.eig_sym(spectral.vertex_laplacian(g))
         q = graph_core.classify(g).q
-        rows = _layer_averages(cover.arc_vertex_layers(g, 0, 15), decomp.basis,
-                               lambda cv: cv.vertex)
+        rows = _layer_averages(cover.arc_vertex_layers(g, 0, 15), decomp.basis)
         for i, mu in enumerate(decomp.eigenvalues):
             series = [row[i] for row in rows]
             for n in range(1, 15):
@@ -95,8 +91,7 @@ def test_criterion_02_recursion_fidelity():
     # edge recursion on the complete graph
     k4 = GENERATORS["k4"]()
     de = spectral.eig_sym(spectral.edge_laplacian(k4))
-    rows = _layer_averages(cover.arc_edge_layers(k4, 0, 15), de.basis,
-                           lambda ce: ce.edge)
+    rows = _layer_averages(cover.arc_edge_layers(k4, 0, 15), de.basis)
     for i, mu in enumerate(de.eigenvalues):
         series = [row[i] for row in rows]
         for n in range(1, 14):
@@ -109,8 +104,7 @@ def test_criterion_02_recursion_fidelity():
     for base in (k34.half_edge(0, 3), k34.half_edge(3, 0)):
         p_base = k34.degree(k34.tail(base)) - 1
         q_far = k34.degree(k34.head(base)) - 1
-        rows = _layer_averages(cover.arc_edge_layers(k34, base, 13), ds.basis,
-                               lambda ce: ce.edge)
+        rows = _layer_averages(cover.arc_edge_layers(k34, base, 13), ds.basis)
         for i, mu in enumerate(ds.eigenvalues):
             series = [row[i] for row in rows]
             a_mat = spectral.transfer_matrix(mu, p_base, q_far)

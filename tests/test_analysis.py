@@ -120,7 +120,7 @@ def test_eigenfield_deviations_equal_radial_profile(petersen):
         f = ScalarField(VERTICES, decomp.group_basis(k)[:, 0])
         report = deviation_series(petersen, f, set_kind="arc", radius=12, base=0)
         predicted = spectral.radial_series(report.averages[0], report.averages[1],
-                                           mu, spectral.RegularVertex(2), 12)
+                                           mu, spectral.regime(petersen, 1), 12)
         for r in range(13):
             assert report.deviations[r] == pytest.approx(abs(predicted[r]), abs=1e-10)
 
@@ -296,7 +296,7 @@ def test_envelope_equals_per_eigenspace_reference(name, theorem, request, seeded
     g = seeded_cubic(60, 60) if name == "cubic-60" else request.getfixturevalue(name)
     lap, _ = spectral.theorem_laplacian(g, theorem)
     decomp = spectral.eig_sym(lap)
-    f = random_field(g, lap.field_support(), 11)
+    f = random_field(g, lap.support, 11)
     for base in (0, 1, g.half_edge_count // 2, g.half_edge_count - 1):
         env = envelope_series(g, f, base, theorem, 12, decomp=decomp)
         ref = _reference_envelope(g, f, base, theorem, 12, decomp)
@@ -304,7 +304,7 @@ def test_envelope_equals_per_eigenspace_reference(name, theorem, request, seeded
         assert np.allclose(env, envelope_series(g, f, base, theorem, 12), rtol=1e-12, atol=0)
 
 
-def test_one_step_envelope_dominates_radial_series_in_both_root_cases():
+def test_one_step_envelope_dominates_radial_series_in_both_root_cases(k4):
     # one eigenspace at the repeated-root threshold, one with a complex pair
     q = 2
     mus = [2 * math.sqrt(q) / (q + 1), -1 / 3]
@@ -313,7 +313,7 @@ def test_one_step_envelope_dominates_radial_series_in_both_root_cases():
                      dtype=complex).T
     n = np.arange(31)
     env = analysis._one_step_envelope(f0, f1, roots, n)
-    series = [spectral.radial_series(a, b, mu, spectral.RegularVertex(q), 30)
+    series = [spectral.radial_series(a, b, mu, spectral.regime(k4, 1), 30)
               for mu, a, b in zip(mus, f0, f1)]
     assert np.all(np.abs(np.sum(series, axis=0)) <= env * (1 + 1e-12))
     alpha = q ** -0.5
@@ -459,7 +459,7 @@ def test_doob_condition_vacuous(k4):
     keep = [k for k, mu in enumerate(decomp.distinct) if abs(mu + 0.5) > 1e-9]
     slices = tuple(decomp.group_slices[k] for k in keep)
     truncated = spectral.SpectralDecomposition(
-        decomp.kind, decomp.eigenvalues, decomp.basis, slices)
+        decomp.support, decomp.eigenvalues, decomp.basis, slices)
     assert check_doob_condition(k4, truncated)
 
 

@@ -335,6 +335,26 @@ def test_rate_k4_indicator(tmp_path, k4_file):
     assert doc["predicted_beta"] == pytest.approx(2 ** -0.5)
 
 
+def test_rate_gates_on_the_envelope_at_every_k4_base(tmp_path, k4_file, capsys):
+    # the calibrated constant fails at r = 7, 13 or 14 on this correct data
+    # (criterion 3); to radius 18 the rigorous envelope holds at all 12 bases,
+    # and the calibrated verdict is printed as information
+    g = graph_core.load_graph(k4_file)
+    field = tmp_path / "ind.fld"
+    cover.save_field(cover.indicator_field(g, VERTICES, 0), field)
+    calibrated = []
+    for h in range(g.half_edge_count):
+        dest = tmp_path / f"rate{h}.json"
+        assert main(["rate", "--graph", k4_file, "--field", str(field), "--theorem", "1",
+                     "--base", str(g.tail(h)), str(g.head(h)), "--radius", "18",
+                     "-o", str(dest)]) == 0
+        assert json.loads(dest.read_text())["verdict"] == "pass"
+        out = capsys.readouterr().out
+        assert "; envelope pass; " in out
+        calibrated.append(re.search(r"INFO calibrated bound: (pass|fail)", out).group(1))
+    assert calibrated == ["fail"] * 12
+
+
 def test_rate_override_beta_fails(tmp_path, k4_file):
     g = graph_core.load_graph(k4_file)
     field = tmp_path / "ind.fld"
@@ -391,7 +411,7 @@ def test_verify_eigensolves_once(generator, theorem, tmp_path, monkeypatch):
     real_eig_sym = spectral.eig_sym
 
     def counting_eig_sym(lap):
-        calls.append(lap.kind)
+        calls.append(lap.support)
         return real_eig_sym(lap)
 
     monkeypatch.setattr(spectral, "eig_sym", counting_eig_sym)

@@ -1,0 +1,62 @@
+"""Byte-for-byte CLI outputs against the golden files in tests/data/golden.
+
+The goldens pin every check name, verdict and recursion residual of
+``verify --radius 12`` and every row of the ``spectrum`` CSV for the three
+regimes, both orientations of the semiregular base included.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from covertree import graph_core
+from covertree.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+GRAPHS = {
+    "petersen": ("petersen",),
+    "k33": ("complete_bipartite", 3, 3),
+    "k34": ("complete_bipartite", 3, 4),
+}
+
+
+@pytest.fixture()
+def graph_file(tmp_path):
+    def write(name):
+        path = tmp_path / f"{name}.g"
+        graph_core.save_graph(graph_core.generate(*GRAPHS[name]), path)
+        return str(path)
+    return write
+
+
+@pytest.mark.parametrize("stem,name,theorem,base", [
+    ("petersen-t1", "petersen", 1, None),
+    ("petersen-t2", "petersen", 2, None),
+    ("k33-t2", "k33", 2, None),
+    ("k34-t3-b03", "k34", 3, ("0", "3")),
+    ("k34-t3-b30", "k34", 3, ("3", "0")),
+])
+def test_verify_matches_golden(stem, name, theorem, base, graph_file, tmp_path, capsys):
+    dest = tmp_path / "checks.json"
+    argv = ["verify", "--graph", graph_file(name), "--theorem", str(theorem),
+            "--radius", "12", "-o", str(dest)]
+    if base:
+        argv += ["--base", *base]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode("ascii")
+    assert out == (GOLDEN / f"{stem}.verify.txt").read_bytes()
+    assert dest.read_bytes() == (GOLDEN / f"{stem}.verify.json").read_bytes()
+
+
+@pytest.mark.parametrize("stem,name,theorem", [
+    ("petersen-t1", "petersen", 1),
+    ("petersen-t2", "petersen", 2),
+    ("k33-t2", "k33", 2),
+    ("k34-t3", "k34", 3),
+])
+def test_spectrum_matches_golden(stem, name, theorem, graph_file, tmp_path):
+    dest = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--graph", graph_file(name), "--theorem", str(theorem),
+                 "-o", str(dest)]) == 0
+    assert dest.read_bytes() == (GOLDEN / f"{stem}.spectrum.csv").read_bytes()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covertree import cover, graph_core, spectral
@@ -22,9 +22,6 @@ from covertree.spectral import (
     EXACT_GEOMETRIC,
     ONE_STEP,
     POLYNOMIAL_FACTOR,
-    RegularEdge,
-    RegularVertex,
-    SemiregularEdge,
     characteristic_roots_regular_edge,
     characteristic_roots_regular_vertex,
     critical_point,
@@ -38,6 +35,7 @@ from covertree.spectral import (
     fourier_coefficients,
     radial_series,
     rate_prediction,
+    regime,
     transfer_eigenvalues,
     transfer_matrix,
     vertex_laplacian,
@@ -114,7 +112,7 @@ def test_edge_laplacian_rejections(k23):
 # --- eigensolver ---
 
 def test_eig_sym_two_by_two():
-    lap = spectral.LaplacianMatrix(spectral.VERTEX, np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
+    lap = spectral.LaplacianMatrix(VERTICES, np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
     decomp = eig_sym(lap)
     assert np.allclose(decomp.eigenvalues, [-1.0, 1.0], atol=1e-12)
 
@@ -358,16 +356,16 @@ def test_semiregular_rate_cases():
 
 # --- radial recursion ---
 
-def test_radial_series_constant_fixed_point():
-    for regime in (RegularVertex(2), RegularEdge(2), SemiregularEdge(2, 3)):
-        series = radial_series(2.0, 2.0, 1.0, regime, 10)
+def test_radial_series_constant_fixed_point(k4, k34):
+    for reg in (regime(k4, 1), regime(k4, 2), regime(k34, 3, k34.half_edge(3, 0))):
+        series = radial_series(2.0, 2.0, 1.0, reg, 10)
         assert series == pytest.approx([2.0] * 11, abs=1e-12)
 
 
-def test_radial_series_doob_regular_edge():
+def test_radial_series_doob_regular_edge(k4):
     q = 2
     f0 = 0.7
-    series = radial_series(f0, -f0 / q, -1 / q, RegularEdge(q), 12)
+    series = radial_series(f0, -f0 / q, -1 / q, regime(k4, 2), 12)
     expected = [f0 * (-1 / q) ** n for n in range(13)]
     assert series == pytest.approx(expected, abs=1e-12)
 
@@ -390,7 +388,7 @@ def test_radial_series_matches_brute_force_vertex(k4):
             f = ScalarField(VERTICES, decomp.group_basis(k)[:, col])
             for base in range(k4.half_edge_count):
                 brute = _brute_arc_averages_vertex(k4, f, base, 12)
-                predicted = radial_series(brute[0], brute[1], mu, RegularVertex(2), 12)
+                predicted = radial_series(brute[0], brute[1], mu, regime(k4, 1), 12)
                 assert brute == pytest.approx(predicted, abs=1e-9)
 
 
@@ -400,11 +398,8 @@ def test_radial_series_matches_brute_force_semiregular(k34):
     for k, mu in enumerate(decomp.distinct):
         f = ScalarField(EDGES, decomp.group_basis(k)[:, 0])
         for base in bases:
-            p_base = k34.degree(k34.tail(base)) - 1
-            q_far = k34.degree(k34.head(base)) - 1
             brute = _brute_arc_averages_edge(k34, f, base, 8)
-            predicted = radial_series(brute[0], brute[1], mu,
-                                      SemiregularEdge(p_base, q_far), 8)
+            predicted = radial_series(brute[0], brute[1], mu, regime(k34, 3, base), 8)
             assert brute == pytest.approx(predicted, abs=1e-10)
 
 
@@ -483,3 +478,116 @@ def test_spectrum_csv(k34):
     cols = row.split(",")
     assert cols[1] == "6" and cols[4] == "true"
     assert float(cols[2]) == pytest.approx(6 ** -0.5, abs=1e-12)
+
+
+# --- the regime object ---
+
+def test_regime_fields(k4, petersen, k34):
+    reg = regime(k4, 1)
+    assert (reg.theorem, reg.support, reg.p, reg.q) == (1, VERTICES, 2, 2)
+    assert reg.cls == graph_core.classify(k4)
+    reg = regime(petersen, 2)
+    assert (reg.theorem, reg.support, reg.p, reg.q) == (2, EDGES, 2, 2)
+    # regime 3 reads the tree degrees at the base: tail side p, head side q
+    for u, v, pq in ((0, 3, (3, 2)), (3, 0, (2, 3))):
+        reg = regime(k34, 3, k34.half_edge(u, v))
+        assert (reg.theorem, reg.support, (reg.p, reg.q)) == (3, EDGES, pq)
+    assert spectral.theorem_laplacian(k34, 3)[1] == regime(k34, 3)
+
+
+def test_regime_gate_messages(k33, k23, k4):
+    with pytest.raises(ClassificationMismatchError,
+                       match="regime 1 needs a nonbipartite regular graph of degree >= 3, "
+                             "got regular-bipartite"):
+        regime(k33, 1)
+    with pytest.raises(ClassificationMismatchError, match=r"got semiregular \(p=1\)"):
+        regime(k23, 3)
+    with pytest.raises(ClassificationMismatchError, match="regime 2 needs a simple regular"):
+        regime(k23, 2)
+    with pytest.raises(ValueError, match="must be 1, 2 or 3, got 4"):
+        regime(k4, 4)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_regime_edge_rates_stay_regular_at_the_semiregular_repeated_root(n):
+    # at mu = (q-1)/(2q) the regular-edge formula has a complex pair, while the
+    # semiregular formula with p = q sees a repeated double-step root
+    g = graph_core.generate("complete", n)
+    q = n - 2
+    mu = (q - 1) / (2 * q)
+    assert regime(g, 2).rate(mu) == decay_rate_regular_edge(mu, q)
+    assert regime(g, 2).rate(mu)[1] == EXACT_GEOMETRIC
+    assert decay_rate_semiregular_edge(mu, q, q)[1] == POLYNOMIAL_FACTOR
+
+
+def test_regime_roots_match_the_scalar_roots(k4, petersen):
+    mus = np.linspace(-0.5, 0.99, 41)
+    for reg, roots_of in ((regime(k4, 1), characteristic_roots_regular_vertex),
+                          (regime(petersen, 2), characteristic_roots_regular_edge)):
+        plus, minus, d = reg.roots(mus)
+        for i, mu in enumerate(mus):
+            ref = roots_of(float(mu), 2)
+            assert abs(plus[i] - ref[0]) <= 1e-15 and abs(minus[i] - ref[1]) <= 1e-15
+            assert d[i] == ref[2]
+
+
+@given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
+@settings(max_examples=200, deadline=None)
+def test_radial_series_is_the_explicit_recursion_bit_for_bit(k4, k34, f0, f1, mu):
+    n_max = 9
+
+    def explicit(step):
+        values = [f0, f1]
+        for n in range(2, n_max + 1):
+            values.append(step(n, values[-1], values[-2]))
+        return values
+
+    q = 2
+    assert radial_series(f0, f1, mu, regime(k4, 1), n_max) == explicit(
+        lambda n, a, b: ((q + 1) * mu * a - b) / q)
+    assert radial_series(f0, f1, mu, regime(k4, 2), n_max) == explicit(
+        lambda n, a, b: -((q - 1 - 2 * mu * q) * a + b) / q)
+    for base in (k34.half_edge(0, 3), k34.half_edge(3, 0)):
+        reg = regime(k34, 3, base)
+        p, q, s = reg.p, reg.q, reg.p + reg.q
+        assert radial_series(f0, f1, mu, reg, n_max) == explicit(
+            lambda n, a, b: ((mu * s - (q - 1)) * a - b) / p if n % 2 == 0
+            else ((mu * s - (p - 1)) * a - b) / q)
+
+
+# --- Ihara-Bass: rates from the non-backtracking spectrum ---
+
+def _hashimoto(g):
+    """Dense non-backtracking operator: B[h, h'] = 1 when h' continues h."""
+    b = np.zeros((g.half_edge_count, g.half_edge_count))
+    for h in range(g.half_edge_count):
+        b[h, list(g.continuations(h))] = 1.0
+    return b
+
+
+def _ihara_bass_rate(g, trivial):
+    """Largest |lambda(B)| other than the trivial modulus, divided by it."""
+    moduli = np.abs(np.linalg.eigvals(_hashimoto(g)))
+    return float(np.max(moduli[np.abs(moduli - trivial) > 1e-9 * trivial])) / trivial
+
+
+@given(st.integers(4, 20), st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_ihara_bass_rate_on_cubic_graphs(seeded_cubic, half_n, seed):
+    # (q+1)-regular: B's eigenvalues are the roots of x**2 - lambda x + q over
+    # the adjacency eigenvalues lambda, plus +-1; the trivial pair is +-q
+    g = seeded_cubic(2 * half_n, seed)
+    expected = _ihara_bass_rate(g, 2.0)
+    theorems = (2,) if graph_core.classify(g).is_bipartite() else (1, 2)
+    for theorem in theorems:
+        assert rate_prediction(g, theorem).beta_max == pytest.approx(expected, rel=1e-9)
+
+
+@given(st.integers(3, 7), st.integers(3, 7))
+@settings(max_examples=20, deadline=None)
+def test_ihara_bass_rate_on_complete_bipartite_graphs(a, b):
+    # semiregular: the trivial pair is +-sqrt(pq)
+    assume(a != b)
+    g = graph_core.generate("complete_bipartite", a, b)
+    expected = _ihara_bass_rate(g, math.sqrt((a - 1) * (b - 1)))
+    assert rate_prediction(g, 3).beta_max == pytest.approx(expected, rel=1e-9)
