@@ -11,7 +11,6 @@ runnable pass/fail checks.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -20,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cover, graph_core, spectral
-from .cover import ScalarField
 from .errors import (
     BudgetExceededError,
     ClassificationMismatchError,
@@ -67,43 +65,40 @@ def enumeration_budget(budget=None):
     return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
 
 
-def _arc_union(g, f, bases, radius, cap, what):
+def _arc_union(g, fields, support, bases, radius, cap, what):
     """Per-radius (sizes, averages) over the disjoint union of the arcs at
-    ``bases``, vertex or edge arcs by the field's support.  The budget applies
-    to the union at every radius from 1: the arcs are counted in lockstep, so
-    a huge radius fails at the first radius over the cap, before any
-    averaging.
+    ``bases``, one average column per field of ``fields``.  The budget
+    applies to the union at every radius from 1: the arcs are counted in
+    lockstep, so a huge radius fails at the first radius over the cap,
+    before any averaging, which reuses the counted sizes.
 
     Arc averages are weighted by exact size fractions and centred on the first
     non-empty arc's, so the union's size never has to fit a float and arcs
     with equal averages give exactly that average.
     """
-    vertices = f.support == cover.VERTICES
-    op = cover.transfer_operator(g)
-    if vertices:  # A_0 is the tail alone; A_r has the paths of r half-edges
-        counters = [itertools.chain([1], op.counts(h, radius)) for h in bases]
-    else:         # A'_r has the paths of r + 1 half-edges
-        counters = [op.counts(h, radius + 1) for h in bases]
-    unions = map(sum, zip(*counters))
-    # radius 0 is not capped: it has one element per base, a half-edge leaving
-    # the root or the caller's subtree, and spheres and tubes replace it
-    next(unions, None)
-    for r, n in enumerate(unions, start=1):
-        if n > cap:
-            raise BudgetExceededError(f"{what} at radius {r} has {n} elements (cap {cap})")
-    sums_of = cover.arc_vertex_sums if vertices else cover.arc_edge_sums
-    series = [sums_of(g, f, h, radius) for h in bases]
-    sizes = []
-    averages = []
-    for r in range(radius + 1):
-        arcs = [(sizes_b[r], sums_b[r] / sizes_b[r]) for sizes_b, sums_b in series if sizes_b[r]]
-        if not arcs:
-            raise EmptySetError(f"set at radius {r} is empty")
-        total = sum(n for n, _ in arcs)
-        centre = arcs[0][1]
-        sizes.append(total)
-        averages.append(centre + math.fsum(n / total * (a - centre) for n, a in arcs[1:]))
-    return sizes, averages
+    counted, sizes = [[] for _ in bases], []
+    for r, column in enumerate(zip(*[cover.arc_counts(g, h, support, radius) for h in bases])):
+        sizes.append(sum(column))
+        # radius 0 is not capped: it has one element per base, a half-edge leaving
+        # the root or the caller's subtree, and spheres and tubes replace it
+        if r and sizes[-1] > cap:
+            raise BudgetExceededError(f"{what} at radius {r} has {sizes[-1]} elements (cap {cap})")
+        for sizes_b, n in zip(counted, column):
+            sizes_b.append(n)
+    sums_of = cover.arc_vertex_sums if support == cover.VERTICES else cover.arc_edge_sums
+    series = [sums_of(g, fields, h, radius, sizes_b)[1] for h, sizes_b in zip(bases, counted)]
+    if 0 in sizes:
+        raise EmptySetError(f"set at radius {sizes.index(0)} is empty")
+    means = np.array([sums_b / np.array([float(n) or 1.0 for n in sizes_b])[:, None]
+                      for sizes_b, sums_b in zip(counted, series)])
+    first = np.array([[n > 0 for n in sizes_b] for sizes_b in counted]).argmax(axis=0)
+    centre = means[first, np.arange(radius + 1)]
+    if len(bases) == 1:  # one arc: nothing to weigh
+        return sizes, centre + 0.0
+    weights = np.array([[n / total for n, total in zip(sizes_b, sizes)] for sizes_b in counted])
+    weights[first, np.arange(radius + 1)] = 0.0  # the centre's own arc
+    terms = (weights[..., None] * (means - centre)).transpose(1, 2, 0).tolist()
+    return sizes, centre + [[math.fsum(col) for col in row] for row in terms]
 
 
 def _tube_boundary(g, members):
@@ -153,7 +148,8 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
     ``base`` is a half-edge id (arc), ``root`` a vertex id (spheres),
     ``subtree`` a list of CoverVertex (tube) and ``geodesic`` a GeodesicSpec
     (horocycle).  Sizes are exact and averages come from the transfer
-    operator, which reproduces brute-force enumeration.
+    operator, which reproduces brute-force enumeration.  A list of fields on
+    one support gives a list of reports from one path distribution per radius.
     """
     if set_kind not in SET_KINDS:
         raise ValueError(f"set kind must be one of {SET_KINDS}")
@@ -165,59 +161,63 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
         raise ValueError(f"{set_kind} series needs its anchor argument")
     cap = enumeration_budget(budget)
     cls = graph_core.classify(g)
+    fields = [f] if isinstance(f, cover.ScalarField) else f
+    support = {"sphere": cover.VERTICES, "edge-sphere": cover.EDGES,
+               "horocycle": cover.VERTICES}.get(set_kind, fields[0].support)
+    for item in fields:
+        cover.check_field(g, item, support)
 
     if set_kind == "arc":
-        cover.check_field(g, f)
-        sizes, averages = _arc_union(g, f, [base], radius, cap, "arc")
-        return _finish_report(g, f, cls, set_kind, radius, sizes, averages, g.tail(base))
-    if set_kind in ("sphere", "edge-sphere"):
-        cover.check_field(g, f, cover.VERTICES if set_kind == "sphere" else cover.EDGES)
-        sizes, averages = _arc_union(g, f, g.out(root), radius, cap, set_kind.replace("-", " "))
+        sizes, averages = _arc_union(g, fields, support, [base], radius, cap, "arc")
+        anchor = g.tail(base)
+    elif set_kind in ("sphere", "edge-sphere"):
+        sizes, averages = _arc_union(g, fields, support, g.out(root), radius, cap,
+                                     set_kind.replace("-", " "))
         if set_kind == "sphere":
             sizes[0] = 1  # every arc shares the root at radius 0
-        return _finish_report(g, f, cls, set_kind, radius, sizes, averages, root)
-    if set_kind == "tube":
-        cover.check_field(g, f)
+        anchor = root
+    elif set_kind == "tube":
         members, boundary, internal = _tube_boundary(g, subtree)
-        if f.support == cover.VERTICES:
-            sizes, averages = _arc_union(g, f, boundary, radius, cap, "tube")
+        if support == cover.VERTICES:
+            sizes, averages = _arc_union(g, fields, support, boundary, radius, cap, "tube")
             # radius 0 is the subtree itself
             sizes[0] = len(members)
-            averages[0] = cover.set_average(f, members)
+            averages[0] = [cover.set_average(item, members) for item in fields]
         else:
-            sizes, averages = _arc_union(g, f, boundary, radius, cap, "edge tube")
+            sizes, averages = _arc_union(g, fields, support, boundary, radius, cap, "edge tube")
             # radius 0 also contains the subtree's internal edges
-            boundary_sum = averages[0] * sizes[0]
-            inner = [float(f.values[e]) for e in internal]
-            sizes[0] += len(inner)
-            averages[0] = (math.fsum(inner) + boundary_sum) / sizes[0]
+            boundary_sums = averages[0] * sizes[0]
+            sizes[0] += len(internal)
+            averages[0] = [(math.fsum(item.values[internal].tolist()) + s) / sizes[0]
+                           for item, s in zip(fields, boundary_sums)]
         parts = {("p" if cv.vertex in (cls.part_p or ()) else "q") for cv in members}
         anchor = next(iter(members)).vertex if len(parts) == 1 else None
-        return _finish_report(g, f, cls, set_kind, radius, sizes, averages, anchor)
-    # horocycle
-    cover.check_field(g, f, cover.VERTICES)
-    geodesic.validate(g)
-    # the radius-r piece is the arc of radius r + 1 at the r-th base, and the
-    # bases repeat with the period.  The distinct bases are counted in
-    # lockstep, so the budget stops at the first radius over the cap; then
-    # one series per distinct base gives every average.
-    bases = [g.twin(h) for h in geodesic.half_edges]
-    op = cover.transfer_operator(g)
-    counters = {h: op.counts(h, radius + 1) for h in bases}
-    for r in range(radius + 1):
-        n = {h: next(c) for h, c in counters.items()}[bases[r % len(bases)]]
-        if n > cap:
-            raise BudgetExceededError(f"horocycle at radius {r} has {n} elements (cap {cap})")
-        if n == 0:
-            raise EmptySetError(f"horocycle at radius {r} is empty")
-    series = {h: cover.arc_vertex_sums(g, f, h, radius + 1) for h in counters}
-    sizes = []
-    averages = []
-    for r in range(radius + 1):
-        sizes_h, sums_h = series[bases[r % len(bases)]]
-        sizes.append(sizes_h[r + 1])
-        averages.append(sums_h[r + 1] / sizes_h[r + 1])
-    return _finish_report(g, f, cls, set_kind, radius, sizes, averages, geodesic.root(g))
+    else:  # horocycle
+        geodesic.validate(g)
+        # the radius-r piece is the arc of radius r + 1 at the r-th base, and the bases
+        # repeat with the period.  The distinct bases are counted in lockstep, so the budget
+        # stops at the first radius over the cap; one series per distinct base does the rest.
+        bases = [g.twin(h) for h in geodesic.half_edges]
+        counters = {h: cover.arc_counts(g, h, support, radius + 1) for h in bases}
+        counted = {h: [next(c)] for h, c in counters.items()}  # radius 0: the tail alone
+        for r in range(radius + 1):
+            for h, c in counters.items():
+                counted[h].append(next(c))
+            n = counted[bases[r % len(bases)]][r + 1]
+            if n > cap:
+                raise BudgetExceededError(f"horocycle at radius {r} has {n} elements (cap {cap})")
+            if n == 0:
+                raise EmptySetError(f"horocycle at radius {r} is empty")
+        series = {h: cover.arc_vertex_sums(g, fields, h, radius + 1, sizes_h)[1]
+                  for h, sizes_h in counted.items()}
+        pieces = [bases[r % len(bases)] for r in range(radius + 1)]
+        sizes = [counted[h][r + 1] for r, h in enumerate(pieces)]
+        averages = (np.array([series[h][r + 1] for r, h in enumerate(pieces)])
+                    / np.array([float(n) for n in sizes])[:, None])
+        anchor = geodesic.root(g)
+    reports = [_finish_report(g, item, cls, set_kind, radius, list(sizes),
+                              averages[:, j].tolist(), anchor) for j, item in enumerate(fields)]
+    return reports if fields is f else reports[0]
 
 
 def _finish_report(g, f, cls, set_kind, radius, sizes, averages, anchor):
@@ -320,25 +320,24 @@ def bound_check(report, *, calibration_radius=4, floor=DEVIATION_FLOOR):
 
 def _one_step_envelope(f0, f1, roots, n):
     """Summed profile envelopes at the radii ``n`` of one-step recursions;
-    ``f0``, ``f1`` and each of the ``roots`` arrays hold one entry per
-    eigenspace."""
+    ``f0``, ``f1`` and the ``roots`` arrays have one row per eigenspace, and
+    2-D ``f0``, ``f1`` one column, and the result one row, per field."""
     a_plus, a_minus, d = roots
     rep = np.abs(d) <= spectral.DISCRIMINANT_TOL
     # distinct roots: |u_plus| |a_plus|**n + |u_minus| |a_minus|**n
-    ap, am, g0, g1 = a_plus[~rep], a_minus[~rep], f0[~rep], f1[~rep]
+    ap, am, g0, g1 = a_plus[~rep], a_minus[~rep], f0[~rep].T, f1[~rep].T
     c_plus = np.abs((g1 - am * g0) / (ap - am))
     c_minus = np.abs((ap * g0 - g1) / (ap - am))
-    env = (c_plus[:, None] * np.abs(ap)[:, None] ** n
-           + c_minus[:, None] * np.abs(am)[:, None] ** n).sum(axis=0)
+    env = c_plus @ np.abs(ap)[:, None] ** n + c_minus @ np.abs(am)[:, None] ** n
     # repeated root alpha: (|f0| + |f1 / alpha - f0| n) |alpha|**n
-    alpha, g0, g1 = 0.5 * (a_plus[rep] + a_minus[rep]), f0[rep], f1[rep]
-    u, v = np.abs(g0), np.abs(g1 / alpha - g0)
-    return env + ((u[:, None] + v[:, None] * n) * np.abs(alpha)[:, None] ** n).sum(axis=0)
+    alpha, g0, g1 = 0.5 * (a_plus[rep] + a_minus[rep]), f0[rep].T, f1[rep].T
+    power = np.abs(alpha)[:, None] ** n
+    return env + np.abs(g0) @ power + np.abs(g1 / alpha - g0) @ (power * n)
 
 
 def _double_step_envelope(f0, f1, mu, p, q, n):
     """Profile envelope at the radii ``n`` of one eigenspace under the
-    semiregular double step."""
+    semiregular double step; array ``f0``, ``f1`` give one row per entry."""
     t_plus, t_minus, d = spectral.transfer_eigenvalues(mu, p, q)
     a_mat = spectral.transfer_matrix(mu, p, q)
     w = np.array([f1, f0], dtype=complex)
@@ -346,8 +345,8 @@ def _double_step_envelope(f0, f1, mu, p, q, n):
     if abs(d) <= spectral.DISCRIMINANT_TOL:
         t = abs(t_plus + t_minus) / 2
         nil = float(np.linalg.norm(a_mat - ((t_plus + t_minus) / 2).real * np.eye(2), 2))
-        scale = float(np.linalg.norm(w))
-        env = scale * (t ** k + k * t ** np.maximum(k - 1, 0) * nil)
+        scale = np.linalg.norm(w, axis=0)
+        env = np.multiply.outer(scale, t ** k + k * t ** np.maximum(k - 1, 0) * nil)
     else:
         def eigvec(t):
             v1 = np.array([a_mat[0, 1], t - a_mat[0, 0]], dtype=complex)
@@ -359,14 +358,15 @@ def _double_step_envelope(f0, f1, mu, p, q, n):
         a, b = np.linalg.solve(np.column_stack([v_plus, v_minus]), w)
         # radius 2k reads component 1 of the pair (F(2k+1), F(2k)), radius 2k+1 component 0
         comp = 1 - n % 2
-        env = (np.abs(a * v_plus)[comp] * abs(t_plus) ** k
-               + np.abs(b * v_minus)[comp] * abs(t_minus) ** k)
+        env = (np.abs(np.multiply.outer(a, v_plus))[..., comp] * abs(t_plus) ** k
+               + np.abs(np.multiply.outer(b, v_minus))[..., comp] * abs(t_minus) ** k)
     # radii 0 and 1 are the initial values themselves
-    return np.where(n == 0, abs(f0), np.where(n == 1, abs(f1), env))
+    return np.where(n == 0, np.abs(f0)[..., None], np.where(n == 1, np.abs(f1)[..., None], env))
 
 
 def envelope_series(g, f, base, theorem, radius, decomp=None):
-    """Rigorous per-radius bound on the arc deviation of ``f`` at ``base``.
+    """Rigorous per-radius bound on the arc deviation of ``f`` at ``base``
+    (a list of bounds for a list of fields).
 
     Each nontrivial eigenspace contributes the exact envelope of its radial
     profile, computed in closed form from that component's two initial values;
@@ -375,13 +375,15 @@ def envelope_series(g, f, base, theorem, radius, decomp=None):
 
     A supplied ``decomp`` must be the regime's eigendecomposition; the graph
     still passes the regime's classification gate.  The initial values of all
-    eigenspace components come from one projection of ``f``, read at the rows
-    of the radius-0 and radius-1 arcs.
+    eigenspace components of all fields come from one projection, read at the
+    rows of the radius-0 and radius-1 arcs.
     """
+    fields = [f] if isinstance(f, cover.ScalarField) else f
     reg = spectral.regime(g, theorem, base)
     if decomp is None:
         decomp = spectral.eig_sym(spectral.theorem_laplacian(g, theorem)[0])
-    cover.check_field(g, f, reg.support)
+    for item in fields:
+        cover.check_field(g, item, reg.support)
     if decomp.support != reg.support:
         raise SupportMismatchError(f"regime {theorem} needs an eigenbasis on {reg.support}")
     if reg.support == cover.VERTICES:
@@ -389,10 +391,10 @@ def envelope_series(g, f, base, theorem, radius, decomp=None):
     else:
         rows0 = [g.edge_of(base)]
         rows1 = [g.edge_of(h) for h in g.continuations(base)]
-    coeffs = decomp.basis.T @ f.values
+    coeffs = decomp.basis.T @ np.column_stack([item.values for item in fields])
     starts = [a for a, _ in decomp.group_slices]
-    f0s = np.add.reduceat(decomp.basis[rows0].mean(axis=0) * coeffs, starts)
-    f1s = np.add.reduceat(decomp.basis[rows1].mean(axis=0) * coeffs, starts)
+    f0s = np.add.reduceat(decomp.basis[rows0].mean(axis=0)[:, None] * coeffs, starts, axis=0)
+    f1s = np.add.reduceat(decomp.basis[rows1].mean(axis=0)[:, None] * coeffs, starts, axis=0)
     mus = np.array(decomp.distinct)
     keep = np.abs(mus - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL
     mus, f0s, f1s = mus[keep], f0s[keep], f1s[keep]
@@ -400,10 +402,10 @@ def envelope_series(g, f, base, theorem, radius, decomp=None):
     if reg.p == reg.q:
         env = _one_step_envelope(f0s, f1s, reg.roots(mus), n)
     else:
-        env = np.zeros(radius + 1)
+        env = np.zeros((len(fields), radius + 1))
         for mu, f0, f1 in zip(mus.tolist(), f0s, f1s):
-            env += _double_step_envelope(float(f0), float(f1), mu, reg.p, reg.q, n)
-    return env.tolist()
+            env += _double_step_envelope(f0, f1, mu, reg.p, reg.q, n)
+    return env.tolist() if fields is f else env[0].tolist()
 
 
 def envelope_check(report, env):
@@ -524,20 +526,19 @@ def check_doob_condition(g, decomp, max_radius=10, tol=1e-9, bases=None):
     star = [[g.edge_of(h) for h in g.out(v)] for v in range(g.vertex_count)]
     if bases is None:
         bases = [0, g.half_edge_count - 1]
-    for vec in decomp.group_basis(group).T:
-        if any(abs(math.fsum(vec[e] for e in edges)) > tol for edges in star):
+    vecs = decomp.group_basis(group).T
+    if any(abs(math.fsum(vec[e] for e in edges)) > tol for vec in vecs for edges in star):
+        return False
+    fields = [cover.ScalarField(cover.EDGES, vec) for vec in vecs]
+    for base in bases:  # every eigenvector's arc averages from one transfer per base
+        reg = _edge_regime(g, base)
+        sizes, sums = cover.arc_edge_sums(g, fields, base, max_radius)
+        averages = sums.T / [float(n) for n in sizes]
+        expected = [averages[:, 0]]
+        for n in range(max_radius):
+            expected.append(expected[-1] * (-1.0 / reg.q if n % 2 == 0 else -1.0 / reg.p))
+        if np.any(np.abs(averages - np.transpose(expected)) > tol):
             return False
-        f = ScalarField(cover.EDGES, vec)
-        for base in bases:
-            reg = _edge_regime(g, base)
-            sizes, sums = cover.arc_edge_sums(g, f, base, max_radius)
-            averages = [s / n for s, n in zip(sums, sizes)]
-            expected = [averages[0]]
-            for n in range(max_radius):
-                ratio = -1.0 / reg.q if n % 2 == 0 else -1.0 / reg.p
-                expected.append(expected[-1] * ratio)
-            if any(abs(a - e) > tol for a, e in zip(averages, expected)):
-                return False
     return True
 
 

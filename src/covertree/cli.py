@@ -26,6 +26,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
+# eigenvector columns per batched transfer and envelope in verify; bounds its memory
+VERIFY_BLOCK = 32
+
 
 class _UsageError(Exception):
     pass
@@ -293,19 +296,21 @@ def _cmd_verify(args):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
-    for k, mu in enumerate(decomp.distinct):
-        if abs(mu - 1.0) <= spectral.TRIVIAL_EIGENVALUE_TOL:
-            continue
-        beta, _ = regime.rate(mu)
-        for col in range(decomp.multiplicity(k)):
-            f = ScalarField(regime.support, decomp.group_basis(k)[:, col])
-            report = analysis.deviation_series(g, f, set_kind="arc", radius=radius, base=base)
+    columns = [(mu, col, decomp.group_basis(k)[:, col], regime.rate(mu)[0])
+               for k, mu in enumerate(decomp.distinct)
+               if abs(mu - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL
+               for col in range(decomp.multiplicity(k))]
+    for start in range(0, len(columns), VERIFY_BLOCK):
+        block = columns[start:start + VERIFY_BLOCK]
+        fields = [ScalarField(regime.support, vec) for _, _, vec, _ in block]
+        reports = analysis.deviation_series(g, fields, set_kind="arc", radius=radius, base=base)
+        envs = analysis.envelope_series(g, fields, base, args.theorem, radius, decomp=decomp)
+        for (mu, col, _, beta), report, env in zip(block, reports, envs):
             predicted = spectral.radial_series(
                 report.averages[0], report.averages[1], mu, regime, radius)
             residual = max(abs(a - p) for a, p in zip(report.averages, predicted))
             record(f"recursion mu={mu:.9g} [{col}]", residual < 1e-9,
                    f"max residual {residual:.3e}")
-            env = analysis.envelope_series(g, f, base, args.theorem, radius, decomp=decomp)
             ok = analysis.envelope_check(report, env)
             record(f"envelope mu={mu:.9g} [{col}]", ok,
                    f"rate {beta:.6g}, max radius {radius}")

@@ -569,23 +569,31 @@ class TransferOperator:
             yield vec[row]
 
     def averages(self, at, base, n):
-        """Path-weighted averages of the per-half-edge values ``at`` over the
-        last half-edges of the paths of 1 .. n half-edges starting with
-        ``base`` (0.0 where there are no such paths)."""
-        centre = float(at[base])
-        rows = np.vstack([np.ones(self.size), at - centre])  # path count, centred sum
+        """Path-weighted averages of the per-half-edge values ``at``, (H,) or
+        (H, m), over the last half-edges of the paths of 1 .. n half-edges
+        starting with ``base`` (0.0 where there are no such paths), one row
+        per length.  One path distribution serves every column; each column's
+        moments come from its own (2, H) slice of a stacked (m, 2, H) @ p
+        product, which rounds exactly as the one-column product does."""
+        cols = np.reshape(at, (self.size, -1))
+        centre = cols[base]
+        # count and centred sum; C order, so each (2, H) slice is a plain BLAS matrix
+        rows = np.ascontiguousarray(np.stack([np.ones_like(cols.T), (cols - centre).T], axis=1))
         p = np.zeros(self.size)
         p[base] = 1.0
-        out = []
+        moments = np.empty((n, len(rows), 2))
         for k in range(n):
             if k:
                 p = np.ldexp(p, -math.frexp(total)[1])
                 p = np.bincount(self.dst, weights=p[self.src], minlength=self.size)
-            total, moment = (rows @ p).tolist()
+            np.matmul(rows, p, out=moments[k])
+            total = moments.item(k, 0, 0)
             if total == 0.0:  # dead end: every longer path is missing too
-                return out + [0.0] * (n - k)
-            out.append(centre + moment / total)
-        return out
+                moments = moments[:k]
+                break
+        out = np.zeros((n, len(rows)))
+        out[:len(moments)] = centre + moments[..., 1] / moments[..., 0]
+        return out.reshape((n, *np.shape(at)[1:]))
 
 
 def _equitable_partition(g):
@@ -637,21 +645,20 @@ def _sums(sizes, averages):
     divide again.  This is the one place a size meets a float: a sum past the
     float range raises SizeOutOfRangeError naming the radius.
     """
-    sums = []
-    for r, (n, avg) in enumerate(zip(sizes, averages)):
-        total = float(n) * avg if n <= _FLOAT_MAX else math.inf
-        if not math.isfinite(total):
-            raise SizeOutOfRangeError(
-                f"arc at radius {r} has about 2**{n.bit_length() - 1} elements; "
-                "their sum is past the float range")
-        sums.append(total)
+    scale = np.array([float(n) if n <= _FLOAT_MAX else math.inf for n in sizes])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the radius
+        sums = scale[:, None] * averages
+    bad = np.flatnonzero(~np.isfinite(sums).all(axis=1))
+    if len(bad):
+        raise SizeOutOfRangeError(
+            f"arc at radius {bad[0]} has about 2**{sizes[bad[0]].bit_length() - 1} elements; "
+            "their sum is past the float range")
     return sums
 
 
 def arc_vertex_count(g, base, r):
     """|A_r(base)| by exact integer counting; keeps only the last size."""
-    size = 1
-    for size in transfer_operator(g).counts(base, r):
+    for size in arc_counts(g, base, VERTICES, r):
         pass
     return size
 
@@ -661,22 +668,39 @@ def arc_edge_count(g, base, r):
     return arc_vertex_count(g, base, r + 1)
 
 
-def arc_vertex_sums(g, f, base, max_radius):
-    """Per-radius (size, sum of lifted values) over vertex arcs A_0 .. A_R."""
-    check_field(g, f, VERTICES)
-    op = transfer_operator(g)
-    sizes = [1, *op.counts(base, max_radius)]
-    averages = [float(f.values[g.tail(base)])]
-    averages += op.averages(f.values[op.heads], base, max_radius)
-    return sizes, _sums(sizes, averages)
+def arc_counts(g, base, support, max_radius):
+    """Yield the exact sizes of the vertex or edge arcs at ``base``, radius
+    0 .. max_radius; A'_r has the paths of r + 1 half-edges."""
+    if support == VERTICES:  # A_0 is the tail alone; A_r has the paths of r half-edges
+        yield 1
+    yield from transfer_operator(g).counts(base, max_radius + (support == EDGES))
 
 
-def arc_edge_sums(g, f, base, max_radius):
-    """Per-radius (size, sum of lifted values) over edge arcs A'_0 .. A'_R."""
-    check_field(g, f, EDGES)
+def _arc_sums(g, f, base, max_radius, sizes, support):
+    fields = [f] if isinstance(f, ScalarField) else f
+    for item in fields:
+        check_field(g, item, support)
+    sizes = list(arc_counts(g, base, support, max_radius)) if sizes is None else sizes
+    values = np.column_stack([item.values for item in fields])
     op = transfer_operator(g)
-    sizes = list(op.counts(base, max_radius + 1))
-    return sizes, _sums(sizes, op.averages(f.values[op.edges], base, max_radius + 1))
+    if support == VERTICES:
+        averages = np.concatenate([values[[g.tail(base)]],
+                                   op.averages(values[op.heads], base, max_radius)])
+    else:
+        averages = op.averages(values[op.edges], base, max_radius + 1)
+    sums = _sums(sizes, averages)
+    return sizes, (sums if fields is f else sums[:, 0].tolist())
+
+
+def arc_vertex_sums(g, f, base, max_radius, sizes=None):
+    """Per-radius (size, sum of lifted values) over vertex arcs A_0 .. A_R; a list of
+    fields gives an (R+1, m) array of sums; ``sizes`` from arc_counts are not recounted."""
+    return _arc_sums(g, f, base, max_radius, sizes, VERTICES)
+
+
+def arc_edge_sums(g, f, base, max_radius, sizes=None):
+    """Per-radius (size, sum of lifted values) over edge arcs A'_0 .. A'_R, as arc_vertex_sums."""
+    return _arc_sums(g, f, base, max_radius, sizes, EDGES)
 
 
 def arc_average_transfer(g, f, base, r):

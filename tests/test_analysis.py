@@ -17,7 +17,7 @@ from covertree.analysis import (
     envelope_series,
     fit_rate,
 )
-from covertree.cli import generic_field, random_field
+from covertree.cli import VERIFY_BLOCK, generic_field, random_field
 from covertree.cover import EDGES, VERTICES, ScalarField
 from covertree.errors import (
     BudgetExceededError,
@@ -302,6 +302,39 @@ def test_envelope_equals_per_eigenspace_reference(name, theorem, request, seeded
         ref = _reference_envelope(g, f, base, theorem, 12, decomp)
         assert np.allclose(env, ref, rtol=1e-12, atol=0)
         assert np.allclose(env, envelope_series(g, f, base, theorem, 12), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name,theorem", [
+    ("petersen", 1), ("petersen", 2), ("k33", 2), ("k34", 3), ("cubic-60", 1), ("cubic-60", 2),
+])
+def test_batched_columns_equal_the_per_column_series(name, theorem, request, seeded_cubic):
+    # every nontrivial eigenvector column, in verify's blocks; cubic-60 has 59
+    # vertex and 89 edge columns, neither a multiple of the block size
+    g = seeded_cubic(60, 60) if name == "cubic-60" else request.getfixturevalue(name)
+    lap, reg = spectral.theorem_laplacian(g, theorem)
+    decomp = spectral.eig_sym(lap)
+    columns = [decomp.basis[:, i] for (a, b), mu in zip(decomp.group_slices, decomp.distinct)
+               if abs(mu - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL for i in range(a, b)]
+    sums_of = cover.arc_vertex_sums if reg.support == VERTICES else cover.arc_edge_sums
+    op = cover.transfer_operator(g)
+    at = np.column_stack(columns)[op.heads if reg.support == VERTICES else op.edges]
+    for base in (0, 1, g.half_edge_count // 2, g.half_edge_count - 1):
+        batched = op.averages(at, base, 12)
+        assert all(np.array_equal(batched[:, j], op.averages(at[:, j], base, 12))
+                   for j in range(len(columns)))
+        for start in range(0, len(columns), VERIFY_BLOCK):
+            fields = [ScalarField(reg.support, vec) for vec in columns[start:start + VERIFY_BLOCK]]
+            reports = deviation_series(g, fields, set_kind="arc", radius=12, base=base)
+            envs = envelope_series(g, fields, base, theorem, 12, decomp=decomp)
+            assert len(reports) == len(envs) == len(fields)
+            for f, report, env in zip(fields, reports, envs):
+                sizes, sums = sums_of(g, f, base, 12)
+                assert report.sizes == sizes
+                assert report.averages == [s / n for s, n in zip(sums, sizes)]
+                # unit eigenvectors project with absolute rounding near 1e-16; where an
+                # envelope is that small no two summation orders agree relatively
+                ref = _reference_envelope(g, f, base, theorem, 12, decomp)
+                assert np.allclose(env, ref, rtol=1e-12, atol=1e-15)
 
 
 def test_one_step_envelope_dominates_radial_series_in_both_root_cases(k4):

@@ -151,9 +151,9 @@ def test_horocycle_runs_one_series_per_distinct_base(petersen, monkeypatch):
     calls = []
     original = cover.arc_vertex_sums
 
-    def counting(g, f, base, max_radius):
+    def counting(g, f, base, max_radius, sizes=None):
         calls.append((base, max_radius))
-        return original(g, f, base, max_radius)
+        return original(g, f, base, max_radius, sizes)
 
     monkeypatch.setattr(cover, "arc_vertex_sums", counting)
     report = analysis.deviation_series(petersen, f, set_kind="horocycle", radius=radius,
@@ -235,6 +235,20 @@ def test_average_huge_radius_exits_3_naming_the_radius(kind, tmp_path, capsys, p
     assert rc == 3
     assert err.startswith(f"error: {kind.replace('-', ' ')} at radius {first} has ")
     assert err.endswith("elements (cap 10000000)\n")
+
+
+def test_verify_huge_radius_exits_3_naming_the_radius(tmp_path, capsys, monkeypatch, petersen):
+    # the budget is checked before the first transfer, so nothing is printed
+    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
+    graph = tmp_path / "pet.g"
+    graph_core.save_graph(petersen, graph)
+    start = time.perf_counter()
+    rc = main(["verify", "--graph", str(graph), "--theorem", "1", "--radius", "100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: arc at radius 25 has 16777216 elements (cap 10000000)\n"
 
 
 # --- sizes past the float range ---
