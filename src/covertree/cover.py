@@ -575,10 +575,10 @@ class TransferOperator:
         per length.  One path distribution serves every column; each column's
         moments come from its own (2, H) slice of a stacked (m, 2, H) @ p
         product, which rounds exactly as the one-column product does."""
-        cols = np.reshape(at, (self.size, -1))
+        cols = at.reshape(self.size, -1)
         centre = cols[base]
-        # count and centred sum; C order, so each (2, H) slice is a plain BLAS matrix
-        rows = np.ascontiguousarray(np.stack([np.ones_like(cols.T), (cols - centre).T], axis=1))
+        rows = np.ones((len(centre), 2, self.size))  # path count; C order, so each (2, H)
+        rows[:, 1] = (cols - centre).T                # slice is a plain BLAS matrix
         p = np.zeros(self.size)
         p[base] = 1.0
         moments = np.empty((n, len(rows), 2))
@@ -593,7 +593,7 @@ class TransferOperator:
                 break
         out = np.zeros((n, len(rows)))
         out[:len(moments)] = centre + moments[..., 1] / moments[..., 0]
-        return out.reshape((n, *np.shape(at)[1:]))
+        return out.reshape((n, *at.shape[1:]))
 
 
 def _equitable_partition(g):
@@ -648,10 +648,10 @@ def _sums(sizes, averages):
     scale = np.array([float(n) if n <= _FLOAT_MAX else math.inf for n in sizes])
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the radius
         sums = scale[:, None] * averages
-    bad = np.flatnonzero(~np.isfinite(sums).all(axis=1))
-    if len(bad):
+    if not np.isfinite(sums).all():
+        r = np.flatnonzero(~np.isfinite(sums).all(axis=1))[0]
         raise SizeOutOfRangeError(
-            f"arc at radius {bad[0]} has about 2**{sizes[bad[0]].bit_length() - 1} elements; "
+            f"arc at radius {r} has about 2**{sizes[r].bit_length() - 1} elements; "
             "their sum is past the float range")
     return sums
 
@@ -681,10 +681,10 @@ def _arc_sums(g, f, base, max_radius, sizes, support):
     for item in fields:
         check_field(g, item, support)
     sizes = list(arc_counts(g, base, support, max_radius)) if sizes is None else sizes
-    values = np.column_stack([item.values for item in fields])
+    values = np.array([item.values for item in fields]).T
     op = transfer_operator(g)
     if support == VERTICES:
-        averages = np.concatenate([values[[g.tail(base)]],
+        averages = np.concatenate([values[g.tail(base)][None],
                                    op.averages(values[op.heads], base, max_radius)])
     else:
         averages = op.averages(values[op.edges], base, max_radius + 1)
