@@ -37,6 +37,10 @@ DEVIATION_FLOOR = 1e-13
 _PASS_RTOL = 1e-9
 _PASS_ATOL = 1e-15
 
+_FIT_WINDOW = 3     # points in the running max that smooths deviations for the rate fit
+_CHECK_TOL = 1e-9   # spectral-gap, Ramanujan and vanishing-star tolerance
+_DOOB_RADIUS = 10   # the vanishing-star check follows arc averages to this radius
+
 SET_KINDS = ("arc", "sphere", "edge-sphere", "tube", "horocycle")
 
 
@@ -67,38 +71,25 @@ def enumeration_budget(budget=None):
 
 def _arc_union(g, fields, support, bases, radius, cap, what):
     """Per-radius (sizes, averages) over the disjoint union of the arcs at
-    ``bases``, one average column per field of ``fields``.  The budget
-    applies to the union at every radius from 1: the arcs are counted in
-    lockstep, so a huge radius fails at the first radius over the cap,
-    before any averaging, which reuses the counted sizes.
-
-    Arc averages are weighted by exact size fractions and centred on the first
-    non-empty arc's, so the union's size never has to fit a float and arcs
-    with equal averages give exactly that average.
-    """
-    counted, sizes = [[] for _ in bases], []
-    for r, column in enumerate(zip(*[cover.arc_counts(g, h, support, radius) for h in bases])):
-        sizes.append(sum(column))
-        # radius 0 is not capped: it has one element per base, a half-edge leaving
-        # the root or the caller's subtree, and spheres and tubes replace it
-        if r and sizes[-1] > cap:
-            raise BudgetExceededError(f"{what} at radius {r} has {sizes[-1]} elements (cap {cap})")
-        for sizes_b, n in zip(counted, column):
-            sizes_b.append(n)
-    sums_of = cover.arc_vertex_sums if support == cover.VERTICES else cover.arc_edge_sums
-    series = [sums_of(g, fields, h, radius, sizes_b)[1] for h, sizes_b in zip(bases, counted)]
-    if 0 in sizes:
-        raise EmptySetError(f"set at radius {sizes.index(0)} is empty")
-    means = np.array([sums_b / np.array([float(n) or 1.0 for n in sizes_b])[:, None]
-                      for sizes_b, sums_b in zip(counted, series)])
-    first = np.array([[n > 0 for n in sizes_b] for sizes_b in counted]).argmax(axis=0)
-    centre = means[first, np.arange(radius + 1)]
-    if len(bases) == 1:  # one arc: nothing to weigh
-        return sizes, centre + 0.0
-    weights = np.array([[n / total for n, total in zip(sizes_b, sizes)] for sizes_b in counted])
-    weights[first, np.arange(radius + 1)] = 0.0  # the centre's own arc
-    terms = (weights[..., None] * (means - centre)).transpose(1, 2, 0).tolist()
-    return sizes, centre + [[math.fsum(col) for col in row] for row in terms]
+    ``bases``, one average column per field of ``fields``.  The union is
+    counted before any averaging, so a huge radius fails at the first radius
+    from 1 over the cap.  Several arcs are one path distribution started on
+    every base, so the union's size never has to fit a float; one arc keeps
+    the bits and the SizeOutOfRangeError of its arc sums."""
+    sizes = []
+    for r, n in enumerate(cover.arc_counts(g, bases, support, radius)):
+        # radius 0 is not capped: it is the root, a tube's subtree or one edge per base
+        if r and n > cap:
+            raise BudgetExceededError(f"{what} at radius {r} has {n} elements (cap {cap})")
+        sizes.append(n)
+    if 0 in sizes[1:]:
+        raise EmptySetError(f"set at radius {sizes.index(0, 1)} is empty")
+    if len(bases) == 1:
+        sums_of = cover.arc_vertex_sums if support == cover.VERTICES else cover.arc_edge_sums
+        averages = sums_of(g, fields, bases[0], radius, sizes)[1] / [[float(n)] for n in sizes]
+    else:
+        averages = cover.arc_averages(g, fields, bases, support, radius)
+    return sizes, averages + 0.0  # a field value of -0.0 averages to 0.0
 
 
 def _tube_boundary(g, members):
@@ -173,8 +164,6 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
     elif set_kind in ("sphere", "edge-sphere"):
         sizes, averages = _arc_union(g, fields, support, g.out(root), radius, cap,
                                      set_kind.replace("-", " "))
-        if set_kind == "sphere":
-            sizes[0] = 1  # every arc shares the root at radius 0
         anchor = root
     elif set_kind == "tube":
         members, boundary, internal = _tube_boundary(g, subtree)
@@ -238,18 +227,18 @@ def _finish_report(g, f, cls, set_kind, radius, sizes, averages, anchor):
 
 # --- rate fitting and bound checking ---
 
-def fit_rate(report, *, window=3, floor=DEVIATION_FLOOR):
+def fit_rate(report):
     """Least-squares decay rate of the deviation series.
 
-    Deviations below the floor are exact zeros and are dropped; the remaining
-    series is smoothed by a running max over ``window`` points before the
-    log-linear fit, which absorbs the sign oscillation of complex
+    Deviations below DEVIATION_FLOOR are exact zeros and are dropped; the
+    remaining series is smoothed by a running max over _FIT_WINDOW points
+    before the log-linear fit, which absorbs the sign oscillation of complex
     characteristic roots.  Returns the fitted rate, or None (and marks the
     report non-convergent) when the deviations do not decay.
     """
-    kept = [(r, d) for r, d in zip(report.radii, report.deviations) if d >= floor]
-    if len(kept) < max(6, window + 2):
-        if all(d < floor for d in report.deviations):
+    kept = [(r, d) for r, d in zip(report.radii, report.deviations) if d >= DEVIATION_FLOOR]
+    if len(kept) < max(6, _FIT_WINDOW + 2):
+        if all(d < DEVIATION_FLOOR for d in report.deviations):
             report.fitted_beta = 0.0
             report.non_convergent = False
             return 0.0
@@ -258,8 +247,8 @@ def fit_rate(report, *, window=3, floor=DEVIATION_FLOOR):
         )
     xs = []
     ys = []
-    for i in range(len(kept) - window + 1):
-        chunk = kept[i:i + window]
+    for i in range(len(kept) - _FIT_WINDOW + 1):
+        chunk = kept[i:i + _FIT_WINDOW]
         xs.append(chunk[0][0])
         ys.append(max(d for _, d in chunk))
     slope = float(np.polyfit(xs, np.log(ys), 1)[0])
@@ -279,7 +268,7 @@ def _bound_at(c_hat, beta, kind, r):
     return bound
 
 
-def bound_check(report, *, calibration_radius=4, floor=DEVIATION_FLOOR):
+def bound_check(report, *, calibration_radius=4):
     """Calibrate the empirical constant on small radii, then test the bound.
 
     C_hat is the largest deviation-to-bound ratio over the calibration window;
@@ -298,12 +287,12 @@ def bound_check(report, *, calibration_radius=4, floor=DEVIATION_FLOOR):
     kind = report.predicted_kind or spectral.EXACT_GEOMETRIC
     c_hat = 0.0
     for r, dev in zip(report.radii, report.deviations):
-        if r > calibration_radius or dev < floor:
+        if r > calibration_radius or dev < DEVIATION_FLOOR:
             continue
         c_hat = max(c_hat, dev / _bound_at(1.0, beta, kind, r))
     passed = True
     for r, dev in zip(report.radii, report.deviations):
-        if r <= calibration_radius or dev < floor:
+        if r <= calibration_radius or dev < DEVIATION_FLOOR:
             continue
         bound = _bound_at(c_hat, beta, kind, r)
         if dev > bound * (1 + _PASS_RTOL) + _PASS_ATOL:
@@ -463,7 +452,7 @@ def _edge_regime(g, base=0):
     return spectral.regime(g, 3 if semiregular else 2, base)
 
 
-def check_lemma_gap(g, tol=1e-9, decomp=None):
+def check_lemma_gap(g, decomp=None):
     """No edge-Laplacian eigenvalue strictly inside the semiregular gap
     ((p-1)/(p+q), (q-1)/(p+q)); vacuously true when p == q.  ``decomp`` is
     the edge Laplacian's eigendecomposition, computed when not supplied."""
@@ -471,10 +460,10 @@ def check_lemma_gap(g, tol=1e-9, decomp=None):
         decomp = spectral.eig_sym(spectral.edge_laplacian(g))
     reg = _edge_regime(g)
     lo, hi = spectral.forbidden_gap(reg.p, reg.q)
-    return not any(lo + tol < mu < hi - tol for mu in decomp.distinct)
+    return not any(lo + _CHECK_TOL < mu < hi - _CHECK_TOL for mu in decomp.distinct)
 
 
-def check_ramanujan(g, tol=1e-9):
+def check_ramanujan(g):
     """True iff every nontrivial vertex eigenvalue obeys |mu| <= 2 sqrt(q)/(q+1)."""
     cls = graph_core.classify(g)
     if cls.kind not in (graph_core.REGULAR, graph_core.REGULAR_BIPARTITE):
@@ -483,7 +472,7 @@ def check_ramanujan(g, tol=1e-9):
         )
     q = cls.q
     decomp = spectral.eig_sym(spectral.vertex_laplacian(g))
-    threshold = 2 * math.sqrt(q) / (q + 1) + tol
+    threshold = 2 * math.sqrt(q) / (q + 1) + _CHECK_TOL
     return all(abs(mu) <= threshold for mu in decomp.distinct
                if abs(abs(mu) - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL)
 
@@ -510,7 +499,7 @@ def check_bipartite_split(g, f, base, radius, calibration_radius=4):
     return report, passed
 
 
-def check_doob_condition(g, decomp, max_radius=10, tol=1e-9, bases=None):
+def check_doob_condition(g, decomp):
     """Every edge eigenvector at the extreme eigenvalue has vanishing star sums,
     and its transfer arc averages follow the exact alternating-step decay.
 
@@ -524,20 +513,17 @@ def check_doob_condition(g, decomp, max_radius=10, tol=1e-9, bases=None):
     if group is None:
         return True  # vacuous: the extreme eigenvalue does not occur
     star = [[g.edge_of(h) for h in g.out(v)] for v in range(g.vertex_count)]
-    if bases is None:
-        bases = [0, g.half_edge_count - 1]
     vecs = decomp.group_basis(group).T
-    if any(abs(math.fsum(vec[e] for e in edges)) > tol for vec in vecs for edges in star):
+    if any(abs(math.fsum(vec[e] for e in edges)) > _CHECK_TOL for vec in vecs for edges in star):
         return False
     fields = [cover.ScalarField(cover.EDGES, vec) for vec in vecs]
-    for base in bases:  # every eigenvector's arc averages from one transfer per base
+    for base in (0, g.half_edge_count - 1):  # every eigenvector's arc averages from one transfer
         reg = _edge_regime(g, base)
-        sizes, sums = cover.arc_edge_sums(g, fields, base, max_radius)
-        averages = sums.T / [float(n) for n in sizes]
+        averages = cover.arc_averages(g, fields, base, cover.EDGES, _DOOB_RADIUS).T
         expected = [averages[:, 0]]
-        for n in range(max_radius):
+        for n in range(_DOOB_RADIUS):
             expected.append(expected[-1] * (-1.0 / reg.q if n % 2 == 0 else -1.0 / reg.p))
-        if np.any(np.abs(averages - np.transpose(expected)) > tol):
+        if np.any(np.abs(averages - np.transpose(expected)) > _CHECK_TOL):
             return False
     return True
 

@@ -28,6 +28,7 @@ EXIT_RUNTIME = 3
 
 # eigenvector columns per batched transfer and envelope in verify; bounds its memory
 VERIFY_BLOCK = 32
+_GENERIC_TRIES = 64  # seeds generic_field tries before it gives up
 
 
 class _UsageError(Exception):
@@ -52,10 +53,10 @@ def random_field(g, support, seed):
     return ScalarField(support, values)
 
 
-def generic_field(g, support, seed, decomp, max_tries=64):
+def generic_field(g, support, seed, decomp):
     """Seeded random field with a nonzero projection on every eigenspace;
     reseeds (seed+1, seed+2, ...) in the measure-zero degenerate case."""
-    for bump in range(max_tries):
+    for bump in range(_GENERIC_TRIES):
         f = random_field(g, support, seed + bump)
         _, norms = spectral.fourier_coefficients(f, decomp)
         if all(n > spectral.ACTIVITY_TOL for n in norms):

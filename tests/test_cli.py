@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,21 @@ def test_field_sum_past_float_range_exits_3(tmp_path, k4_file, capsys):
     assert err.startswith("error:") and "past the float range" in err
     with pytest.raises(SizeOutOfRangeError, match="sum of 4 field values"):
         cover.graph_average(cover.load_field(str(field)))
+
+
+@pytest.mark.parametrize("anchor", [["--set", "arc", "--base", "0", "1"],
+                                    ["--set", "sphere", "--root", "0"]])
+def test_field_span_past_float_range_exits_3(tmp_path, k4_file, capsys, anchor):
+    # 1e308 - (-1e308) is past the float range: the values cannot be centred on
+    # one of them, and the error says so before any step, with no numpy warning
+    field = tmp_path / "wide.fld"
+    field.write_text("field vertices 4\n0 1e308\n1 -1e308\n2 0.5\n3 0.25\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["average", "--graph", k4_file, "--field", str(field), *anchor,
+                   "--radius", "4"])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: the field's values span past the float range\n"
 
 
 @pytest.mark.parametrize("kind", ["graph", "field", "geodesic", "tube"])

@@ -9,6 +9,7 @@ dead-end and loop/multi-edge graphs.
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from covertree import analysis, cover, graph_core
 from covertree.cli import main, random_field
 from covertree.cover import EDGES, VERTICES
-from covertree.errors import BudgetExceededError, SizeOutOfRangeError
+from covertree.errors import BudgetExceededError, EmptySetError, SizeOutOfRangeError
 
 SIZE_RADIUS = 40
 AVERAGE_RADIUS = 60
@@ -132,12 +133,87 @@ def test_constant_field_averages_exactly_on_every_set_family():
         geo = cover.GeodesicSpec(tuple(g.half_edge(i, (i + 1) % cycle) for i in range(cycle)))
         anchors = [(f, "arc", {"base": 1}), (fe, "arc", {"base": 1}),
                    (f, "sphere", {"root": 0}), (fe, "edge-sphere", {"root": 0}),
+                   (f, "tube", {"subtree": _star(g, 0)}), (fe, "tube", {"subtree": _star(g, 0)}),
                    (f, "horocycle", {"geodesic": geo})]
         reports = [analysis.deviation_series(g, field, set_kind=kind, radius=30,
                                              budget=10 ** 40, **anchor)
                    for field, kind, anchor in anchors]
         for report in reports:
             assert all(d == 0.0 for d in report.deviations), report.set_kind
+
+
+# --- unions of arcs: one path distribution started on every base half-edge ---
+
+def _triangle_tube(k4):
+    """The K4 subtree along the closed walk 0 -> 1 -> 2 -> 0."""
+    walk = [k4.half_edge(0, 1), k4.half_edge(1, 2), k4.half_edge(2, 0)]
+    return [cover.cover_vertex(k4, 0, walk[:n]) for n in range(4)]
+
+
+@pytest.mark.parametrize("kind,support,anchor", [("sphere", VERTICES, "root"),
+                                                 ("edge-sphere", EDGES, "root"),
+                                                 ("tube", VERTICES, "subtree"),
+                                                 ("tube", EDGES, "subtree")])
+def test_union_series_runs_one_transfer(petersen, monkeypatch, kind, support, anchor):
+    f = random_field(petersen, support, 5)
+    calls = []
+    original = cover.TransferOperator.averages
+
+    def counting(self, at, bases, n):
+        calls.append(list(np.ravel(bases)))
+        return original(self, at, bases, n)
+
+    monkeypatch.setattr(cover.TransferOperator, "averages", counting)
+    anchors = {"root": 0, "subtree": _star(petersen, 0)}
+    analysis.deviation_series(petersen, f, set_kind=kind, radius=12,
+                              **{anchor: anchors[anchor]})
+    assert len(calls) == 1 and len(calls[0]) > 1
+
+
+def _assert_matches_enumeration(g, f, kind, layer, radius, **anchor):
+    report = analysis.deviation_series(g, f, set_kind=kind, radius=radius, **anchor)
+    for r in range(radius + 1):
+        elements = layer(r)
+        assert report.sizes[r] == len(elements), (kind, anchor, r)
+        assert abs(report.averages[r] - cover.set_average(f, elements)) <= 1e-12, (kind, anchor, r)
+
+
+def test_triangle_tube_with_a_repeated_boundary_matches_enumeration(k4):
+    members = _triangle_tube(k4)
+    _, boundary, _ = analysis._tube_boundary(k4, members)
+    assert sorted(boundary) == [0, 2, 4, 4, 8, 10]  # both ends of the walk leave 0 by 0 -> 3
+    for seed in (1, 2, 3):
+        fv, fe = random_field(k4, VERTICES, seed), random_field(k4, EDGES, seed)
+        _assert_matches_enumeration(k4, fv, "tube", lambda r: cover.tube_vertices(k4, members, r),
+                                    6, subtree=members)
+        _assert_matches_enumeration(k4, fe, "tube", lambda r: cover.tube_edges(k4, members, r),
+                                    6, subtree=members)
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)],  # pendant path
+                                   [(0, 1), (0, 2), (0, 3)]])                  # star K(1,3)
+def test_spheres_with_dead_ends_match_enumeration(edges):
+    # spheres run to their last non-empty radius; the next one is empty on both sides
+    g = graph_core.build_graph(max(map(max, edges)) + 1, edges)
+    for kind, support, layer in (("sphere", VERTICES, cover.sphere_vertices),
+                                 ("edge-sphere", EDGES, cover.sphere_edges)):
+        f = random_field(g, support, 7)
+        for v in range(g.vertex_count):
+            radius = next((r for r in range(1, 10) if not len(layer(g, v, r))), 10) - 1
+            if radius < 9:
+                with pytest.raises(EmptySetError, match=f"set at radius {radius + 1} is empty"):
+                    analysis.deviation_series(g, f, set_kind=kind, radius=9, root=v)
+            if radius >= 2:
+                _assert_matches_enumeration(g, f, kind, lambda r: layer(g, v, r), radius, root=v)
+
+
+def test_tube_without_boundary_is_empty_from_radius_1():
+    # the star of K(1,3)'s centre holds the whole graph: no tree edge leaves it
+    g = graph_core.build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    for support in (VERTICES, EDGES):
+        with pytest.raises(EmptySetError, match="set at radius 1 is empty"):
+            analysis.deviation_series(g, random_field(g, support, 1), set_kind="tube",
+                                      radius=4, subtree=_star(g, 0))
 
 
 # --- horocycles: one series per distinct base ---
@@ -286,6 +362,26 @@ def test_sphere_past_float_range_still_averages(petersen):
     report = analysis.deviation_series(petersen, constant, set_kind="sphere", radius=1024,
                                        root=0, budget=10 ** 400)
     assert all(a == 1.7 for a in report.averages)
+    # past radius 1024 not even one arc's size fits a float; the union never forms one
+    report = analysis.deviation_series(petersen, constant, set_kind="sphere", radius=1100,
+                                       root=0, budget=10 ** 400)
+    assert report.sizes[-1] == 3 * 2 ** 1099 and all(a == 1.7 for a in report.averages)
+
+
+def test_union_of_values_near_the_float_range_averages(petersen):
+    # centred on -x, the other values sit 2x = 1.6e308 above: one path weight
+    # past 1.12 would take their sum past the float range, unless it is scaled
+    x = 0.8e308
+    first = petersen.out(0)[0]
+    f = cover.ScalarField(VERTICES, [-x if v == petersen.head(first) else x
+                                     for v in range(petersen.vertex_count)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        averages = cover.arc_averages(petersen, [f], petersen.out(0), VERTICES, 8)[:, 0]
+    for r in range(1, 9):
+        ids = cover.sphere_vertices(petersen, 0, r).ids()
+        share = np.count_nonzero(ids == petersen.head(first)) / len(ids)
+        assert averages[r] == pytest.approx(x * (1 - 2 * share), rel=1e-12)
 
 
 def test_average_past_float_range_exits_3(tmp_path, capsys, monkeypatch, petersen):
