@@ -71,25 +71,40 @@ def enumeration_budget(budget=None):
 
 def _arc_union(g, fields, support, bases, radius, cap, what):
     """Per-radius (sizes, averages) over the disjoint union of the arcs at
-    ``bases``, one average column per field of ``fields``.  The union is
-    counted before any averaging, so a huge radius fails at the first radius
-    from 1 over the cap.  Several arcs are one path distribution started on
-    every base, so the union's size never has to fit a float; one arc keeps
-    the bits and the SizeOutOfRangeError of its arc sums."""
-    sizes = []
-    for r, n in enumerate(cover.arc_counts(g, bases, support, radius)):
-        # radius 0 is not capped: it is the root, a tube's subtree or one edge per base
-        if r and n > cap:
-            raise BudgetExceededError(f"{what} at radius {r} has {n} elements (cap {cap})")
-        sizes.append(n)
-    if 0 in sizes[1:]:
-        raise EmptySetError(f"set at radius {sizes.index(0, 1)} is empty")
-    if len(bases) == 1:
-        sums_of = cover.arc_vertex_sums if support == cover.VERTICES else cover.arc_edge_sums
-        averages = sums_of(g, fields, bases[0], radius, sizes)[1] / [[float(n)] for n in sizes]
-    else:
-        averages = cover.arc_averages(g, fields, bases, support, radius)
-    return sizes, averages + 0.0  # a field value of -0.0 averages to 0.0
+    ``bases``, one average column per field of ``fields``.  The budget
+    applies to the union at every radius from 1: the arcs are counted in
+    lockstep, so a huge radius fails at the first radius over the cap,
+    before any averaging, which reuses the counted sizes.
+
+    Arc averages are weighted by exact size fractions and centred on the first
+    non-empty arc's, so the union's size never has to fit a float and arcs
+    with equal averages give exactly that average.
+    """
+    if not bases:  # radius 0 is the caller's; with no arc, every later radius is empty
+        raise EmptySetError("set at radius 1 is empty")
+    counted, sizes = [[] for _ in bases], []
+    for r, column in enumerate(zip(*[cover.arc_counts(g, h, support, radius) for h in bases])):
+        sizes.append(sum(column))
+        # radius 0 is not capped: it has one element per base, a half-edge leaving
+        # the root or the caller's subtree, and spheres and tubes replace it
+        if r and sizes[-1] > cap:
+            raise BudgetExceededError(f"{what} at radius {r} has {sizes[-1]} elements (cap {cap})")
+        for sizes_b, n in zip(counted, column):
+            sizes_b.append(n)
+    sums_of = cover.arc_vertex_sums if support == cover.VERTICES else cover.arc_edge_sums
+    series = [sums_of(g, fields, h, radius, sizes_b)[1] for h, sizes_b in zip(bases, counted)]
+    if 0 in sizes:
+        raise EmptySetError(f"set at radius {sizes.index(0)} is empty")
+    means = np.array([sums_b / np.array([float(n) or 1.0 for n in sizes_b])[:, None]
+                      for sizes_b, sums_b in zip(counted, series)])
+    first = np.array([[n > 0 for n in sizes_b] for sizes_b in counted]).argmax(axis=0)
+    centre = means[first, np.arange(radius + 1)]
+    if len(bases) == 1:  # one arc: nothing to weigh
+        return sizes, centre + 0.0
+    weights = np.array([[n / total for n, total in zip(sizes_b, sizes)] for sizes_b in counted])
+    weights[first, np.arange(radius + 1)] = 0.0  # the centre's own arc
+    terms = (weights[..., None] * (means - centre)).transpose(1, 2, 0).tolist()
+    return sizes, centre + [[math.fsum(col) for col in row] for row in terms]
 
 
 def _tube_boundary(g, members):
@@ -164,6 +179,8 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
     elif set_kind in ("sphere", "edge-sphere"):
         sizes, averages = _arc_union(g, fields, support, g.out(root), radius, cap,
                                      set_kind.replace("-", " "))
+        if set_kind == "sphere":
+            sizes[0] = 1  # every arc shares the root at radius 0
         anchor = root
     elif set_kind == "tube":
         members, boundary, internal = _tube_boundary(g, subtree)
@@ -517,9 +534,10 @@ def check_doob_condition(g, decomp):
     if any(abs(math.fsum(vec[e] for e in edges)) > _CHECK_TOL for vec in vecs for edges in star):
         return False
     fields = [cover.ScalarField(cover.EDGES, vec) for vec in vecs]
-    for base in (0, g.half_edge_count - 1):  # every eigenvector's arc averages from one transfer
+    for base in (0, g.half_edge_count - 1):  # every eigenvector from one transfer per base
         reg = _edge_regime(g, base)
-        averages = cover.arc_averages(g, fields, base, cover.EDGES, _DOOB_RADIUS).T
+        sizes, sums = cover.arc_edge_sums(g, fields, base, _DOOB_RADIUS)
+        averages = sums.T / [float(n) for n in sizes]
         expected = [averages[:, 0]]
         for n in range(_DOOB_RADIUS):
             expected.append(expected[-1] * (-1.0 / reg.q if n % 2 == 0 else -1.0 / reg.p))

@@ -533,14 +533,13 @@ def set_average(f, elements):
 # The paths of an arc are the non-backtracking half-edge paths that start with
 # its base half-edge, so its sizes and averages come from powers of
 # Hashimoto's edge operator B, where B[h, h2] = 1 when h2 continues h without
-# backtracking; a union of arcs starts from every base at once.  Sizes are
-# exact integers, counted on the quotient of B by the coarsest equitable
-# partition of the half-edges (one class on regular graphs, two on semiregular
-# ones).  Averages come from a float path distribution that only ever adds
-# non-negative terms and is rescaled by powers of two (exact) to a total below
-# 1 before every product, so no centred sum passes the float range; they are
-# centred on the value at the first base, so a constant field averages to
-# itself exactly.
+# backtracking.  Sizes are exact integers, counted on the quotient of B by the
+# coarsest equitable partition of the half-edges (one class on regular graphs,
+# two on semiregular ones).  Averages come from a float path distribution that
+# only ever adds non-negative terms and is rescaled by powers of two (exact) to
+# a total below 1 before every product, so no centred sum passes the float
+# range; they are centred on the value at the base, so a constant field
+# averages to itself exactly.
 
 class TransferOperator:
     """Hashimoto's operator of one graph as continuation pairs ``src -> dst``,
@@ -560,36 +559,35 @@ class TransferOperator:
         self.edges = np.array([g.edge_of(h) for h in range(self.size)], dtype=np.intp)
         self.classes, self.quotient = _equitable_partition(g)
 
-    def counts(self, bases, n):
+    def counts(self, base, n):
         """Yield the exact numbers of paths of 1 .. n half-edges starting with
-        one of ``bases``: the sum over them of (Q^k 1)[class(base)] for
-        k = 0 .. n-1, since B P = P Q for the class indicator matrix P."""
-        rows = [self.classes[h] for h in np.ravel(bases).tolist()]
+        ``base``: (Q^k 1)[class(base)] for k = 0 .. n-1, since B P = P Q for
+        the class indicator matrix P."""
+        row = self.classes[base]
         vec = [1] * len(self.quotient)
         for k in range(n):
             if k:
                 vec = [sum(c * vec[j] for j, c in terms) for terms in self.quotient]
-            # one base skips the big-integer sum, which costs as much as the step
-            yield vec[rows[0]] if len(rows) == 1 else sum(map(vec.__getitem__, rows))
+            yield vec[row]
 
-    def averages(self, at, bases, n):
+    def averages(self, at, base, n):
         """Path-weighted averages of the per-half-edge values ``at``, (H,) or
         (H, m), over the last half-edges of the paths of 1 .. n half-edges
-        starting with one of ``bases`` (a half-edge or a sequence; 0.0 where
-        there are no such paths), one row per length.  One path distribution
-        serves every column; each column's moments come from its own (2, H)
-        slice of a stacked (m, 2, H) @ p product, which rounds exactly as the
-        one-column product does.  Values whose span is past the float range
-        cannot be centred and raise SizeOutOfRangeError before any step."""
+        starting with ``base`` (0.0 where there are no such paths), one row
+        per length.  One path distribution serves every column; each column's
+        moments come from its own (2, H) slice of a stacked (m, 2, H) @ p
+        product, which rounds exactly as the one-column product does.  Values
+        whose span is past the float range cannot be centred and raise
+        SizeOutOfRangeError before any step."""
         cols = at.reshape(self.size, -1)
-        starts = np.ravel(bases)
-        centre = cols[starts[0]]
+        centre = cols[base]
         rows = np.ones((len(centre), 2, self.size))  # path count; C order, so each (2, H)
         with np.errstate(over="ignore"):             # slice is a plain BLAS matrix
             rows[:, 1] = (cols - centre).T
         if not np.isfinite(rows[:, 1]).all():
             raise SizeOutOfRangeError("the field's values span past the float range")
-        p = np.ldexp(np.bincount(starts, minlength=self.size), -len(starts).bit_length())
+        p = np.zeros(self.size)
+        p[base] = 1.0
         moments = np.empty((n, len(rows), 2))
         for k in range(n):
             if k:
@@ -677,25 +675,12 @@ def arc_edge_count(g, base, r):
     return arc_vertex_count(g, base, r + 1)
 
 
-def arc_counts(g, bases, support, max_radius):
-    """Yield the exact sizes of the vertex or edge arcs at ``bases``, taken
-    together, radius 0 .. max_radius; A'_r has the paths of r + 1 half-edges."""
+def arc_counts(g, base, support, max_radius):
+    """Yield the exact sizes of the vertex or edge arcs at ``base``, radius
+    0 .. max_radius; A'_r has the paths of r + 1 half-edges."""
     if support == VERTICES:  # A_0 is the tail alone; A_r has the paths of r half-edges
         yield 1
-    yield from transfer_operator(g).counts(bases, max_radius + (support == EDGES))
-
-
-def arc_averages(g, fields, bases, support, max_radius):
-    """(R+1, m) averages of a list of fields over the vertex or edge arcs at
-    ``bases``, taken together, radius 0 .. max_radius (0.0 where empty).  A
-    vertex arc's radius 0 is its tail: the first base's, which the arcs of a
-    sphere share and a tube replaces by its subtree."""
-    values = np.array([item.values for item in fields]).T
-    op = transfer_operator(g)
-    if support == EDGES:
-        return op.averages(values[op.edges], bases, max_radius + 1)
-    tail = values[g.tail(np.ravel(bases)[0])][None]
-    return np.concatenate([tail, op.averages(values[op.heads], bases, max_radius)])
+    yield from transfer_operator(g).counts(base, max_radius + (support == EDGES))
 
 
 def _arc_sums(g, f, base, max_radius, sizes, support):
@@ -703,7 +688,14 @@ def _arc_sums(g, f, base, max_radius, sizes, support):
     for item in fields:
         check_field(g, item, support)
     sizes = list(arc_counts(g, base, support, max_radius)) if sizes is None else sizes
-    sums = _sums(sizes, arc_averages(g, fields, base, support, max_radius))
+    values = np.array([item.values for item in fields]).T
+    op = transfer_operator(g)
+    if support == VERTICES:
+        averages = np.concatenate([values[g.tail(base)][None],
+                                   op.averages(values[op.heads], base, max_radius)])
+    else:
+        averages = op.averages(values[op.edges], base, max_radius + 1)
+    sums = _sums(sizes, averages)
     return sizes, (sums if fields is f else sums[:, 0].tolist())
 
 
@@ -725,7 +717,10 @@ def arc_average_transfer(g, f, base, r):
     Agrees with set_average over arc_vertices/arc_edges to ~1e-15 relative;
     the declared equivalence tolerance is 1e-12.
     """
-    sizes, sums = _arc_sums(g, f, base, r, None, f.support)
+    if f.support == VERTICES:
+        sizes, sums = arc_vertex_sums(g, f, base, r)
+    else:
+        sizes, sums = arc_edge_sums(g, f, base, r)
     if sizes[r] == 0:
         raise EmptySetError(f"arc of radius {r} is empty")
     return sums[r] / sizes[r]

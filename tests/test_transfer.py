@@ -142,7 +142,7 @@ def test_constant_field_averages_exactly_on_every_set_family():
             assert all(d == 0.0 for d in report.deviations), report.set_kind
 
 
-# --- unions of arcs: one path distribution started on every base half-edge ---
+# --- unions of arcs: one arc series per base half-edge ---
 
 def _triangle_tube(k4):
     """The K4 subtree along the closed walk 0 -> 1 -> 2 -> 0."""
@@ -154,20 +154,25 @@ def _triangle_tube(k4):
                                                  ("edge-sphere", EDGES, "root"),
                                                  ("tube", VERTICES, "subtree"),
                                                  ("tube", EDGES, "subtree")])
-def test_union_series_runs_one_transfer(petersen, monkeypatch, kind, support, anchor):
+def test_union_series_runs_one_arc_series_per_base(petersen, monkeypatch, kind, support, anchor):
     f = random_field(petersen, support, 5)
+    name = "arc_vertex_sums" if support == VERTICES else "arc_edge_sums"
     calls = []
-    original = cover.TransferOperator.averages
+    original = getattr(cover, name)
 
-    def counting(self, at, bases, n):
-        calls.append(list(np.ravel(bases)))
-        return original(self, at, bases, n)
+    def counting(g, fields, base, max_radius, sizes=None):
+        calls.append(base)
+        return original(g, fields, base, max_radius, sizes)
 
-    monkeypatch.setattr(cover.TransferOperator, "averages", counting)
+    monkeypatch.setattr(cover, name, counting)
     anchors = {"root": 0, "subtree": _star(petersen, 0)}
     analysis.deviation_series(petersen, f, set_kind=kind, radius=12,
                               **{anchor: anchors[anchor]})
-    assert len(calls) == 1 and len(calls[0]) > 1
+    if kind == "tube":
+        bases = analysis._tube_boundary(petersen, anchors["subtree"])[1]
+    else:
+        bases = petersen.out(0)
+    assert calls == list(bases)
 
 
 def _assert_matches_enumeration(g, f, kind, layer, radius, **anchor):
@@ -362,26 +367,25 @@ def test_sphere_past_float_range_still_averages(petersen):
     report = analysis.deviation_series(petersen, constant, set_kind="sphere", radius=1024,
                                        root=0, budget=10 ** 400)
     assert all(a == 1.7 for a in report.averages)
-    # past radius 1024 not even one arc's size fits a float; the union never forms one
-    report = analysis.deviation_series(petersen, constant, set_kind="sphere", radius=1100,
-                                       root=0, budget=10 ** 400)
-    assert report.sizes[-1] == 3 * 2 ** 1099 and all(a == 1.7 for a in report.averages)
 
 
-def test_union_of_values_near_the_float_range_averages(petersen):
-    # centred on -x, the other values sit 2x = 1.6e308 above: one path weight
-    # past 1.12 would take their sum past the float range, unless it is scaled
+def test_arc_of_values_near_the_float_range_averages():
+    # centred on -x, the other values sit 2x = 1.6e308 above; on K5 a path
+    # weight rescaled only to [0.5, 1) reaches [1.5, 3) in one step, past the
+    # 1.12 that would take their sum past the float range, unless it is scaled
+    g = graph_core.generate("complete", 5)
     x = 0.8e308
-    first = petersen.out(0)[0]
-    f = cover.ScalarField(VERTICES, [-x if v == petersen.head(first) else x
-                                     for v in range(petersen.vertex_count)])
+    first = g.out(0)[0]
+    f = cover.ScalarField(VERTICES, [-x if v == g.head(first) else x
+                                     for v in range(g.vertex_count)])
+    op = cover.transfer_operator(g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        averages = cover.arc_averages(petersen, [f], petersen.out(0), VERTICES, 8)[:, 0]
+        averages = op.averages(f.values[op.heads], first, 8)
     for r in range(1, 9):
-        ids = cover.sphere_vertices(petersen, 0, r).ids()
-        share = np.count_nonzero(ids == petersen.head(first)) / len(ids)
-        assert averages[r] == pytest.approx(x * (1 - 2 * share), rel=1e-12)
+        ids = cover.arc_vertices(g, first, r).ids()
+        share = np.count_nonzero(ids == g.head(first)) / len(ids)
+        assert averages[r - 1] == pytest.approx(x * (1 - 2 * share), rel=1e-12)
 
 
 def test_average_past_float_range_exits_3(tmp_path, capsys, monkeypatch, petersen):
