@@ -546,7 +546,8 @@ class TransferOperator:
     with the class of every half-edge in the coarsest equitable partition and
     the integer quotient matrix as sparse rows of (class, count) pairs."""
 
-    __slots__ = ("size", "src", "dst", "heads", "edges", "shift", "classes", "quotient")
+    __slots__ = ("size", "src", "dst", "heads", "edges", "shift", "classes", "quotient",
+                 "terms", "spans")
 
     def __init__(self, g):
         self.size = g.half_edge_count
@@ -558,16 +559,24 @@ class TransferOperator:
         self.heads = np.array(g.heads, dtype=np.intp)
         self.edges = np.array([g.edge_of(h) for h in range(self.size)], dtype=np.intp)
         self.classes, self.quotient = _equitable_partition(g)
+        # Q as one flat list of (class, count) terms, and each row's span in it;
+        # no spans when every row has exactly one term (regular, semiregular)
+        self.terms = [term for terms in self.quotient for term in terms]
+        ends = list(itertools.accumulate(map(len, self.quotient)))
+        single = all(len(terms) == 1 for terms in self.quotient)
+        self.spans = None if single else list(zip([0, *ends[:-1]], ends))
 
     def counts(self, base, n):
         """Yield the exact numbers of paths of 1 .. n half-edges starting with
         ``base``: (Q^k 1)[class(base)] for k = 0 .. n-1, since B P = P Q for
         the class indicator matrix P."""
-        row = self.classes[base]
+        row, terms, spans = self.classes[base], self.terms, self.spans
         vec = [1] * len(self.quotient)
         for k in range(n):
             if k:
-                vec = [sum(c * vec[j] for j, c in terms) for terms in self.quotient]
+                vec = [c * vec[j] for j, c in terms]
+                if spans:
+                    vec = [sum(vec[a:b]) for a, b in spans]
             yield vec[row]
 
     def averages(self, at, base, n):
@@ -578,28 +587,48 @@ class TransferOperator:
         moments come from its own (2, H) slice of a stacked (m, 2, H) @ p
         product, which rounds exactly as the one-column product does.  Values
         whose span is past the float range cannot be centred and raise
-        SizeOutOfRangeError before any step."""
+        SizeOutOfRangeError before any step.
+
+        The loop's state after a step is the path distribution ``p``.  Every
+        16 steps it is kept and compared, bit for bit, with the one kept 16
+        steps before; once they are equal, every later row repeats the row
+        16 steps before it, so the remaining rows are copied instead of
+        stepped, with the bits stepping would give.  On regular graphs the
+        rescaled distribution settles into such a repeat after 55-140 steps;
+        graphs whose distribution never repeats are stepped to the end."""
         cols = at.reshape(self.size, -1)
         centre = cols[base]
-        rows = np.ones((len(centre), 2, self.size))  # path count; C order, so each (2, H)
-        with np.errstate(over="ignore"):             # slice is a plain BLAS matrix
-            rows[:, 1] = (cols - centre).T
-        if not np.isfinite(rows[:, 1]).all():
-            raise SizeOutOfRangeError("the field's values span past the float range")
-        p = np.zeros(self.size)
+        if not np.abs(cols).max() < 2.0 ** 1023:  # only then can a difference overflow
+            with np.errstate(over="ignore"):
+                if not np.isfinite(cols - centre).all():
+                    raise SizeOutOfRangeError("the field's values span past the float range")
+        rows = np.empty((len(centre), 2, self.size))  # C order, so each (2, H) slice
+        rows[:, 0] = 1.0                               # is a plain BLAS matrix
+        np.subtract(cols.T, centre[:, None], out=rows[:, 1])
+        src, dst, size, shift = self.src, self.dst, self.size, self.shift
+        ldexp, frexp, bincount, matmul = np.ldexp, math.frexp, np.bincount, np.matmul
+        p = np.zeros(size)
         p[base] = 1.0
         moments = np.empty((n, len(rows), 2))
+        kept = kept_total = None
         for k in range(n):
             if k:
-                p = np.ldexp(p, -math.frexp(total)[1] - self.shift)
-                p = np.bincount(self.dst, weights=p[self.src], minlength=self.size)
-            np.matmul(rows, p, out=moments[k])
+                p = ldexp(p, -frexp(total)[1] - shift)
+                p = bincount(dst, p[src], size)
+            matmul(rows, p, out=moments[k])
             total = moments.item(k, 0, 0)
             if total == 0.0:  # dead end: every longer path is missing too
                 moments = moments[:k]
                 break
-        out = np.zeros((n, len(rows)))
-        out[:len(moments)] = centre + moments[..., 1] / moments[..., 0]
+            if k % 16 == 0:
+                if total == kept_total and p.tobytes() == kept:  # p repeats p of step k - 16
+                    moments[k + 1:] = moments[k - 15 + np.arange(n - k - 1) % 16]
+                    break
+                kept, kept_total = p.tobytes(), total
+        out = moments[..., 1] / moments[..., 0]
+        out += centre
+        if len(out) < n:  # 0.0 after a dead end
+            out = np.concatenate([out, np.zeros((n - len(out), len(rows)))])
         return out.reshape((n, *at.shape[1:]))
 
 
@@ -652,6 +681,13 @@ def _sums(sizes, averages):
     divide again.  This is the one place a size meets a float: a sum past the
     float range raises SizeOutOfRangeError naming the radius.
     """
+    try:
+        scale = np.array(sizes, dtype=float)  # rounds as float(n) does
+        top = float(scale.max())
+        if top < sys.float_info.max and top * float(np.abs(averages).max()) < sys.float_info.max:
+            return scale[:, None] * averages  # no product can pass the float range
+    except OverflowError:  # a size past the float range
+        pass
     scale = np.array([float(n) if n <= _FLOAT_MAX else math.inf for n in sizes])
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the radius
         sums = scale[:, None] * averages
