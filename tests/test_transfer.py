@@ -8,6 +8,7 @@ dead-end and loop/multi-edge graphs.
 
 import math
 import re
+import sys
 import time
 import warnings
 
@@ -48,6 +49,7 @@ def _graphs(seeded_cubic):
     return {
         "k4": graph_core.generate("complete", 4),
         "petersen": graph_core.generate("petersen"),
+        "k33": graph_core.generate("complete_bipartite", 3, 3),
         "k34": graph_core.generate("complete_bipartite", 3, 4),
         "k25": graph_core.generate("complete_bipartite", 2, 5),
         "cubic60": seeded_cubic(60, 5),
@@ -63,35 +65,119 @@ GRAPH_NAMES = ("k4", "petersen", "k34", "k25", "cubic60", "chords", "path", "loo
 
 @pytest.mark.parametrize("name", GRAPH_NAMES)
 def test_operator_matches_big_integer_reference(name, seeded_cubic):
-    g = _graphs(seeded_cubic)[name]
+    _check_against_big_integers(_graphs(seeded_cubic)[name], AVERAGE_RADIUS, SIZE_RADIUS)
+
+
+@pytest.mark.parametrize("name", ["petersen", "k25"])
+def test_operator_matches_big_integer_reference_past_the_repeat(name, seeded_cubic):
+    # the float loop copies its rows from step 144 (Petersen) or 80 (K(2,5)) on
+    _check_against_big_integers(_graphs(seeded_cubic)[name], 200, 0)
+
+
+def _check_against_big_integers(g, radius, size_radius):
+    """Exact sizes to ``radius`` (``arc_*_count`` to ``size_radius``) and
+    averages within 1e-12 of the big-integer reference, at every base."""
     fv = random_field(g, VERTICES, 31)
     fe = random_field(g, EDGES, 32)
     at_vertex = [fv.values[g.head(h)] for h in range(g.half_edge_count)]
     at_edge = [fe.values[g.edge_of(h)] for h in range(g.half_edge_count)]
     worst = 0.0
     for base in range(g.half_edge_count):
-        ref = reference_counts(g, base, AVERAGE_RADIUS + 1)
-        v_sizes, v_sums = cover.arc_vertex_sums(g, fv, base, AVERAGE_RADIUS)
-        e_sizes, e_sums = cover.arc_edge_sums(g, fe, base, AVERAGE_RADIUS)
+        ref = reference_counts(g, base, radius + 1)
+        v_sizes, v_sums = cover.arc_vertex_sums(g, fv, base, radius)
+        e_sizes, e_sums = cover.arc_edge_sums(g, fe, base, radius)
         # A_r has the paths of r half-edges, A'_r those of r + 1
-        assert v_sizes == [1] + [sum(c) for c in ref[:AVERAGE_RADIUS]]
-        assert e_sizes == [sum(c) for c in ref[:AVERAGE_RADIUS + 1]]
-        for r in range(SIZE_RADIUS + 1):
+        assert v_sizes == [1] + [sum(c) for c in ref[:radius]]
+        assert e_sizes == [sum(c) for c in ref[:radius + 1]]
+        for r in range(size_radius + 1):
             assert cover.arc_vertex_count(g, base, r) == v_sizes[r]
             assert cover.arc_edge_count(g, base, r) == e_sizes[r]
-        for r in range(1, AVERAGE_RADIUS + 1):
+        for r in range(1, radius + 1):
             if v_sizes[r]:
                 want = reference_average(ref[r - 1], at_vertex)
                 worst = max(worst, abs(v_sums[r] / v_sizes[r] - want))
             else:
                 assert v_sums[r] == 0.0
-        for r in range(AVERAGE_RADIUS + 1):
+        for r in range(radius + 1):
             if e_sizes[r]:
                 want = reference_average(ref[r], at_edge)
                 worst = max(worst, abs(e_sums[r] / e_sizes[r] - want))
             else:
                 assert e_sums[r] == 0.0
     assert worst <= 1e-12
+
+
+# --- the float loop stops at an exact repeat of its path distribution ---
+
+def reference_float_averages(op, at, base, n):
+    """The transfer's float loop stepped to the end, with no repeat check."""
+    cols = at.reshape(op.size, -1)
+    centre = cols[base]
+    rows = np.ones((len(centre), 2, op.size))
+    rows[:, 1] = (cols - centre).T
+    p = np.zeros(op.size)
+    p[base] = 1.0
+    moments = np.empty((n, len(rows), 2))
+    for k in range(n):
+        if k:
+            p = np.ldexp(p, -math.frexp(total)[1] - op.shift)
+            p = np.bincount(op.dst, weights=p[op.src], minlength=op.size)
+        np.matmul(rows, p, out=moments[k])
+        total = moments.item(k, 0, 0)
+        if total == 0.0:
+            moments = moments[:k]
+            break
+    out = np.zeros((n, len(rows)))
+    out[:len(moments)] = centre + moments[..., 1] / moments[..., 0]
+    return out.reshape((n, *at.shape[1:]))
+
+
+def _steps_of(call):
+    """The number of float loop steps in ``call()``, one ``np.bincount`` call each."""
+    steps = []
+    original = np.bincount
+
+    def counting(*args, **kwargs):
+        steps.append(1)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cover.np, "bincount", counting)
+        call()
+    return len(steps)
+
+
+REPEAT_GRAPHS = ("k4", "petersen", "k33", "k25", "k34", "cubic60", "chords", "path", "loops")
+
+
+@pytest.mark.parametrize("name", REPEAT_GRAPHS)
+def test_repeat_exit_keeps_every_bit_of_the_stepped_loop(name, seeded_cubic):
+    g = _graphs(seeded_cubic)[name]
+    op = cover.transfer_operator(g)
+    one = random_field(g, VERTICES, 41).values[op.heads]
+    three = np.array([random_field(g, EDGES, s).values for s in (42, 43, 44)]).T[op.edges]
+    for base in range(g.half_edge_count):
+        # one reference run for all four columns: every column of a stacked run
+        # has the bits of its own one-column run (test_analysis.py checks this
+        # in test_batched_columns_equal_the_per_column_series), and a shorter
+        # series is a prefix, since each row needs only earlier steps
+        want = reference_float_averages(op, np.column_stack([one, three]), base, 1000)
+        last = _steps_of(lambda: op.averages(one, base, 1000))  # 999 if it never stops
+        for n in [1000] if last == 999 else [1000, last, last + 1, last + 2]:
+            for at, cols in ((one, 0), (three, slice(1, 4))):
+                got = op.averages(at, base, n)
+                assert got.shape == (n, *at.shape[1:])
+                assert got.tobytes() == want[:n, cols].tobytes(), (name, base, n)
+
+
+def test_repeat_exit_fires_on_regular_graphs_only(petersen, k34):
+    # Petersen's rescaled distribution repeats with period 1 from about step
+    # 118; K(3,4)'s never repeats, since (p q) = 6 is not a power of two
+    f = random_field(petersen, VERTICES, 1)
+    assert _steps_of(lambda: cover.arc_vertex_sums(petersen, f, 0, 900)) < 200
+    f = random_field(k34, EDGES, 1)
+    # a step for each of the paths of 2 .. 701 half-edges
+    assert _steps_of(lambda: cover.arc_edge_sums(k34, f, 0, 700)) == 700
 
 
 def test_equitable_partition_is_coarsest_on_regular_and_semiregular(seeded_cubic):
@@ -386,6 +472,25 @@ def test_arc_of_values_near_the_float_range_averages():
         ids = cover.arc_vertices(g, first, r).ids()
         share = np.count_nonzero(ids == g.head(first)) / len(ids)
         assert averages[r - 1] == pytest.approx(x * (1 - 2 * share), rel=1e-12)
+
+
+def test_centring_overflows_only_when_a_difference_passes_the_float_range(k4):
+    # values below 2**1023 in size are centred without a check; larger ones
+    # raise only if some difference from the centre overflows
+    op = cover.transfer_operator(k4)
+    below = 2.0 ** 1023 - 2.0 ** 970  # twice it is the largest float
+    top = sys.float_info.max
+    for values in ([below, -below, 0.5, 0.25], [top, 0.5, -1.0, 0.25], [top, top, top, top]):
+        at = np.array(values)[op.heads]
+        for base in range(k4.half_edge_count):
+            assert np.isfinite(op.averages(at, base, 6)).all()
+    at = np.array([2.0 ** 1023, -2.0 ** 1023, 0.5, 0.25])[op.heads]
+    for base in range(k4.half_edge_count):
+        if k4.head(base) in (0, 1):  # centred on one of the two, the other is 2**1024 away
+            with pytest.raises(SizeOutOfRangeError, match="span past the float range"):
+                op.averages(at, base, 6)
+        else:
+            assert np.isfinite(op.averages(at, base, 6)).all()
 
 
 def test_average_past_float_range_exits_3(tmp_path, capsys, monkeypatch, petersen):
