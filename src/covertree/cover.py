@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from collections.abc import Set
 from dataclasses import dataclass, field
@@ -546,8 +547,7 @@ class TransferOperator:
     with the class of every half-edge in the coarsest equitable partition and
     the integer quotient matrix as sparse rows of (class, count) pairs."""
 
-    __slots__ = ("size", "src", "dst", "heads", "edges", "shift", "classes", "quotient",
-                 "terms", "spans")
+    __slots__ = ("size", "src", "dst", "heads", "edges", "shift", "classes", "quotient")
 
     def __init__(self, g):
         self.size = g.half_edge_count
@@ -559,25 +559,31 @@ class TransferOperator:
         self.heads = np.array(g.heads, dtype=np.intp)
         self.edges = np.array([g.edge_of(h) for h in range(self.size)], dtype=np.intp)
         self.classes, self.quotient = _equitable_partition(g)
-        # Q as one flat list of (class, count) terms, and each row's span in it;
-        # no spans when every row has exactly one term (regular, semiregular)
-        self.terms = [term for terms in self.quotient for term in terms]
-        ends = list(itertools.accumulate(map(len, self.quotient)))
-        single = all(len(terms) == 1 for terms in self.quotient)
-        self.spans = None if single else list(zip([0, *ends[:-1]], ends))
 
     def counts(self, base, n):
-        """Yield the exact numbers of paths of 1 .. n half-edges starting with
-        ``base``: (Q^k 1)[class(base)] for k = 0 .. n-1, since B P = P Q for
-        the class indicator matrix P."""
-        row, terms, spans = self.classes[base], self.terms, self.spans
+        """Iterate over the exact numbers of paths of 1 .. n half-edges
+        starting with ``base``: (Q^k 1)[class(base)] for k = 0 .. n-1, since
+        B P = P Q for the class indicator matrix P."""
+        row = self.classes[base]
+        if all(len(terms) == 1 for terms in self.quotient):
+            # every class continues into one class (regular and semiregular graphs),
+            # so (Q^k 1)[row] is the product of the counts along the first k classes
+            # visited from row; the visits end in a cycle
+            first, factors = {}, []
+            while row not in first:
+                first[row] = len(factors)
+                (row, c), = self.quotient[row]
+                factors.append(c)
+            start = first[row]
+            chain = itertools.chain(factors[:start], itertools.cycle(factors[start:]))
+            return itertools.islice(itertools.accumulate(chain, operator.mul, initial=1), n)
+        return itertools.islice(self._stepped_counts(row), n)
+
+    def _stepped_counts(self, row):
         vec = [1] * len(self.quotient)
-        for k in range(n):
-            if k:
-                vec = [c * vec[j] for j, c in terms]
-                if spans:
-                    vec = [sum(vec[a:b]) for a, b in spans]
+        while True:
             yield vec[row]
+            vec = [sum(c * vec[j] for j, c in terms) for terms in self.quotient]
 
     def averages(self, at, base, n):
         """Path-weighted averages of the per-half-edge values ``at``, (H,) or
@@ -589,22 +595,23 @@ class TransferOperator:
         whose span is past the float range cannot be centred and raise
         SizeOutOfRangeError before any step.
 
-        The loop's state after a step is the path distribution ``p``.  Every
-        16 steps it is kept and compared, bit for bit, with the one kept 16
-        steps before; once they are equal, every later row repeats the row
-        16 steps before it, so the remaining rows are copied instead of
-        stepped, with the bits stepping would give.  On regular graphs the
-        rescaled distribution settles into such a repeat after 55-140 steps;
-        graphs whose distribution never repeats are stepped to the end."""
+        The loop's whole state after a step is the rescaled path distribution
+        ``p``.  Every 16 steps it is kept and compared, bit for bit, with the
+        one kept 16 steps before; once they are equal, every later row
+        repeats the row 16 steps before it, so the remaining rows are copied
+        instead of stepped and have the bits stepping would give.  On every
+        regular graph tried, and on K(2,5), the distribution repeats from step
+        55-140 with period 1, 2 or 4, so the loop stops by step 160; on K(3,4)
+        and the irregular graphs tried it never repeats, and the loop steps to
+        the end."""
         cols = at.reshape(self.size, -1)
         centre = cols[base]
         if not np.abs(cols).max() < 2.0 ** 1023:  # only then can a difference overflow
             with np.errstate(over="ignore"):
                 if not np.isfinite(cols - centre).all():
                     raise SizeOutOfRangeError("the field's values span past the float range")
-        rows = np.empty((len(centre), 2, self.size))  # C order, so each (2, H) slice
-        rows[:, 0] = 1.0                               # is a plain BLAS matrix
-        np.subtract(cols.T, centre[:, None], out=rows[:, 1])
+        rows = np.ones((len(centre), 2, self.size))  # path count; C order, so each (2, H)
+        rows[:, 1] = (cols - centre).T               # slice is a plain BLAS matrix
         src, dst, size, shift = self.src, self.dst, self.size, self.shift
         ldexp, frexp, bincount, matmul = np.ldexp, math.frexp, np.bincount, np.matmul
         p = np.zeros(size)
@@ -625,10 +632,8 @@ class TransferOperator:
                     moments[k + 1:] = moments[k - 15 + np.arange(n - k - 1) % 16]
                     break
                 kept, kept_total = p.tobytes(), total
-        out = moments[..., 1] / moments[..., 0]
-        out += centre
-        if len(out) < n:  # 0.0 after a dead end
-            out = np.concatenate([out, np.zeros((n - len(out), len(rows)))])
+        out = np.zeros((n, len(rows)))
+        out[:len(moments)] = centre + moments[..., 1] / moments[..., 0]
         return out.reshape((n, *at.shape[1:]))
 
 
@@ -681,13 +686,10 @@ def _sums(sizes, averages):
     divide again.  This is the one place a size meets a float: a sum past the
     float range raises SizeOutOfRangeError naming the radius.
     """
-    try:
-        scale = np.array(sizes, dtype=float)  # rounds as float(n) does
-        top = float(scale.max())
-        if top < sys.float_info.max and top * float(np.abs(averages).max()) < sys.float_info.max:
-            return scale[:, None] * averages  # no product can pass the float range
-    except OverflowError:  # a size past the float range
-        pass
+    top = max(sizes)
+    if top < _FLOAT_MAX and float(top) * float(np.abs(averages).max()) < sys.float_info.max:
+        # no product can pass the float range; the array rounds as float(n) does
+        return np.array(sizes, dtype=float)[:, None] * averages
     scale = np.array([float(n) if n <= _FLOAT_MAX else math.inf for n in sizes])
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the radius
         sums = scale[:, None] * averages
