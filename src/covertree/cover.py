@@ -714,11 +714,11 @@ def arc_edge_count(g, base, r):
 
 
 def arc_counts(g, base, support, max_radius):
-    """Yield the exact sizes of the vertex or edge arcs at ``base``, radius
-    0 .. max_radius; A'_r has the paths of r + 1 half-edges."""
-    if support == VERTICES:  # A_0 is the tail alone; A_r has the paths of r half-edges
-        yield 1
-    yield from transfer_operator(g).counts(base, max_radius + (support == EDGES))
+    """Iterate over the exact sizes of the vertex or edge arcs at ``base``,
+    radius 0 .. max_radius; A'_r has the paths of r + 1 half-edges."""
+    counts = transfer_operator(g).counts(base, max_radius + (support == EDGES))
+    # A_0 is the tail alone; A_r has the paths of r half-edges
+    return itertools.chain([1], counts) if support == VERTICES else counts
 
 
 def _arc_sums(g, f, base, max_radius, sizes, support):
