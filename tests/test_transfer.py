@@ -170,9 +170,9 @@ def test_repeat_exit_keeps_every_bit_of_the_stepped_loop(name, seeded_cubic):
                 assert got.tobytes() == want[:n, cols].tobytes(), (name, base, n)
 
 
-def test_repeat_exit_fires_on_regular_graphs_only(petersen, k34):
-    # Petersen's rescaled distribution repeats with period 1 from about step
-    # 118; K(3,4)'s never repeats, since (p q) = 6 is not a power of two
+def test_repeat_exit_stops_petersen_early_and_k34_never(petersen, k34):
+    # Petersen's rescaled distribution repeats with period 1 from step 117;
+    # K(3,4)'s does not repeat within 3000 steps
     f = random_field(petersen, VERTICES, 1)
     assert _steps_of(lambda: cover.arc_vertex_sums(petersen, f, 0, 900)) < 200
     f = random_field(k34, EDGES, 1)
