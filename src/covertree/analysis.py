@@ -431,6 +431,12 @@ def envelope_check(report, env):
 
 # --- structural checks ---
 
+def _sorted_rows(blocks, depth):
+    """The rows of blocks of one depth, in lexicographic order."""
+    rows = np.concatenate([np.empty((0, depth), dtype=np.intp), *blocks])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def check_sphere_decomposition(g, v0, f, radius):
     """Spheres decompose into the d(v0) arcs: equal sizes and matching averages.
 
@@ -438,7 +444,7 @@ def check_sphere_decomposition(g, v0, f, radius):
     arc averages over the outgoing half-edges (the arcs all have the same
     size on the constant-degree graphs this is used for), and the arcs must
     be pairwise disjoint with the sphere's rows as their union, compared on
-    the path rows of the layers.
+    the lexicographically sorted path rows of the layers.
     """
     cover.check_field(g, f, cover.VERTICES)
     out = g.out(v0)
@@ -448,12 +454,10 @@ def check_sphere_decomposition(g, v0, f, radius):
     for r in range(1, radius + 1):
         layers = [next(it) for it in layer_iters]
         sphere = cover.sphere_vertices(g, v0, r)
-        rows = np.concatenate([layer.paths for layer in layers])
-        union = np.unique(rows, axis=0)
-        if len(union) != len(rows):
-            return False
+        arcs = _sorted_rows([block for layer in layers for block in layer.blocks], r)
         if (any(layer.root != sphere.root for layer in layers)
-                or not np.array_equal(union, np.unique(sphere.paths, axis=0))):
+                or not (arcs[1:] != arcs[:-1]).any(axis=1).all()  # pairwise disjoint
+                or not np.array_equal(arcs, _sorted_rows(sphere.blocks, r))):
             return False
         sphere_avg = cover.set_average(f, sphere)
         arc_mean = math.fsum(cover.set_average(f, layer) for layer in layers) / len(layers)

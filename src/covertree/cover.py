@@ -2,9 +2,11 @@
 
 Cover vertices are non-backtracking half-edge paths from a root vertex;
 nothing global is ever materialised.  The module enumerates spherical arcs,
-spheres, tubes and horocycle subsets, and averages lifted functions over them
-both by brute-force enumeration and by a non-backtracking transfer operator
-over half-edges (exact integer sizes, float path distributions).
+spheres, tubes and horocycle subsets as layers of path rows (PathLayer), and
+averages lifted functions over them both by brute-force enumeration and by a
+non-backtracking transfer operator over half-edges (exact integer sizes, float
+path distributions).  An object BFS over cover_neighbors (tree_arc,
+tree_sphere, tube_edges) stays as the reference the layers are tested against.
 """
 
 from __future__ import annotations
@@ -93,13 +95,14 @@ def cover_parent(g, cv):
     return CoverVertex(cv.root, path, vertex)
 
 
+def _steps(g, root, path):
+    """Last half-edges of the children of the cover vertex ``path``."""
+    return g.continuations(path[-1]) if path else g.out(root)
+
+
 def cover_children(g, cv):
     """Tree neighbours one step farther from the root."""
-    if cv.path:
-        steps = g.continuations(cv.path[-1])
-    else:
-        steps = g.out(cv.root)
-    return [CoverVertex(cv.root, cv.path + (h,), g.head(h)) for h in steps]
+    return [CoverVertex(cv.root, cv.path + (h,), g.head(h)) for h in _steps(g, cv.root, cv.path)]
 
 
 def cover_neighbors(g, cv):
@@ -124,9 +127,10 @@ def tree_distance(u, v):
 
 # --- arcs and spheres (root coordinates) ---
 #
-# A layer of an arc or a sphere is an (N, depth) matrix of half-edge paths from
-# one root, one row per element.  Layer r + 1 repeats each row of layer r once
-# per continuation of its last half-edge and appends that continuation.  The
+# A layer of an arc, sphere, tube or horocycle piece holds half-edge paths from
+# one root, one row per element, in blocks of one depth each: an (N, depth)
+# matrix per block.  Layer r + 1 of an arc repeats each row of layer r once per
+# continuation of its last half-edge and appends that continuation.  The
 # continuations come from this module's own table, not from the transfer
 # operator's arrays, and no rows are ever merged, so enumeration stays an
 # independent oracle for the transfer.
@@ -155,6 +159,12 @@ class _ArcTable:
         rank = np.arange(len(parent)) - np.searchsorted(parent, parent)
         return np.column_stack([paths[parent], self.steps[first + rank]])
 
+    def descend(self, paths, k):
+        """The paths k half-edges longer: every descendant k levels down."""
+        for _ in range(k):
+            paths = self.extend(paths)
+        return paths
+
 
 def _arc_table(g):
     """The graph's arc table, built on first use and kept on the graph."""
@@ -165,8 +175,9 @@ def _arc_table(g):
 
 class PathLayer(Set):
     """Read-only set of cover vertices, or of the tree edges above them, held
-    as the rows of an (N, depth) ``intp`` matrix of half-edge paths from one
-    root.
+    as the rows of ``blocks``: (N, depth) ``intp`` matrices of half-edge paths
+    from one root, one depth per block.  An arc has one block; a sphere has
+    one per arc; a tube or horocycle piece has one per depth its rows reach.
 
     ``len`` is the number of rows.  Iterating builds the CoverVertex (or
     CoverEdge) objects one at a time; ``in``, ``==`` and ``<=`` against
@@ -174,13 +185,14 @@ class PathLayer(Set):
     frozensets.  ``support`` says which kind of element the rows stand for.
     """
 
-    __slots__ = ("g", "root", "paths", "support", "_rows")
+    __slots__ = ("g", "root", "blocks", "support", "_rows")
 
-    def __init__(self, g, root, paths, support):
-        paths.setflags(write=False)
+    def __init__(self, g, root, blocks, support):
+        for block in blocks:
+            block.setflags(write=False)
         self.g = g
         self.root = root
-        self.paths = paths
+        self.blocks = tuple(blocks)
         self.support = support
         self._rows = None
 
@@ -189,14 +201,15 @@ class PathLayer(Set):
         return frozenset(it)
 
     def __len__(self):
-        return len(self.paths)
+        return sum(map(len, self.blocks))
 
     def __iter__(self):
         g, root = self.g, self.root
-        for row in self.paths.tolist():
-            path = tuple(row)
-            cv = CoverVertex(root, path, g.head(path[-1]) if path else root)
-            yield cv if self.support == VERTICES else CoverEdge(cv, g.edge_of(path[-1]))
+        for block in self.blocks:
+            for row in block.tolist():
+                path = tuple(row)
+                cv = CoverVertex(root, path, g.head(path[-1]) if path else root)
+                yield cv if self.support == VERTICES else CoverEdge(cv, g.edge_of(path[-1]))
 
     def __contains__(self, item):
         kind = CoverVertex if self.support == VERTICES else CoverEdge
@@ -204,23 +217,31 @@ class PathLayer(Set):
             return False
         cv = item if kind is CoverVertex else item.deeper
         if self._rows is None:
-            self._rows = frozenset(map(tuple, self.paths.tolist()))
+            self._rows = frozenset(tuple(row) for block in self.blocks for row in block.tolist())
         return cv.root == self.root and cv.path in self._rows
 
     def __repr__(self):
-        return (f"PathLayer({self.support}, root={self.root}, "
-                f"depth={self.paths.shape[1]}, n={len(self)})")
+        depths = [block.shape[1] for block in self.blocks]
+        return f"PathLayer({self.support}, root={self.root}, depths={depths}, n={len(self)})"
 
     def ids(self):
         """The base vertex (or edge) every element projects to."""
-        if not self.paths.shape[1]:
-            return np.full(len(self), self.root, dtype=np.intp)
         table = _arc_table(self.g)
-        return (table.heads if self.support == VERTICES else table.edges)[self.paths[:, -1]]
+        at = table.heads if self.support == VERTICES else table.edges
+        if len(self.blocks) == 1 and self.blocks[0].shape[1]:  # every arc: no copy
+            return at[self.blocks[0][:, -1]]
+        return np.concatenate([np.empty(0, np.intp)] + [
+            at[block[:, -1]] if block.shape[1] else np.full(len(block), self.root)
+            for block in self.blocks])
+
+
+def _block(paths, depth):
+    """The paths, all of ``depth`` half-edges, as one block."""
+    return np.array(paths, dtype=np.intp).reshape(len(paths), depth)
 
 
 def _root_layer(g, v):
-    return PathLayer(g, v, np.empty((1, 0), dtype=np.intp), VERTICES)
+    return PathLayer(g, v, [_block([()], 0)], VERTICES)
 
 
 def arc_vertex_layers(g, base, max_radius):
@@ -232,7 +253,7 @@ def arc_vertex_layers(g, base, max_radius):
     for r in range(1, max_radius + 1):
         if r > 1:
             paths = table.extend(paths)
-        yield PathLayer(g, tail, paths, VERTICES)
+        yield PathLayer(g, tail, [paths], VERTICES)
 
 
 def _layer_at(layers, r):
@@ -255,30 +276,28 @@ def arc_edge_layers(g, base, max_radius):
     layers = arc_vertex_layers(g, base, max_radius + 1)
     next(layers)  # depth-0 layer carries no tree edge
     for layer in layers:
-        yield PathLayer(g, layer.root, layer.paths, EDGES)
+        yield PathLayer(g, layer.root, layer.blocks, EDGES)
 
 
 def arc_edges(g, base, r):
     return _layer_at(arc_edge_layers(g, base, r), r)
 
 
-def _stacked(g, v0, arcs, depth, support):
-    """One layer holding the rows of the arcs at v0's half-edges."""
-    rows = [np.empty((0, depth), dtype=np.intp)]  # a vertex without half-edges has none
-    rows += [arc.paths for arc in arcs]
-    return PathLayer(g, v0, np.concatenate(rows), support)
+def _stacked(g, v0, arcs, support):
+    """One layer holding the blocks of the arcs at v0's half-edges."""
+    return PathLayer(g, v0, [block for arc in arcs for block in arc.blocks], support)
 
 
 def sphere_vertices(g, v0, r):
     """The sphere S_r(v0): the disjoint union of the d(v0) arcs of radius r."""
     if r == 0:
         return _root_layer(g, v0)
-    return _stacked(g, v0, [arc_vertices(g, h, r) for h in g.out(v0)], r, VERTICES)
+    return _stacked(g, v0, [arc_vertices(g, h, r) for h in g.out(v0)], VERTICES)
 
 
 def sphere_edges(g, v0, r):
     """Tree edges whose nearer endpoint lies at distance r from the root."""
-    return _stacked(g, v0, [arc_edges(g, h, r) for h in g.out(v0)], r + 1, EDGES)
+    return _stacked(g, v0, [arc_edges(g, h, r) for h in g.out(v0)], EDGES)
 
 
 # --- tubes around a finite connected subtree ---
@@ -287,7 +306,8 @@ def validate_subtree(g, members):
     """Check that ``members`` is a nonempty connected subtree sharing one root.
 
     Returns (member set, top vertex), where the top vertex is the unique
-    member of minimal depth.
+    member of minimal depth.  The members are rebuilt from their (root, path)
+    encoding, so a wrong cached ``vertex`` does not survive validation.
     """
     members = list(members)
     if not members:
@@ -297,8 +317,7 @@ def validate_subtree(g, members):
     for cv in members:
         if cv.root != root:
             raise DisconnectedSubtreeError("subtree members use different roots")
-        cover_vertex(g, cv.root, cv.path)  # re-validate the encoding
-        seen.add(cv)
+        seen.add(cover_vertex(g, cv.root, cv.path))
     if len(seen) != len(members):
         raise DisconnectedSubtreeError("duplicate subtree members")
     top = min(seen, key=lambda cv: cv.depth)
@@ -313,7 +332,8 @@ def validate_subtree(g, members):
 
 
 def _tube_layers(g, members, max_radius):
-    """Yield layers of vertices at tree distance 0 .. R from the member set."""
+    """Yield layers of vertices at tree distance 0 .. R from the member set
+    (object BFS, the reference for the path layers)."""
     visited = set(members)
     layer = list(members)
     yield list(layer)
@@ -328,10 +348,49 @@ def _tube_layers(g, members, max_radius):
         yield list(layer)
 
 
+def _by_depth(paths):
+    """The paths as blocks, one per depth."""
+    groups = {}
+    for path in paths:
+        groups.setdefault(len(path), []).append(path)
+    return [_block(rows, depth) for depth, rows in groups.items()]
+
+
+def _upward(g, cv, r):
+    """Blocks of the cover vertices at distance r >= 1 from ``cv`` whose tree
+    path to it runs through its parent: at height j < r above ``cv``, the
+    ancestor's other children, r - j - 1 levels down; at height r <= depth,
+    the ancestor itself."""
+    table = _arc_table(g)
+    path, d = cv.path, cv.depth
+    blocks = []
+    for j in range(1, min(r, d) + 1):
+        above = path[:d - j]
+        if j == r:
+            blocks.append(_block([above], d - j))
+        else:
+            rows = [above + (h,) for h in _steps(g, cv.root, above) if h != path[d - j]]
+            blocks.append(table.descend(_block(rows, d - j + 1), r - j - 1))
+    return blocks
+
+
 def tube_vertices(g, members, r):
-    """Cover vertices at tree distance exactly r from a connected subtree."""
-    seen, _ = validate_subtree(g, members)
-    return frozenset(_layer_at(_tube_layers(g, seen, r), r))
+    """Cover vertices at tree distance exactly r from a connected subtree.
+
+    Radius 0 is the members, one block per depth.  Beyond it the tube is the
+    union of the branches behind the subtree's boundary tree edges: below a
+    member, a child outside the subtree with its descendants r - 1 levels
+    down; above the top vertex, its upward branch.
+    """
+    seen, top = validate_subtree(g, members)
+    if r == 0:
+        return PathLayer(g, top.root, _by_depth(cv.path for cv in seen), VERTICES)
+    paths = {cv.path for cv in seen}
+    boundary = [path + (h,) for path in paths for h in _steps(g, top.root, path)
+                if path + (h,) not in paths]
+    table = _arc_table(g)
+    blocks = [table.descend(rows, r - 1) for rows in _by_depth(boundary)]
+    return PathLayer(g, top.root, blocks + _upward(g, top, r), VERTICES)
 
 
 def tube_edges(g, members, r):
@@ -419,12 +478,12 @@ def horocycle_subset(g, geodesic, r):
     This is the set of cover vertices w at distance r from the r-th forward
     geodesic vertex whose Busemann value along the forward ray is zero;
     equivalently, the arc of radius r + 1 based at the tree edge pointing
-    from the (r+1)-th geodesic vertex back to the r-th.
+    from the (r+1)-th geodesic vertex back to the r-th: that vertex's upward
+    branch of radius r + 1.
     """
     geodesic.validate(g)
-    v_r = geodesic.vertex_at(g, r)
     v_r1 = geodesic.vertex_at(g, r + 1)
-    return tree_arc(g, v_r1, v_r, r + 1)
+    return PathLayer(g, v_r1.root, _upward(g, v_r1, r + 1), VERTICES)
 
 
 def busemann_value(g, geodesic, w, horizon):

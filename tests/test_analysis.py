@@ -90,6 +90,21 @@ def test_horocycle_series_matches_brute_force(petersen):
         assert report.averages[r] == pytest.approx(cover.set_average(f, subset), abs=1e-12)
 
 
+def test_tube_reads_the_projection_from_the_path(petersen):
+    # CoverVertex equality ignores the cached ``vertex``; a wrong one must not leak
+    wrong, right = [cover.CoverVertex(0, (), 7)], [cover.cover_root(petersen, 0)]
+    for support in (VERTICES, EDGES):
+        f = random_field(petersen, support, 24)
+        assert (deviation_series(petersen, f, set_kind="tube", radius=8, subtree=wrong)
+                == deviation_series(petersen, f, set_kind="tube", radius=8, subtree=right))
+    f = random_field(petersen, VERTICES, 25)
+    for r in range(6):
+        layer, reference = (cover.tube_vertices(petersen, x, r) for x in (wrong, right))
+        assert layer == reference
+        assert [cv.vertex for cv in layer] == [cv.vertex for cv in reference]
+        assert cover.set_average(f, layer) == cover.set_average(f, reference)
+
+
 def test_k23_sign_field_never_converges(k23):
     values = [1.0 if 0 in k23.edge_endpoints(e) else -1.0 for e in range(k23.edge_count)]
     f = ScalarField(EDGES, values)
@@ -374,6 +389,45 @@ def test_sphere_decomposition(k4, petersen):
     for g in (k4, petersen):
         f = random_field(g, VERTICES, 31)
         assert check_sphere_decomposition(g, 0, f, 8)
+
+
+@pytest.mark.parametrize("fault", ["drop", "duplicate", "outside"])
+def test_sphere_decomposition_rejects_a_faulty_sphere(petersen, monkeypatch, fault):
+    f = cover.constant_field(petersen, VERTICES, 1.0)  # equal averages: only the rows can differ
+    assert check_sphere_decomposition(petersen, 0, f, 4)
+    sphere_vertices = cover.sphere_vertices
+
+    def faulty(g, v0, r):
+        rows = np.concatenate(sphere_vertices(g, v0, r).blocks)
+        if r == 3:
+            if fault == "drop":
+                rows = rows[1:]
+            elif fault == "duplicate":
+                rows = np.vstack([rows[:1], rows[:-1]])
+            else:  # a row of the sphere around another vertex
+                rows = np.vstack([rows[:-1], sphere_vertices(g, 1, r).blocks[0][:1]])
+        return cover.PathLayer(g, v0, [rows], VERTICES)
+
+    monkeypatch.setattr(cover, "sphere_vertices", faulty)
+    assert not check_sphere_decomposition(petersen, 0, f, 4)
+
+
+def test_sphere_decomposition_rejects_overlapping_arcs(petersen, monkeypatch):
+    # the sphere is built from the same faulty arcs, so only disjointness can fail
+    f = cover.constant_field(petersen, VERTICES, 1.0)
+    arc_vertex_layers = cover.arc_vertex_layers
+    first, second = petersen.out(0)[:2]
+
+    def overlapping(g, base, max_radius):
+        pairs = zip(arc_vertex_layers(g, base, max_radius), arc_vertex_layers(g, first, max_radius))
+        for r, (layer, other) in enumerate(pairs):
+            if base == second and r == 3:  # a row of the first arc stands in for one of its own
+                rows = np.vstack([other.blocks[0][:1], layer.blocks[0][1:]])
+                layer = cover.PathLayer(g, layer.root, [rows], VERTICES)
+            yield layer
+
+    monkeypatch.setattr(cover, "arc_vertex_layers", overlapping)
+    assert not check_sphere_decomposition(petersen, 0, f, 4)
 
 
 def test_lemma_gap(k34, k33):

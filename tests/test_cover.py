@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -134,6 +135,66 @@ def test_path_layers_match_the_object_bfs(name, seeded_cubic):
             assert sphere_vertices(g, v, r) == tree_sphere(g, cover_root(g, v), r)
 
 
+def _random_subtree(g, rng, depth):
+    """A random connected subtree whose top sits ``depth`` levels below the
+    root, or higher where the cover tree ends sooner."""
+    top = cover_root(g, rng.randrange(g.vertex_count))
+    for _ in range(depth):
+        children = cover.cover_children(g, top)
+        if not children:
+            break
+        top = rng.choice(children)
+    members = [top]
+    for _ in range(rng.randrange(6)):
+        fresh = [cv for cv in cover.cover_children(g, rng.choice(members)) if cv not in members]
+        if fresh:
+            members.append(rng.choice(fresh))
+    return members
+
+
+def _assert_same_layer(f, layer, reference):
+    assert len(layer) == len(reference) and layer == reference
+    if reference:
+        assert set_average(f, layer) == set_average(f, reference)
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_tube_layers_match_the_object_bfs(name, seeded_cubic):
+    g = _graphs(seeded_cubic)[name]
+    fv = random_field(g, VERTICES, 43)
+    rng = random.Random(name)
+    for i in range(20):
+        members = _random_subtree(g, rng, i % 5)  # the upward branch needs a top below the root
+        bfs = cover._tube_layers(g, set(members), 6)
+        for r, reference in enumerate(bfs):
+            _assert_same_layer(fv, tube_vertices(g, members, r), frozenset(reference))
+    if name == "path":
+        empty = tube_vertices(g, [cover_root(g, 0)], 5)  # past the far end of the path
+        assert len(empty) == 0
+        with pytest.raises(EmptySetError):
+            set_average(fv, empty)
+
+
+def _closed_walk(g, rng):
+    """A closed non-backtracking walk: a random one, cut at its first repeated half-edge."""
+    walk = [rng.randrange(g.half_edge_count)]
+    while walk[-1] not in walk[:-1]:
+        walk.append(rng.choice(g.continuations(walk[-1])))
+    return GeodesicSpec(tuple(walk[walk.index(walk[-1]):-1])).validate(g)
+
+
+@pytest.mark.parametrize("name", [n for n in ORACLE_GRAPHS if n != "path"])  # path: no cycle
+def test_horocycle_layers_match_the_object_bfs(name, seeded_cubic):
+    g = _graphs(seeded_cubic)[name]
+    fv = random_field(g, VERTICES, 44)
+    rng = random.Random(name)
+    for _ in range(5):
+        geo = _closed_walk(g, rng)
+        for r in range(7):
+            v_r, v_r1 = geo.vertex_at(g, r), geo.vertex_at(g, r + 1)
+            _assert_same_layer(fv, horocycle_subset(g, geo, r), tree_arc(g, v_r1, v_r, r + 1))
+
+
 def test_path_layer_set_behaviour(petersen):
     arc = arc_vertices(petersen, 0, 3)
     objects = frozenset(arc)
@@ -146,7 +207,7 @@ def test_path_layer_set_behaviour(petersen):
     assert arc == objects and objects == arc and arc <= objects
     assert (arc | set()) == objects and isinstance(arc | set(), frozenset)
     with pytest.raises(ValueError):
-        arc.paths[0, 0] = 1                                      # read-only rows
+        arc.blocks[0][0, 0] = 1                                  # read-only rows
 
 
 # --- spheres ---
