@@ -188,11 +188,11 @@ class PathLayer(Set):
     __slots__ = ("g", "root", "blocks", "support", "_rows")
 
     def __init__(self, g, root, blocks, support):
-        for block in blocks:
+        self.blocks = tuple(blocks)
+        for block in self.blocks:
             block.setflags(write=False)
         self.g = g
         self.root = root
-        self.blocks = tuple(blocks)
         self.support = support
         self._rows = None
 
