@@ -438,13 +438,12 @@ def _sorted_rows(blocks, depth):
 
 
 def check_sphere_decomposition(g, v0, f, radius):
-    """Spheres decompose into the d(v0) arcs: equal sizes and matching averages.
+    """Spheres decompose into the d(v0) arcs: matching rows and averages.
 
-    For r >= 1 the sphere average must equal the equally weighted mean of the
-    arc averages over the outgoing half-edges (the arcs all have the same
-    size on the constant-degree graphs this is used for), and the arcs must
-    be pairwise disjoint with the sphere's rows as their union, compared on
-    the lexicographically sorted path rows of the layers.
+    For r >= 1 the arcs must be pairwise disjoint with the sphere's rows as
+    their union, compared on the lexicographically sorted path rows of the
+    layers, and the sphere average must equal the mean of the non-empty arcs'
+    averages weighted by their exact sizes; an empty sphere has rows only.
     """
     cover.check_field(g, f, cover.VERTICES)
     out = g.out(v0)
@@ -459,9 +458,12 @@ def check_sphere_decomposition(g, v0, f, radius):
                 or not (arcs[1:] != arcs[:-1]).any(axis=1).all()  # pairwise disjoint
                 or not np.array_equal(arcs, _sorted_rows(sphere.blocks, r))):
             return False
-        sphere_avg = cover.set_average(f, sphere)
-        arc_mean = math.fsum(cover.set_average(f, layer) for layer in layers) / len(layers)
-        if abs(sphere_avg - arc_mean) > 1e-12:
+        sizes = [len(layer) for layer in layers]
+        if not sum(sizes):
+            continue
+        arc_mean = math.fsum(n * cover.set_average(f, layer)
+                             for n, layer in zip(sizes, layers) if n) / sum(sizes)
+        if abs(cover.set_average(f, sphere) - arc_mean) > 1e-12:
             return False
     return True
 

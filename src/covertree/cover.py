@@ -2,10 +2,11 @@
 
 Cover vertices are non-backtracking half-edge paths from a root vertex;
 nothing global is ever materialised.  The module enumerates spherical arcs,
-spheres, tubes and horocycle subsets as layers of path rows (PathLayer), and
-averages lifted functions over them both by brute-force enumeration and by a
-non-backtracking transfer operator over half-edges (exact integer sizes, float
-path distributions).  An object BFS over cover_neighbors (tree_arc,
+spheres, tubes and horocycle subsets as layers of half-edge paths held as
+parent-pointer levels, one level per radius (PathLayer), and averages lifted
+functions over them both by brute-force enumeration and by a non-backtracking
+transfer operator over half-edges (exact integer sizes, float path
+distributions).  An object BFS over cover_neighbors (tree_arc,
 tree_sphere, tube_edges) stays as the reference the layers are tested against.
 """
 
@@ -128,42 +129,43 @@ def tree_distance(u, v):
 # --- arcs and spheres (root coordinates) ---
 #
 # A layer of an arc, sphere, tube or horocycle piece holds half-edge paths from
-# one root, one row per element, in blocks of one depth each: an (N, depth)
-# matrix per block.  Layer r + 1 of an arc repeats each row of layer r once per
-# continuation of its last half-edge and appends that continuation.  The
-# continuations come from this module's own table, not from the transfer
+# one root, one row per element, in blocks of one depth each.  A block is a
+# prefix matrix of whole rows plus a tuple of levels below it; a level is a
+# pair of arrays: the index of each row's parent row in the level above, and
+# the row's last half-edge.  Layer r + 1 of an arc is layer r with one more
+# level, which lists each parent's continuations in order, so no path is ever
+# copied and the (N, depth) rows are built only when something reads them.
+# The continuations come from this module's own table, not from the transfer
 # operator's arrays, and no rows are ever merged, so enumeration stays an
 # independent oracle for the transfer.
 
 class _ArcTable:
-    """Continuations of every half-edge as a CSR table, with the head vertex
-    and the edge id of every half-edge."""
+    """Continuations of every half-edge as the rows of a table padded with -1,
+    with the head vertex and the edge id of every half-edge."""
 
-    __slots__ = ("starts", "counts", "steps", "heads", "edges")
+    __slots__ = ("padded", "heads", "edges")
 
     def __init__(self, g):
-        self.counts = np.array([len(g.continuations(h)) for h in range(g.half_edge_count)],
-                               dtype=np.intp)
-        self.starts = np.cumsum(self.counts) - self.counts
-        self.steps = np.array([x for h in range(g.half_edge_count) for x in g.continuations(h)],
-                              dtype=np.intp)
+        steps = [g.continuations(h) for h in range(g.half_edge_count)]
+        self.padded = np.full((len(steps), max(map(len, steps), default=0)), -1, dtype=np.intp)
+        for h, row in enumerate(steps):
+            self.padded[h, :len(row)] = row
         self.heads = np.array(g.heads, dtype=np.intp)
         self.edges = np.array([g.edge_of(h) for h in range(g.half_edge_count)], dtype=np.intp)
 
-    def extend(self, paths):
-        """The paths one half-edge longer, in the order of their parents."""
-        last = paths[:, -1]
-        parent = np.repeat(np.arange(len(paths)), self.counts[last])
-        first = self.starts[last][parent]
-        # rank of each new row among the continuations of its parent
-        rank = np.arange(len(parent)) - np.searchsorted(parent, parent)
-        return np.column_stack([paths[parent], self.steps[first + rank]])
+    def extend(self, last):
+        """The level below paths ending in ``last``: parents in order, then
+        each parent's continuations in table order."""
+        cont = self.padded[last]
+        keep = cont >= 0
+        return keep.nonzero()[0], cont[keep]
 
-    def descend(self, paths, k):
-        """The paths k half-edges longer: every descendant k levels down."""
+    def descend(self, block, k):
+        """The block k half-edges longer: every descendant k levels down."""
+        prefix, levels = block
         for _ in range(k):
-            paths = self.extend(paths)
-        return paths
+            levels += (self.extend(_last(prefix, levels)),)
+        return prefix, levels
 
 
 def _arc_table(g):
@@ -173,35 +175,68 @@ def _arc_table(g):
     return g._arc_table
 
 
+def _last(prefix, levels):
+    """The last half-edge of every row of a block of depth >= 1."""
+    return levels[-1][1] if levels else prefix[:, -1]
+
+
+def _size(block):
+    prefix, levels = block
+    return len(levels[-1][1]) if levels else len(prefix)
+
+
+def _materialise(block):
+    """The (N, depth) rows of a block, read-only: each level's last half-edges
+    read through the parent indices of the levels below it."""
+    prefix, levels = block
+    rows = np.empty((_size(block), prefix.shape[1] + len(levels)), dtype=np.intp)
+    at = slice(None)
+    for j, (parent, last) in enumerate(reversed(levels), 1):
+        rows[:, -j] = last[at]
+        at = parent[at]
+    rows[:, :prefix.shape[1]] = prefix[at]
+    rows.setflags(write=False)
+    return rows
+
+
 class PathLayer(Set):
     """Read-only set of cover vertices, or of the tree edges above them, held
-    as the rows of ``blocks``: (N, depth) ``intp`` matrices of half-edge paths
-    from one root, one depth per block.  An arc has one block; a sphere has
-    one per arc; a tube or horocycle piece has one per depth its rows reach.
+    in ``parts``: blocks of half-edge paths from one root, one depth per
+    block, each a prefix matrix of rows plus a tuple of (parent index, last
+    half-edge) levels below it; a plain (N, depth) matrix is a block with no
+    levels.  An arc has one block; a sphere has one per arc; a tube or
+    horocycle piece has one per depth its branches start at.
 
-    ``len`` is the number of rows.  Iterating builds the CoverVertex (or
-    CoverEdge) objects one at a time; ``in``, ``==`` and ``<=`` against
-    frozensets of them work through the Set mixins, and set operators return
-    frozensets.  ``support`` says which kind of element the rows stand for.
+    ``len`` and ``ids()`` read only the last level.  ``blocks`` are the full
+    (N, depth) ``intp`` rows, built on first use, kept and read-only.
+    Iterating builds the CoverVertex (or CoverEdge) objects one at a time;
+    ``in``, ``==`` and ``<=`` against frozensets of them work through the Set
+    mixins, and set operators return frozensets.  ``support`` says which kind
+    of element the rows stand for.
     """
 
-    __slots__ = ("g", "root", "blocks", "support", "_rows")
+    __slots__ = ("g", "root", "parts", "support", "_blocks", "_rows")
 
     def __init__(self, g, root, blocks, support):
-        self.blocks = tuple(blocks)
-        for block in self.blocks:
-            block.setflags(write=False)
+        self.parts = tuple([(b, ()) if isinstance(b, np.ndarray) else b for b in blocks])
         self.g = g
         self.root = root
         self.support = support
-        self._rows = None
+        self._blocks = self._rows = None
 
     @classmethod
     def _from_iterable(cls, it):
         return frozenset(it)
 
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            self._blocks = tuple(map(_materialise, self.parts))
+        return self._blocks
+
     def __len__(self):
-        return sum(map(len, self.blocks))
+        parts = self.parts
+        return _size(parts[0]) if len(parts) == 1 else sum(map(_size, parts))
 
     def __iter__(self):
         g, root = self.g, self.root
@@ -221,18 +256,18 @@ class PathLayer(Set):
         return cv.root == self.root and cv.path in self._rows
 
     def __repr__(self):
-        depths = [block.shape[1] for block in self.blocks]
+        depths = [prefix.shape[1] + len(levels) for prefix, levels in self.parts]
         return f"PathLayer({self.support}, root={self.root}, depths={depths}, n={len(self)})"
 
     def ids(self):
         """The base vertex (or edge) every element projects to."""
         table = _arc_table(self.g)
         at = table.heads if self.support == VERTICES else table.edges
-        if len(self.blocks) == 1 and self.blocks[0].shape[1]:  # every arc: no copy
-            return at[self.blocks[0][:, -1]]
+        if len(self.parts) == 1 and self.parts[0][1]:  # every arc past radius 1: no copy
+            return at[self.parts[0][1][-1][1]]
         return np.concatenate([np.empty(0, np.intp)] + [
-            at[block[:, -1]] if block.shape[1] else np.full(len(block), self.root)
-            for block in self.blocks])
+            at[_last(prefix, levels)] if levels or prefix.shape[1] else np.full(len(prefix), self.root)
+            for prefix, levels in self.parts])
 
 
 def _block(paths, depth):
@@ -249,11 +284,11 @@ def arc_vertex_layers(g, base, max_radius):
     tail = g.tail(base)
     yield _root_layer(g, tail)
     table = _arc_table(g)
-    paths = np.array([[base]], dtype=np.intp)
+    block = (np.array([[base]], dtype=np.intp), ())
     for r in range(1, max_radius + 1):
         if r > 1:
-            paths = table.extend(paths)
-        yield PathLayer(g, tail, [paths], VERTICES)
+            block = table.descend(block, 1)
+        yield PathLayer(g, tail, [block], VERTICES)
 
 
 def _layer_at(layers, r):
@@ -276,7 +311,7 @@ def arc_edge_layers(g, base, max_radius):
     layers = arc_vertex_layers(g, base, max_radius + 1)
     next(layers)  # depth-0 layer carries no tree edge
     for layer in layers:
-        yield PathLayer(g, layer.root, layer.blocks, EDGES)
+        yield PathLayer(g, layer.root, layer.parts, EDGES)
 
 
 def arc_edges(g, base, r):
@@ -285,7 +320,7 @@ def arc_edges(g, base, r):
 
 def _stacked(g, v0, arcs, support):
     """One layer holding the blocks of the arcs at v0's half-edges."""
-    return PathLayer(g, v0, [block for arc in arcs for block in arc.blocks], support)
+    return PathLayer(g, v0, [part for arc in arcs for part in arc.parts], support)
 
 
 def sphere_vertices(g, v0, r):
@@ -370,7 +405,7 @@ def _upward(g, cv, r):
             blocks.append(_block([above], d - j))
         else:
             rows = [above + (h,) for h in _steps(g, cv.root, above) if h != path[d - j]]
-            blocks.append(table.descend(_block(rows, d - j + 1), r - j - 1))
+            blocks.append(table.descend((_block(rows, d - j + 1), ()), r - j - 1))
     return blocks
 
 
@@ -389,7 +424,7 @@ def tube_vertices(g, members, r):
     boundary = [path + (h,) for path in paths for h in _steps(g, top.root, path)
                 if path + (h,) not in paths]
     table = _arc_table(g)
-    blocks = [table.descend(rows, r - 1) for rows in _by_depth(boundary)]
+    blocks = [table.descend((rows, ()), r - 1) for rows in _by_depth(boundary)]
     return PathLayer(g, top.root, blocks + _upward(g, top, r), VERTICES)
 
 

@@ -391,6 +391,15 @@ def test_sphere_decomposition(k4, petersen):
         assert check_sphere_decomposition(g, 0, f, 8)
 
 
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)],  # pendant path
+                                   [(0, 1), (0, 2), (0, 3)]])                  # star K(1,3)
+def test_sphere_decomposition_off_constant_degree(edges):
+    # arcs of unequal sizes weigh by their sizes; empty arcs and spheres hold rows only
+    g = graph_core.build_graph(max(map(max, edges)) + 1, edges)
+    f = random_field(g, VERTICES, 32)
+    assert all(check_sphere_decomposition(g, v, f, 8) for v in range(g.vertex_count))
+
+
 @pytest.mark.parametrize("fault", ["drop", "duplicate", "outside"])
 def test_sphere_decomposition_rejects_a_faulty_sphere(petersen, monkeypatch, fault):
     f = cover.constant_field(petersen, VERTICES, 1.0)  # equal averages: only the rows can differ
