@@ -11,8 +11,10 @@ runnable pass/fail checks.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -29,6 +31,7 @@ from .errors import (
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "COVERTREE_BUDGET"
+_COUNT_CHUNK = 64   # radii counted per step of the lockstep budget check
 
 # Deviations below this floor are treated as exact zeros: they are float dust
 # around quantities that vanish in exact arithmetic.
@@ -69,12 +72,22 @@ def enumeration_budget(budget=None):
     return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
 
 
+def _check_counts(sizes, first, cap, what, empty):
+    """Raise at the first of ``sizes``, radii ``first``, .., over the cap or zero."""
+    if max(sizes) > cap or 0 in sizes:
+        for r, n in enumerate(sizes, first):
+            if n > cap:
+                raise BudgetExceededError(f"{what} at radius {r} has {n} elements (cap {cap})")
+            if not n:
+                raise EmptySetError(f"{empty} at radius {r} is empty")
+
+
 def _arc_union(g, fields, support, bases, radius, cap, what):
     """Per-radius (sizes, averages) over the disjoint union of the arcs at
     ``bases``, one average column per field of ``fields``.  The budget
     applies to the union at every radius from 1: the arcs are counted in
-    lockstep, so a huge radius fails at the first radius over the cap,
-    before any averaging, which reuses the counted sizes.
+    lockstep chunks of radii, so a huge radius fails at the first radius over
+    the cap, and a dead end at its first empty radius, before any averaging.
 
     Arc averages are weighted by exact size fractions and centred on the first
     non-empty arc's, so the union's size never has to fit a float and arcs
@@ -82,29 +95,29 @@ def _arc_union(g, fields, support, bases, radius, cap, what):
     """
     if not bases:  # radius 0 is the caller's; with no arc, every later radius is empty
         raise EmptySetError("set at radius 1 is empty")
+    counters = [cover.arc_counts(g, h, support, radius) for h in bases]
     counted, sizes = [[] for _ in bases], []
-    for r, column in enumerate(zip(*[cover.arc_counts(g, h, support, radius) for h in bases])):
-        sizes.append(sum(column))
+    for start in range(0, radius + 1, _COUNT_CHUNK):
+        chunk = [list(itertools.islice(c, _COUNT_CHUNK)) for c in counters]
+        part = chunk[0] if len(bases) == 1 else list(map(sum, zip(*chunk)))
         # radius 0 is not capped: it has one element per base, a half-edge leaving
         # the root or the caller's subtree, and spheres and tubes replace it
-        if r and sizes[-1] > cap:
-            raise BudgetExceededError(f"{what} at radius {r} has {sizes[-1]} elements (cap {cap})")
-        for sizes_b, n in zip(counted, column):
-            sizes_b.append(n)
+        _check_counts(part if start else part[1:], start or 1, cap, what, "set")
+        for sizes_b, n in zip(counted, chunk):
+            sizes_b += n
+        sizes += part
     sums_of = cover.arc_vertex_sums if support == cover.VERTICES else cover.arc_edge_sums
     series = [sums_of(g, fields, h, radius, sizes_b)[1] for h, sizes_b in zip(bases, counted)]
-    if 0 in sizes:
-        raise EmptySetError(f"set at radius {sizes.index(0)} is empty")
-    means = np.array([sums_b / np.array([float(n) or 1.0 for n in sizes_b])[:, None]
-                      for sizes_b, sums_b in zip(counted, series)])
-    first = np.array([[n > 0 for n in sizes_b] for sizes_b in counted]).argmax(axis=0)
-    centre = means[first, np.arange(radius + 1)]
     if len(bases) == 1:  # one arc: nothing to weigh
-        return sizes, centre + 0.0
-    weights = np.array([[n / total for n, total in zip(sizes_b, sizes)] for sizes_b in counted])
+        return sizes, series[0] / np.array(sizes, dtype=float)[:, None] + 0.0
+    scale = np.array(counted, dtype=float)  # rounds as float(n); the sums raised past the range
+    means = np.array(series) / np.maximum(scale, 1.0)[..., None]
+    first = (scale > 0).argmax(axis=0)
+    centre = means[first, np.arange(radius + 1)]
+    weights = np.array([list(map(operator.truediv, sizes_b, sizes)) for sizes_b in counted])
     weights[first, np.arange(radius + 1)] = 0.0  # the centre's own arc
-    terms = (weights[..., None] * (means - centre)).transpose(1, 2, 0).tolist()
-    return sizes, centre + [[math.fsum(col) for col in row] for row in terms]
+    terms = (weights[..., None] * (means - centre)).transpose(1, 2, 0).reshape(-1, len(bases))
+    return sizes, centre + np.reshape(list(map(math.fsum, terms.tolist())), centre.shape)
 
 
 def _tube_boundary(g, members):
@@ -140,10 +153,8 @@ def _bipartite_targets(g, f, cls, anchor_part, radius, kind):
     """
     other = cls.part_q if anchor_part == cls.part_p else cls.part_p
     even = cover.part_average(f, anchor_part)
-    odd = cover.part_average(f, other)
-    if kind == "horocycle":
-        return [even] * (radius + 1)
-    return [even if r % 2 == 0 else odd for r in range(radius + 1)]
+    odd = even if kind == "horocycle" else cover.part_average(f, other)
+    return ([even, odd] * (radius // 2 + 1))[:radius + 1]
 
 
 def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
@@ -201,25 +212,23 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
     else:  # horocycle
         geodesic.validate(g)
         # the radius-r piece is the arc of radius r + 1 at the r-th base, and the bases
-        # repeat with the period.  The distinct bases are counted in lockstep, so the budget
+        # repeat with the period.  Distinct bases are counted in lockstep chunks, so the budget
         # stops at the first radius over the cap; one series per distinct base does the rest.
-        bases = [g.twin(h) for h in geodesic.half_edges]
-        counters = {h: cover.arc_counts(g, h, support, radius + 1) for h in bases}
-        counted = {h: [next(c)] for h, c in counters.items()}  # radius 0: the tail alone
-        for r in range(radius + 1):
-            for h, c in counters.items():
-                counted[h].append(next(c))
-            n = counted[bases[r % len(bases)]][r + 1]
-            if n > cap:
-                raise BudgetExceededError(f"horocycle at radius {r} has {n} elements (cap {cap})")
-            if n == 0:
-                raise EmptySetError(f"horocycle at radius {r} is empty")
-        series = {h: cover.arc_vertex_sums(g, fields, h, radius + 1, sizes_h)[1]
-                  for h, sizes_h in counted.items()}
-        pieces = [bases[r % len(bases)] for r in range(radius + 1)]
-        sizes = [counted[h][r + 1] for r, h in enumerate(pieces)]
-        averages = (np.array([series[h][r + 1] for r, h in enumerate(pieces)])
-                    / np.array([float(n) for n in sizes])[:, None])
+        distinct, index = np.unique([g.twin(h) for h in geodesic.half_edges], return_inverse=True)
+        counters = [cover.arc_counts(g, h, support, radius + 1) for h in distinct.tolist()]
+        counted = [[next(c)] for c in counters]  # radius 0: the tail alone
+        pieces, sizes = [counted[i] for i in index], []
+        for start in range(0, radius + 1, _COUNT_CHUNK):
+            for sizes_h, c in zip(counted, counters):
+                sizes_h += itertools.islice(c, _COUNT_CHUNK)
+            at = itertools.islice(itertools.cycle(pieces), start % len(pieces), None)
+            part = list(map(operator.getitem, at, range(start + 1, len(counted[0]))))
+            _check_counts(part, start, cap, "horocycle", "horocycle")
+            sizes += part
+        series = [cover.arc_vertex_sums(g, fields, h, radius + 1, sizes_h)[1]
+                  for h, sizes_h in zip(distinct.tolist(), counted)]
+        averages = (np.array(series)[np.resize(index, radius + 1), np.arange(1, radius + 2)]
+                    / np.array(sizes, dtype=float)[:, None])
         anchor = geodesic.root(g)
     reports = [_finish_report(g, item, cls, set_kind, radius, list(sizes),
                               averages[:, j].tolist(), anchor) for j, item in enumerate(fields)]
@@ -237,7 +246,7 @@ def _finish_report(g, f, cls, set_kind, radius, sizes, averages, anchor):
         targets = _bipartite_targets(g, f, cls, anchor_part, radius, set_kind)
     else:
         targets = [cover.graph_average(f)] * (radius + 1)
-    deviations = [abs(a - t) for a, t in zip(averages, targets)]
+    deviations = list(map(abs, map(operator.sub, averages, targets)))
     return ConvergenceReport(set_kind, list(range(radius + 1)), sizes,
                              averages, targets, deviations)
 

@@ -279,16 +279,19 @@ def _root_layer(g, v):
     return PathLayer(g, v, [_block([()], 0)], VERTICES)
 
 
+def _arc_layers(g, base, n, support):
+    """The arc layers of 1 .. n half-edges at ``base``, each the last plus one level."""
+    tail, table = g.tail(base), _arc_table(g)
+    block = (np.array([[base]], dtype=np.intp), ())
+    for k in range(n):
+        block = table.descend(block, 1) if k else block
+        yield PathLayer(g, tail, [block], support)
+
+
 def arc_vertex_layers(g, base, max_radius):
     """Yield the vertex arcs A_0 .. A_R of the directed edge ``base`` as path layers."""
-    tail = g.tail(base)
-    yield _root_layer(g, tail)
-    table = _arc_table(g)
-    block = (np.array([[base]], dtype=np.intp), ())
-    for r in range(1, max_radius + 1):
-        if r > 1:
-            block = table.descend(block, 1)
-        yield PathLayer(g, tail, [block], VERTICES)
+    yield _root_layer(g, g.tail(base))
+    yield from _arc_layers(g, base, max_radius, VERTICES)
 
 
 def _layer_at(layers, r):
@@ -306,12 +309,9 @@ def arc_edge_layers(g, base, max_radius):
 
     The edges of A'_r have their nearer endpoint at distance r from the tail
     on the branch through ``base``, so their deeper endpoints are exactly the
-    vertex arc of radius r + 1: the same path rows, read as edges.
+    vertex arc of radius r + 1: the same blocks, read as edges.
     """
-    layers = arc_vertex_layers(g, base, max_radius + 1)
-    next(layers)  # depth-0 layer carries no tree edge
-    for layer in layers:
-        yield PathLayer(g, layer.root, layer.parts, EDGES)
+    yield from _arc_layers(g, base, max_radius + 1, EDGES)
 
 
 def arc_edges(g, base, r):
@@ -564,13 +564,20 @@ def indicator_field(g, support, index):
     return ScalarField(support, values)
 
 
-def _mean(values):
-    """Correctly rounded mean of a list of floats."""
+def _mean(values, counts=None):
+    """Correctly rounded mean of a list of floats, value i taken ``counts[i]``
+    times (once without counts): the exact sum, rounded once, over the count."""
+    n = len(values) if counts is None else sum(counts)
     try:
-        return math.fsum(values) / len(values)
+        if counts is None:
+            return math.fsum(values) / n
+        # every value is an integer over a power of two, so over the largest one the sum is exact
+        ratios = [v.as_integer_ratio() for v in values]
+        den = max(d for _, d in ratios)
+        return sum(c * a * (den // d) for c, (a, d) in zip(counts, ratios)) / den / n
     except OverflowError:
         raise SizeOutOfRangeError(
-            f"the sum of {len(values)} field values is past the float range") from None
+            f"the sum of {n} field values is past the float range") from None
 
 
 def graph_average(f):
@@ -603,7 +610,8 @@ def set_average(f, elements):
     """Mean of the lifted field over a set of cover vertices or cover edges.
 
     A PathLayer is read straight from its path rows, without building its
-    objects; fsum rounds correctly, so the mean has the same bits either way.
+    objects.  The sum is exact over the count of every base id and rounded
+    once, so the mean has the bits of fsum's, without its intermediate overflow.
     """
     if isinstance(elements, PathLayer):
         support, ids = elements.support, elements.ids()
@@ -620,7 +628,9 @@ def set_average(f, elements):
         raise EmptySetError("cannot average over an empty set")
     if f.support != support:
         raise SupportMismatchError(_NEEDS_FIELD[support])
-    return _mean(f.values[ids].tolist())
+    counts = np.bincount(ids)
+    at = counts.nonzero()[0]
+    return _mean(f.values[at].tolist(), counts[at].tolist())
 
 
 # --- non-backtracking transfer operator over half-edges ---
@@ -685,9 +695,9 @@ class TransferOperator:
         starting with ``base`` (0.0 where there are no such paths), one row
         per length.  One path distribution serves every column; each column's
         moments come from its own (2, H) slice of a stacked (m, 2, H) @ p
-        product, which rounds exactly as the one-column product does.  Values
-        whose span is past the float range cannot be centred and raise
-        SizeOutOfRangeError before any step.
+        product, which rounds exactly as the plain (2, H) @ p product that
+        one column uses.  Values whose span is past the float range cannot be
+        centred and raise SizeOutOfRangeError before any step.
 
         The loop's whole state after a step is the rescaled path distribution
         ``p``.  Every 16 steps it is kept and compared, bit for bit, with the
@@ -711,12 +721,13 @@ class TransferOperator:
         p = np.zeros(size)
         p[base] = 1.0
         moments = np.empty((n, len(rows), 2))
+        mat, out = (rows[0], moments[:, 0]) if len(rows) == 1 else (rows, moments)
         kept = kept_total = None
         for k in range(n):
             if k:
                 p = ldexp(p, -frexp(total)[1] - shift)
                 p = bincount(dst, p[src], size)
-            matmul(rows, p, out=moments[k])
+            matmul(mat, p, out=out[k])
             total = moments.item(k, 0, 0)
             if total == 0.0:  # dead end: every longer path is missing too
                 moments = moments[:k]
