@@ -153,8 +153,10 @@ def _bipartite_targets(g, f, cls, anchor_part, radius, kind):
     """
     other = cls.part_q if anchor_part == cls.part_p else cls.part_p
     even = cover.part_average(f, anchor_part)
-    odd = even if kind == "horocycle" else cover.part_average(f, other)
-    return ([even, odd] * (radius // 2 + 1))[:radius + 1]
+    odd = cover.part_average(f, other)
+    if kind == "horocycle":
+        return [even] * (radius + 1)
+    return [even if r % 2 == 0 else odd for r in range(radius + 1)]
 
 
 def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
@@ -221,8 +223,8 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
         for start in range(0, radius + 1, _COUNT_CHUNK):
             for sizes_h, c in zip(counted, counters):
                 sizes_h += itertools.islice(c, _COUNT_CHUNK)
-            at = itertools.islice(itertools.cycle(pieces), start % len(pieces), None)
-            part = list(map(operator.getitem, at, range(start + 1, len(counted[0]))))
+            part = [pieces[r % len(pieces)][r + 1]
+                    for r in range(start, min(start + _COUNT_CHUNK, radius + 1))]
             _check_counts(part, start, cap, "horocycle", "horocycle")
             sizes += part
         series = [cover.arc_vertex_sums(g, fields, h, radius + 1, sizes_h)[1]

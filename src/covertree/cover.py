@@ -564,20 +564,13 @@ def indicator_field(g, support, index):
     return ScalarField(support, values)
 
 
-def _mean(values, counts=None):
-    """Correctly rounded mean of a list of floats, value i taken ``counts[i]``
-    times (once without counts): the exact sum, rounded once, over the count."""
-    n = len(values) if counts is None else sum(counts)
+def _mean(values):
+    """Correctly rounded mean of a list of floats."""
     try:
-        if counts is None:
-            return math.fsum(values) / n
-        # every value is an integer over a power of two, so over the largest one the sum is exact
-        ratios = [v.as_integer_ratio() for v in values]
-        den = max(d for _, d in ratios)
-        return sum(c * a * (den // d) for c, (a, d) in zip(counts, ratios)) / den / n
+        return math.fsum(values) / len(values)
     except OverflowError:
         raise SizeOutOfRangeError(
-            f"the sum of {n} field values is past the float range") from None
+            f"the sum of {len(values)} field values is past the float range") from None
 
 
 def graph_average(f):
@@ -610,8 +603,7 @@ def set_average(f, elements):
     """Mean of the lifted field over a set of cover vertices or cover edges.
 
     A PathLayer is read straight from its path rows, without building its
-    objects.  The sum is exact over the count of every base id and rounded
-    once, so the mean has the bits of fsum's, without its intermediate overflow.
+    objects; fsum rounds correctly, so the mean has the same bits either way.
     """
     if isinstance(elements, PathLayer):
         support, ids = elements.support, elements.ids()
@@ -628,9 +620,7 @@ def set_average(f, elements):
         raise EmptySetError("cannot average over an empty set")
     if f.support != support:
         raise SupportMismatchError(_NEEDS_FIELD[support])
-    counts = np.bincount(ids)
-    at = counts.nonzero()[0]
-    return _mean(f.values[at].tolist(), counts[at].tolist())
+    return _mean(f.values[ids].tolist())
 
 
 # --- non-backtracking transfer operator over half-edges ---
@@ -695,9 +685,9 @@ class TransferOperator:
         starting with ``base`` (0.0 where there are no such paths), one row
         per length.  One path distribution serves every column; each column's
         moments come from its own (2, H) slice of a stacked (m, 2, H) @ p
-        product, which rounds exactly as the plain (2, H) @ p product that
-        one column uses.  Values whose span is past the float range cannot be
-        centred and raise SizeOutOfRangeError before any step.
+        product, which rounds exactly as the one-column product does.  Values
+        whose span is past the float range cannot be centred and raise
+        SizeOutOfRangeError before any step.
 
         The loop's whole state after a step is the rescaled path distribution
         ``p``.  Every 16 steps it is kept and compared, bit for bit, with the
@@ -721,13 +711,12 @@ class TransferOperator:
         p = np.zeros(size)
         p[base] = 1.0
         moments = np.empty((n, len(rows), 2))
-        mat, out = (rows[0], moments[:, 0]) if len(rows) == 1 else (rows, moments)
         kept = kept_total = None
         for k in range(n):
             if k:
                 p = ldexp(p, -frexp(total)[1] - shift)
                 p = bincount(dst, p[src], size)
-            matmul(mat, p, out=out[k])
+            matmul(rows, p, out=moments[k])
             total = moments.item(k, 0, 0)
             if total == 0.0:  # dead end: every longer path is missing too
                 moments = moments[:k]
