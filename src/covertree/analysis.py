@@ -73,13 +73,18 @@ def enumeration_budget(budget=None):
 
 
 def _check_counts(sizes, first, cap, what, empty):
-    """Raise at the first of ``sizes``, radii ``first``, .., over the cap or zero."""
+    """Raise at the first of ``sizes``, radii ``first``, .., over the cap or zero,
+    then if they reach radius cap + 1: every radius from 1 holds an element, so
+    the series to it holds more than the cap."""
     if max(sizes) > cap or 0 in sizes:
         for r, n in enumerate(sizes, first):
             if n > cap:
                 raise BudgetExceededError(f"{what} at radius {r} has {n} elements (cap {cap})")
             if not n:
                 raise EmptySetError(f"{empty} at radius {r} is empty")
+    if first + len(sizes) > cap + 1:
+        raise BudgetExceededError(
+            f"{what} series to radius {cap + 1} has more than {cap} elements (cap {cap})")
 
 
 def _arc_union(g, fields, support, bases, radius, cap, what):
@@ -97,15 +102,17 @@ def _arc_union(g, fields, support, bases, radius, cap, what):
         raise EmptySetError("set at radius 1 is empty")
     counters = [cover.arc_counts(g, h, support, radius) for h in bases]
     counted, sizes = [[] for _ in bases], []
+    keep = radius <= cap  # a longer series fails by radius cap + 1; its sizes are not kept
     for start in range(0, radius + 1, _COUNT_CHUNK):
         chunk = [list(itertools.islice(c, _COUNT_CHUNK)) for c in counters]
         part = chunk[0] if len(bases) == 1 else list(map(sum, zip(*chunk)))
         # radius 0 is not capped: it has one element per base, a half-edge leaving
         # the root or the caller's subtree, and spheres and tubes replace it
         _check_counts(part if start else part[1:], start or 1, cap, what, "set")
-        for sizes_b, n in zip(counted, chunk):
-            sizes_b += n
-        sizes += part
+        if keep:
+            for sizes_b, n in zip(counted, chunk):
+                sizes_b += n
+            sizes += part
     sums_of = cover.arc_vertex_sums if support == cover.VERTICES else cover.arc_edge_sums
     series = [sums_of(g, fields, h, radius, sizes_b)[1] for h, sizes_b in zip(bases, counted)]
     if len(bases) == 1:  # one arc: nothing to weigh
@@ -219,14 +226,18 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
         distinct, index = np.unique([g.twin(h) for h in geodesic.half_edges], return_inverse=True)
         counters = [cover.arc_counts(g, h, support, radius + 1) for h in distinct.tolist()]
         counted = [[next(c)] for c in counters]  # radius 0: the tail alone
-        pieces, sizes = [counted[i] for i in index], []
+        pieces, sizes = index.tolist(), []
+        keep = radius <= cap  # as in _arc_union
         for start in range(0, radius + 1, _COUNT_CHUNK):
-            for sizes_h, c in zip(counted, counters):
-                sizes_h += itertools.islice(c, _COUNT_CHUNK)
-            part = [pieces[r % len(pieces)][r + 1]
+            # the chunks hold the arcs' sizes from radius start + 1 on
+            chunk = [list(itertools.islice(c, _COUNT_CHUNK)) for c in counters]
+            part = [chunk[pieces[r % len(pieces)]][r - start]
                     for r in range(start, min(start + _COUNT_CHUNK, radius + 1))]
             _check_counts(part, start, cap, "horocycle", "horocycle")
-            sizes += part
+            if keep:
+                for sizes_h, n in zip(counted, chunk):
+                    sizes_h += n
+                sizes += part
         series = [cover.arc_vertex_sums(g, fields, h, radius + 1, sizes_h)[1]
                   for h, sizes_h in zip(distinct.tolist(), counted)]
         averages = (np.array(series)[np.resize(index, radius + 1), np.arange(1, radius + 2)]

@@ -631,10 +631,10 @@ def set_average(f, elements):
 # backtracking.  Sizes are exact integers, counted on the quotient of B by the
 # coarsest equitable partition of the half-edges (one class on regular graphs,
 # two on semiregular ones).  Averages come from a float path distribution that
-# only ever adds non-negative terms and is rescaled by powers of two (exact) to
-# a total below 1 before every product, so no centred sum passes the float
-# range; they are centred on the value at the base, so a constant field
-# averages to itself exactly.
+# only ever adds non-negative terms and is rescaled by powers of two (exact)
+# once per block of raw steps, whose length comes from the field's range, so no
+# centred sum passes the float range; they are centred on the value at the
+# base, so a constant field averages to itself exactly.
 
 class TransferOperator:
     """Hashimoto's operator of one graph as continuation pairs ``src -> dst``,
@@ -689,15 +689,28 @@ class TransferOperator:
         whose span is past the float range cannot be centred and raise
         SizeOutOfRangeError before any step.
 
-        The loop's whole state after a step is the rescaled path distribution
-        ``p``.  Every 16 steps it is kept and compared, bit for bit, with the
-        one kept 16 steps before; once they are equal, every later row
-        repeats the row 16 steps before it, so the remaining rows are copied
-        instead of stepped and have the bits stepping would give.  On every
-        regular graph tried, and on K(2,5), the distribution repeats from step
-        55-140 with period 1, 2 or 4, so the loop stops by step 160; on K(3,4)
-        and the irregular graphs tried it never repeats, and the loop steps to
-        the end."""
+        The path distribution ``p`` is stepped raw, without rescaling, in
+        blocks of up to 16 rows, and one stacked product takes the moments of
+        a whole block; before each block after the first, ``p`` is rescaled
+        by a power of two to a total below 2**-shift.  A raw step multiplies
+        the total by less than 2**shift, so the block is the longest of 16,
+        8, 4, 2 and 1 rows that the largest centred value leaves room for
+        below the float range: 16 for values up to about
+        2**(1020 - 16 * shift), one for values near 2**1023.  A power of two
+        scales both moments of a row exactly, so every average has the bits
+        of a loop that rescales before every step, except for values small
+        enough that the products go subnormal (about 1e-308 and below), where
+        the larger raw distribution rounds fewer of them.
+
+        The rescaled ``p`` at a block's start is the loop's whole state.  It is
+        kept and compared, bit for bit, with the one kept a block before; once
+        they are equal, every later row repeats the row a block before it, so
+        the remaining rows are copied instead of stepped and have the bits
+        stepping would give.  A repeat shows when its period divides the
+        block.  On every regular graph tried, and on K(2,5), the distribution
+        repeats from step 55-140 with period 1, 2 or 4, so with blocks of 4 or
+        more the loop stops by step 160; on K(3,4) and the irregular graphs
+        tried it never repeats, and the loop steps to the end."""
         cols = at.reshape(self.size, -1)
         centre = cols[base]
         if not np.abs(cols).max() < 2.0 ** 1023:  # only then can a difference overflow
@@ -707,25 +720,33 @@ class TransferOperator:
         rows = np.ones((len(centre), 2, self.size))  # path count; C order, so each (2, H)
         rows[:, 1] = (cols - centre).T               # slice is a plain BLAS matrix
         src, dst, size, shift = self.src, self.dst, self.size, self.shift
-        ldexp, frexp, bincount, matmul = np.ldexp, math.frexp, np.bincount, np.matmul
+        bincount = np.bincount
+        room = 1020 - math.frexp(np.abs(rows[:, 1]).max())[1]
+        # a power of two, so that repeats of period 2 and 4 still show in short blocks
+        block = 1 << max(1, min(16, room // max(shift, 1))).bit_length() - 1
+        buf = np.empty((block, size))
         p = np.zeros(size)
         p[base] = 1.0
         moments = np.empty((n, len(rows), 2))
-        kept = kept_total = None
-        for k in range(n):
-            if k:
-                p = ldexp(p, -frexp(total)[1] - shift)
-                p = bincount(dst, p[src], size)
-            matmul(rows, p, out=moments[k])
-            total = moments.item(k, 0, 0)
-            if total == 0.0:  # dead end: every longer path is missing too
-                moments = moments[:k]
-                break
-            if k % 16 == 0:
-                if total == kept_total and p.tobytes() == kept:  # p repeats p of step k - 16
-                    moments[k + 1:] = moments[k - 15 + np.arange(n - k - 1) % 16]
+        kept = None
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            if start:
+                p = np.ldexp(p, -math.frexp(total)[1] - shift)
+                state = p.tobytes()
+                if state == kept:  # p repeats p of step start - block
+                    moments[start:] = moments[start - block + np.arange(n - start) % block]
                     break
-                kept, kept_total = p.tobytes(), total
+                kept = state
+            for k in range(start, stop):
+                if k:
+                    p = bincount(dst, p[src], size)
+                buf[k - start] = p
+            np.matmul(rows, buf[:stop - start, None, :, None], out=moments[start:stop, ..., None])
+            total = moments.item(stop - 1, 0, 0)
+            if total == 0.0:  # dead end: every total from the first zero on is zero
+                moments = moments[:start + moments[start:stop, 0, 0].argmin()]
+                break
         out = np.zeros((n, len(rows)))
         out[:len(moments)] = centre + moments[..., 1] / moments[..., 0]
         return out.reshape((n, *at.shape[1:]))

@@ -170,6 +170,61 @@ def test_repeat_exit_keeps_every_bit_of_the_stepped_loop(name, seeded_cubic):
                 assert got.tobytes() == want[:n, cols].tobytes(), (name, base, n)
 
 
+def _sample_bases(g):
+    return range(0, g.half_edge_count, -(-g.half_edge_count // 6))  # at most six bases
+
+
+@pytest.mark.parametrize("name", REPEAT_GRAPHS)
+def test_blocks_near_the_float_range_keep_every_bit_of_the_stepped_loop(name, seeded_cubic):
+    # the block of raw steps shrinks as the centred values near the float range:
+    # to 16, 4-8, 1 and 1 steps for these sizes on graphs of fan-out 2-4; a block
+    # too long for the size would overflow a moment and show here as inf or nan
+    g = _graphs(seeded_cubic)[name]
+    op = cover.transfer_operator(g)
+    one = random_field(g, VERTICES, 41).values[op.heads]
+    three = np.array([random_field(g, EDGES, s).values for s in (42, 43, 44)]).T[op.edges]
+    for size in (1e280, 1e300, 1e306, 8e307):
+        for base in _sample_bases(g):
+            want = reference_float_averages(op, np.column_stack([one, three]) * size, base, 1000)
+            assert np.isfinite(want).all()
+            for n in (1, 15, 16, 17, 33, 1000):
+                for at, cols in ((one, 0), (three, slice(1, 4))):
+                    got = op.averages(at * size, base, n)
+                    assert got.tobytes() == want[:n, cols].tobytes(), (name, size, base, n)
+
+
+def test_shorter_blocks_still_see_repeats_of_period_2_and_4(k33):
+    # at 1e300 the blocks are 8 steps on K(3,3) (period 2) and 4 on K(2,5)
+    # (period 4), so both still stop early
+    k25 = graph_core.generate("complete_bipartite", 2, 5)
+    for g in (k33, k25):
+        op = cover.transfer_operator(g)
+        at = random_field(g, VERTICES, 41).values[op.heads] * 1e300
+        assert _steps_of(lambda: op.averages(at, 0, 1000)) < 160
+
+
+@pytest.mark.parametrize("name", REPEAT_GRAPHS)
+def test_subnormal_field_matches_big_integer_reference(name, seeded_cubic):
+    # the one range where bits can move: a raw block's larger distribution rounds
+    # fewer products into subnormals than the stepped loop, so it is checked
+    # against exact counts instead, relative to the field's size: the 1e-12
+    # absolute of the other checks would hold for any result here, and the
+    # worst error seen at every base is 2.3e-12 of the size (3.3e-12 for the
+    # stepped loop), as subnormals carry fewer digits
+    g = _graphs(seeded_cubic)[name]
+    op = cover.transfer_operator(g)
+    size = 1e-310
+    at = random_field(g, VERTICES, 41).values[op.heads] * size
+    worst = 0.0
+    for base in _sample_bases(g):
+        ref = reference_counts(g, base, AVERAGE_RADIUS)
+        got = op.averages(at, base, AVERAGE_RADIUS + 1)
+        for counts, average in zip(ref, got):
+            if any(counts):
+                worst = max(worst, abs(average - reference_average(counts, at)))
+    assert worst <= 1e-11 * size
+
+
 def test_repeat_exit_stops_petersen_early_and_k34_never(petersen, k34):
     # Petersen's rescaled distribution repeats with period 1 from step 117;
     # K(3,4)'s does not repeat within 3000 steps
@@ -416,6 +471,47 @@ def test_verify_huge_radius_exits_3_naming_the_radius(tmp_path, capsys, monkeypa
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: arc at radius 25 has 16777216 elements (cap 10000000)\n"
+
+
+def test_budget_bounds_the_radius_of_a_set_that_never_grows(tmp_path, capsys, monkeypatch):
+    # every arc of the 6-cycle has one element, so no radius passes the cap; the
+    # series to radius cap + 1 has more than cap elements, and counting stops there
+    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
+    g = graph_core.generate("cycle_with_chords", 6)
+    f = random_field(g, VERTICES, 1)
+    graph, field = tmp_path / "cycle.g", tmp_path / "f.fld"
+    graph_core.save_graph(g, graph)
+    cover.save_field(f, field)
+    start = time.perf_counter()
+    rc = main(["average", "--graph", str(graph), "--field", str(field), "--set", "arc",
+               "--base", "0", "1", "--radius", "100000000"])
+    assert time.perf_counter() - start < 2.0
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: arc series to radius 10000001 has more than 10000000 elements (cap 10000000)\n")
+    geo = cover.GeodesicSpec(tuple(g.half_edge(i, (i + 1) % 6) for i in range(6)))
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            "horocycle series to radius 6 has more than 5 elements (cap 5)")):
+        analysis.deviation_series(g, f, set_kind="horocycle", radius=10 ** 8, geodesic=geo,
+                                  budget=5)
+
+
+def test_budget_bounds_the_radius_only_past_the_cap():
+    # on a 12-cycle with one chord, the arc at base 0 has at most 3 elements up
+    # to radius 12 and 4 at radius 13: a series to radius cap runs, and a set
+    # that grows still fails at its first radius over the cap, also when that
+    # comes after radius cap + 1 in the same chunk of counted radii
+    g = graph_core.generate("cycle_with_chords", 12, 0, 6)
+    f = random_field(g, VERTICES, 1)
+    series = lambda radius: analysis.deviation_series(  # noqa: E731
+        g, f, set_kind="arc", radius=radius, base=0, budget=3)
+    assert series(3).sizes == [1, 1, 1, 1]
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            "arc series to radius 4 has more than 3 elements (cap 3)")):
+        series(12)
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            "arc at radius 13 has 4 elements (cap 3)")):
+        series(10 ** 8)
 
 
 # --- sizes past the float range ---
