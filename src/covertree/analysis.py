@@ -134,20 +134,16 @@ def _tube_boundary(g, members):
     may repeat a half-edge when two boundary tree edges project onto it.
     """
     seen, top = cover.validate_subtree(g, members)
+    paths = {cv.path for cv in seen}
     boundary = []
     internal = []
-    for cv in seen:
-        last = cv.path[-1] if cv.path else None
-        steps = g.continuations(last) if last is not None else g.out(cv.vertex)
-        for h in steps:
-            child = cover.CoverVertex(cv.root, cv.path + (h,), g.head(h))
-            if child not in seen:
-                boundary.append(h)
-        if last is not None:
-            if cover.cover_parent(g, cv) in seen:
-                internal.append(g.edge_of(last))
-            else:
-                boundary.append(g.twin(last))  # upward direction at the top vertex
+    for cv in seen:  # set order: the boundary order picks a union's centre arc
+        steps = g.continuations(cv.path[-1]) if cv.path else g.out(cv.root)
+        boundary += [h for h in steps if cv.path + (h,) not in paths]
+        if cv != top:
+            internal.append(g.edge_of(cv.path[-1]))
+        elif cv.path:
+            boundary.append(g.twin(cv.path[-1]))  # upward direction at the top vertex
     return seen, boundary, internal
 
 
@@ -329,19 +325,28 @@ def bound_check(report, *, calibration_radius=4):
         if r > calibration_radius or dev < DEVIATION_FLOOR:
             continue
         c_hat = max(c_hat, dev / _bound_at(1.0, beta, kind, r))
+    report.c_hat = c_hat
+    # no bound is computed where none is tested: beta ** r can pass the float range
+    bounds = [math.inf if r <= calibration_radius or dev < DEVIATION_FLOOR
+              else _bound_at(c_hat, beta, kind, r)
+              for r, dev in zip(report.radii, report.deviations)]
+    return c_hat, _check_under(report, "bound", bounds)
+
+
+def _check_under(report, what, bounds):
+    """Pass iff every deviation above the floor sits under its bound; notes
+    each violation and sets the report's verdict."""
     passed = True
-    for r, dev in zip(report.radii, report.deviations):
-        if r <= calibration_radius or dev < DEVIATION_FLOOR:
+    for r, dev, bound in zip(report.radii, report.deviations, bounds):
+        if dev < DEVIATION_FLOOR:
             continue
-        bound = _bound_at(c_hat, beta, kind, r)
         if dev > bound * (1 + _PASS_RTOL) + _PASS_ATOL:
             passed = False
             report.notes.append(
-                f"bound violated at r={r}: deviation {dev:.6e} > {bound:.6e}"
+                f"{what} violated at r={r}: deviation {dev:.6e} > {bound:.6e}"
             )
-    report.c_hat = c_hat
     report.verdict = "pass" if passed else "fail"
-    return c_hat, passed
+    return passed
 
 
 # --- rigorous envelope from eigenspace initial values ---
@@ -438,17 +443,7 @@ def envelope_series(g, f, base, theorem, radius, decomp=None):
 
 def envelope_check(report, env):
     """Pass iff every deviation sits under the rigorous envelope."""
-    passed = True
-    for r, dev, bound in zip(report.radii, report.deviations, env):
-        if dev < DEVIATION_FLOOR:
-            continue
-        if dev > bound * (1 + _PASS_RTOL) + _PASS_ATOL:
-            passed = False
-            report.notes.append(
-                f"envelope violated at r={r}: deviation {dev:.6e} > {bound:.6e}"
-            )
-    report.verdict = "pass" if passed else "fail"
-    return passed
+    return _check_under(report, "envelope", env)
 
 
 # --- structural checks ---

@@ -16,6 +16,7 @@ from .errors import (
     ClassificationMismatchError,
     CovertreeError,
     GraphError,
+    GraphFileError,
     OnlyConstantSpectrumError,
     SupportMismatchError,
     UnknownGeneratorError,
@@ -140,27 +141,14 @@ def _resolve_base(g, tokens):
 
 
 def _load_tube(g, path):
-    rows = []
-    for raw in graph_core.read_ascii(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-    if not rows or rows[0][0] != "tube" or len(rows[0]) != 3:
-        raise _UsageError("tube file must start with 'tube <root> <count>'")
+    header, paths = graph_core.read_records(
+        graph_core.read_ascii(path), "tube", "tube <root> <count>", 2, "member",
+        lambda row: [] if row == ["."] else [int(tok) for tok in row])
     try:
-        root, count = int(rows[0][1]), int(rows[0][2])
+        root, _ = map(int, header[1:])
     except ValueError as exc:
-        raise _UsageError("bad counts in tube header") from exc
-    if len(rows) - 1 != count:
-        raise _UsageError(f"expected {count} tube member lines, found {len(rows) - 1}")
-    members = []
-    for row in rows[1:]:
-        try:
-            path_ids = [] if row == ["."] else [int(tok) for tok in row]
-        except ValueError as exc:
-            raise _UsageError(f"bad tube member line: {' '.join(row)}") from exc
-        members.append(cover.cover_vertex(g, root, path_ids))
-    return members
+        raise GraphFileError("tube file must start with 'tube <root> <count>'") from exc
+    return [cover.cover_vertex(g, root, p) for p in paths]
 
 
 def _emit(text, output):
@@ -284,12 +272,12 @@ def _cmd_rate(args):
 
 def _cmd_verify(args):
     g = graph_core.load_graph(args.graph)
-    lap, _ = spectral.theorem_laplacian(g, args.theorem)
-    decomp = spectral.eig_sym(lap)
     base = _resolve_base(g, args.base)
     radius = args.radius
     if radius < 4:
         raise _UsageError("need --radius >= 4")
+    lap, _ = spectral.theorem_laplacian(g, args.theorem)
+    decomp = spectral.eig_sym(lap)
     regime = spectral.regime(g, args.theorem, base)
     checks = []
 

@@ -27,7 +27,6 @@ from .errors import (
     DisconnectedSubtreeError,
     EmptySetError,
     EmptySubtreeError,
-    GraphError,
     GraphFileError,
     InvalidGeodesicError,
     SizeOutOfRangeError,
@@ -892,37 +891,23 @@ def write_field(f):
     return "\n".join(lines) + "\n"
 
 
+def _field_value(row):
+    idx, val = row
+    idx, val = int(idx), float(val)
+    if not math.isfinite(val):
+        raise ValueError("non-finite value")
+    return idx, val
+
+
 def read_field(text):
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-    if not rows:
-        raise GraphFileError("empty field file")
-    header = rows[0]
-    if header[0] != "field" or len(header) != 3 or header[1] not in (VERTICES, EDGES):
+    header, rows = graph_core.read_records(
+        text, "field", "field vertices|edges <count>", 2, "value", _field_value)
+    if len(header) != 3 or header[1] not in (VERTICES, EDGES):
         raise GraphFileError("field file must start with 'field vertices|edges <count>'")
-    try:
-        count = int(header[2])
-    except ValueError as exc:
-        raise GraphFileError("bad count in field header") from exc
-    if len(rows) - 1 != count:
-        raise GraphFileError(f"expected {count} value lines, found {len(rows) - 1}")
-    values = [None] * count
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise GraphFileError(f"bad field line: {' '.join(row)}")
-        try:
-            idx, val = int(row[0]), float(row[1])
-        except ValueError as exc:
-            raise GraphFileError(f"bad field line: {' '.join(row)}") from exc
-        if not (0 <= idx < count) or values[idx] is not None:
-            raise GraphFileError(f"bad or repeated field index {idx}")
-        if not math.isfinite(val):
-            raise GraphFileError(f"non-finite field value: {' '.join(row)}")
-        values[idx] = val
-    return ScalarField(header[1], values)
+    values = dict(rows)
+    if sorted(values) != list(range(len(rows))):
+        raise GraphFileError(f"field ids must be 0 .. {len(rows) - 1}, each once")
+    return ScalarField(header[1], [values[i] for i in range(len(rows))])
 
 
 def load_field(path):
@@ -944,32 +929,14 @@ def write_geodesic(g, geodesic):
 
 
 def read_geodesic(g, text):
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-    if not rows:
-        raise GraphFileError("empty geodesic file")
-    header = rows[0]
-    if header[0] != "geodesic" or len(header) != 2:
-        raise GraphFileError("geodesic file must start with 'geodesic <period>'")
-    try:
-        period = int(header[1])
-    except ValueError as exc:
-        raise GraphFileError("bad period in geodesic header") from exc
-    if len(rows) - 1 != period:
-        raise GraphFileError(f"expected {period} step lines, found {len(rows) - 1}")
-    steps = []
-    for row in rows[1:]:
+    def step(row):
         if len(row) not in (2, 3):
-            raise GraphFileError(f"bad geodesic line: {' '.join(row)}")
-        try:
-            u, v = int(row[0]), int(row[1])
-            k = int(row[2]) if len(row) == 3 else 0
-            steps.append(g.half_edge(u, v, k))
-        except (ValueError, GraphError) as exc:
-            raise GraphFileError(f"bad geodesic line: {' '.join(row)}") from exc
+            raise ValueError("expected 'u v [k]'")
+        return g.half_edge(*map(int, row))
+
+    header, steps = graph_core.read_records(text, "geodesic", "geodesic <period>", 1, "step", step)
+    if len(header) != 2:
+        raise GraphFileError("geodesic file must start with 'geodesic <period>'")
     return GeodesicSpec(tuple(steps)).validate(g)
 
 

@@ -48,7 +48,7 @@ class UnknownGeneratorError(GraphError):
 
 
 class GraphFileError(CovertreeError):
-    """Malformed graph/field/geodesic file."""
+    """Malformed graph, field, geodesic or tube file."""
 
 
 # --- covering tree ---

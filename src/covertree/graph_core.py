@@ -7,7 +7,7 @@ A loop contributes two half-edges at its vertex and therefore 2 to its degree.
 
 from __future__ import annotations
 
-from collections import deque
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -101,28 +101,16 @@ class Graph:
         self._out = tuple(tuple(o) for o in out)
         self._degrees = tuple(len(o) for o in out)
         # Non-backtracking continuations of each half-edge, precomputed once.
-        self._continuations = tuple(
-            tuple(h2 for h2 in self._out[heads[h]] if h2 != twins[h])
-            for h in range(count)
-        )
+        self._continuations = tuple([
+            tuple([h2 for h2 in out[v] if h2 != w]) for v, w in zip(heads, twins)
+        ])
         self._classification = None
         self._transfer = None
         self._arc_table = None
         self._check_connected()
 
     def _check_connected(self):
-        seen = [False] * self.vertex_count
-        seen[0] = True
-        queue = deque([0])
-        reached = 1
-        while queue:
-            v = queue.popleft()
-            for h in self._out[v]:
-                w = self.heads[h]
-                if not seen[w]:
-                    seen[w] = True
-                    reached += 1
-                    queue.append(w)
+        reached = self.vertex_count - all_distances(self, 0).count(-1)
         if reached != self.vertex_count:
             raise DisconnectedGraphError(
                 f"only {reached} of {self.vertex_count} vertices reachable from vertex 0"
@@ -221,17 +209,18 @@ def build_graph(vertex_count, edges, *, allows_loops=False, allows_multi=False):
 
 
 def all_distances(g, v):
-    """BFS distances from ``v`` to every vertex."""
+    """BFS distances from ``v`` to every vertex, -1 where it cannot reach."""
+    out, heads = g._out, g.heads
     dist = [-1] * g.vertex_count
     dist[v] = 0
-    queue = deque([v])
-    while queue:
-        x = queue.popleft()
-        for h in g.out(x):
-            y = g.head(h)
+    order = [v]
+    for x in order:  # the loop reads the vertices it appends
+        d = dist[x] + 1
+        for h in out[x]:
+            y = heads[h]
             if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
+                dist[y] = d
+                order.append(y)
     return dist
 
 
@@ -262,20 +251,15 @@ class Classification:
 
 
 def _two_coloring(g):
-    """Return (part0, part1) with vertex 0 in part0, or None if not bipartite."""
-    color = [-1] * g.vertex_count
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for h in g.out(v):
-            w = g.head(h)
-            if color[w] < 0:
-                color[w] = 1 - color[v]
-                queue.append(w)
-            elif color[w] == color[v]:
-                return None
-    part0 = frozenset(v for v in range(g.vertex_count) if color[v] == 0)
+    """Return (part0, part1) with vertex 0 in part0, or None if not bipartite.
+
+    Part 0 is the vertices at even distance from vertex 0; the graph is
+    bipartite iff no half-edge joins two vertices of equal distance parity.
+    """
+    parity = [d & 1 for d in all_distances(g, 0)].__getitem__
+    if not all(map(operator.xor, map(parity, g.tails), map(parity, g.heads))):
+        return None
+    part0 = frozenset(v for v in range(g.vertex_count) if not parity(v))
     part1 = frozenset(range(g.vertex_count)) - part0
     return part0, part1
 
@@ -292,19 +276,13 @@ def _classify(g):
     simple = g.is_simple()
     degs = g.degrees()
     parts = _two_coloring(g)
-    constant = len(set(degs)) == 1
-
-    if constant:
-        d = degs[0]
-        if d < 3:
-            return Classification(IRREGULAR, simple,
-                                  part_p=parts[0] if parts else None,
-                                  part_q=parts[1] if parts else None)
+    d = degs[0]
+    # a constant degree below 3 falls through to irregular: both parts have that degree
+    if len(set(degs)) == 1 and d >= 3:
         if parts is None:
             return Classification(REGULAR, simple, q=d - 1)
         return Classification(REGULAR_BIPARTITE, simple, q=d - 1, p=d - 1,
                               part_p=parts[0], part_q=parts[1])
-
     if parts is not None:
         deg_sets = [{degs[v] for v in part} for part in parts]
         if all(len(s) == 1 for s in deg_sets):
@@ -380,13 +358,47 @@ def generate(name, *params):
     return factory(*params)
 
 
-# --- text format ---
+# --- text formats ---
+#
+# Every input file (graph, field, geodesic, tube) is a header line that starts
+# with its kind and holds a record count, then one line per record.  '#' starts
+# a comment; blank lines are ignored.
 #
 #   graph <vertex_count> <edge_count> [loops] [multi]
 #   u v          (one line per undirected edge, 0-based ids)
 #
-# '#' starts a comment; blank lines are ignored.  write_graph/read_graph
-# round-trip bit-exactly.
+# write_graph/read_graph round-trip bit-exactly.
+
+def read_records(text, kind, usage, count_at, noun, parse):
+    """Header tokens and parsed records of an input file of ``kind``.
+
+    Header token ``count_at`` is the number of record lines; ``parse`` turns
+    one line's tokens into a record, and a ValueError or GraphError it raises
+    becomes a GraphFileError that names the line.  Header tokens other than
+    the kind and the count are the caller's to check.
+    """
+    lines = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
+    rows = [tokens for tokens in lines if tokens]
+    if not rows:
+        raise GraphFileError(f"empty {kind} file")
+    header = rows[0]
+    if header[0] != kind or len(header) <= count_at:
+        raise GraphFileError(f"{kind} file must start with '{usage}'")
+    try:
+        count = int(header[count_at])
+    except ValueError as exc:
+        raise GraphFileError(f"bad count in {kind} header") from exc
+    if len(rows) - 1 != count:
+        raise GraphFileError(f"expected {count} {noun} lines, found {len(rows) - 1}")
+    records = []
+    for row in rows[1:]:
+        try:
+            records.append(parse(row))
+        except (ValueError, GraphError) as exc:
+            number = next(i for i, tokens in enumerate(lines, 1) if tokens is row)
+            raise GraphFileError(f"line {number}: bad {noun} '{' '.join(row)}': {exc}") from exc
+    return header, records
+
 
 def write_graph(g):
     header = f"graph {g.vertex_count} {g.edge_count}"
@@ -399,35 +411,21 @@ def write_graph(g):
     return "\n".join(lines) + "\n"
 
 
+def _edge(row):
+    u, v = row
+    return int(u), int(v)
+
+
 def read_graph(text):
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-    if not rows:
-        raise GraphFileError("empty graph file")
-    header = rows[0]
-    if header[0] != "graph" or len(header) < 3:
-        raise GraphFileError("graph file must start with 'graph <n> <m>'")
-    try:
-        n, m = int(header[1]), int(header[2])
-    except ValueError as exc:
-        raise GraphFileError("bad counts in graph header") from exc
+    header, edges = read_records(text, "graph", "graph <n> <m> [loops] [multi]", 2, "edge", _edge)
     flags = header[3:]
     bad = [f for f in flags if f not in ("loops", "multi")]
     if bad:
         raise GraphFileError(f"unknown graph flags: {bad}")
-    if len(rows) - 1 != m:
-        raise GraphFileError(f"expected {m} edge lines, found {len(rows) - 1}")
-    edges = []
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise GraphFileError(f"bad edge line: {' '.join(row)}")
-        try:
-            edges.append((int(row[0]), int(row[1])))
-        except ValueError as exc:
-            raise GraphFileError(f"bad edge line: {' '.join(row)}") from exc
+    try:
+        n = int(header[1])
+    except ValueError as exc:
+        raise GraphFileError("bad vertex count in graph header") from exc
     return build_graph(n, edges, allows_loops="loops" in flags, allows_multi="multi" in flags)
 
 

@@ -58,21 +58,22 @@ class LaplacianMatrix:
         return self.matrix.shape[0]
 
 
-def vertex_laplacian(g):
-    """Neighbour-averaging operator on vertices of a constant-degree graph.
+def _adjacency(g):
+    """Entry (u, v) counts half-edges u->v, so a loop adds 2 on its diagonal."""
+    a = np.zeros((g.vertex_count, g.vertex_count))
+    np.add.at(a, (g.tails, g.heads), 1.0)
+    return a
 
-    Entry (u, v) counts half-edges u->v, so a loop adds 2 on its diagonal.
-    """
+
+def vertex_laplacian(g):
+    """Neighbour-averaging operator on vertices of a constant-degree graph."""
     degs = set(g.degrees())
     if len(degs) != 1:
         raise NotRegularError(f"vertex degrees are not constant: {sorted(degs)}")
     d = degs.pop()
     if d == 0:
         raise NotRegularError("isolated vertex has no neighbour average")
-    a = np.zeros((g.vertex_count, g.vertex_count))
-    for h in range(g.half_edge_count):
-        a[g.tail(h), g.head(h)] += 1.0
-    return LaplacianMatrix(cover.VERTICES, a / d, d)
+    return LaplacianMatrix(cover.VERTICES, _adjacency(g) / d, d)
 
 
 def edge_laplacian(g):
@@ -90,11 +91,7 @@ def edge_laplacian(g):
         raise UnsupportedDegreeStructureError(
             "edge Laplacian requires a regular (degree >= 3) or semiregular (p, q >= 2) graph"
         )
-    lg = graph_core.line_graph(g)
-    a = np.zeros((lg.vertex_count, lg.vertex_count))
-    for h in range(lg.half_edge_count):
-        a[lg.tail(h), lg.head(h)] += 1.0
-    return LaplacianMatrix(cover.EDGES, a / divisor, divisor)
+    return LaplacianMatrix(cover.EDGES, _adjacency(graph_core.line_graph(g)) / divisor, divisor)
 
 
 @dataclass(eq=False)

@@ -235,6 +235,41 @@ def test_arbitrary_input_files_exit_cleanly(fuzz_inputs, kind, draw):
         assert rc == 0 or err.getvalue().startswith("error:"), argv
 
 
+def _break(text, fault):
+    """A valid input file's text with one fault: emptied, a wrong header
+    keyword, its last record line dropped, or that line made unreadable."""
+    lines = text.splitlines()
+    if fault == "empty":
+        return ""
+    if fault == "header":
+        return "\n".join(["bogus" + lines[0][lines[0].index(" "):]] + lines[1:]) + "\n"
+    if fault == "count":
+        return "\n".join(lines[:-1]) + "\n"
+    return "\n".join(lines[:-1] + ["x"]) + "\n"
+
+
+@pytest.mark.parametrize("fault", ["empty", "header", "count", "record"])
+@pytest.mark.parametrize("kind", ["graph", "field", "geodesic", "tube"])
+def test_malformed_input_files_exit_3(kind, fault, fuzz_inputs, tmp_path, capsys):
+    _, files = fuzz_inputs
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(_break(files[kind].read_text(), fault))
+    for argv in _fuzz_argvs(files, kind, bad):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_malformed_record_names_its_line(tmp_path, petersen_file, capsys):
+    g = graph_core.load_graph(petersen_file)
+    tube = tmp_path / "bad.tube"
+    tube.write_text("# members\ntube 0 2\n.\n\nx\n")
+    assert main(["average", "--graph", petersen_file,
+                 "--field", _write_field(tmp_path, g, VERTICES, 9),
+                 "--set", "tube", "--tube", str(tube), "--radius", "3"]) == 3
+    assert capsys.readouterr().err.startswith("error: line 5: bad member 'x'")
+
+
 def test_tube_root_out_of_range_exits_3(tmp_path, petersen_file, capsys):
     g = graph_core.load_graph(petersen_file)
     tube = tmp_path / "far.tube"
@@ -433,6 +468,17 @@ def test_verify_eigensolves_once(generator, theorem, tmp_path, monkeypatch):
     monkeypatch.setattr(spectral, "eig_sym", counting_eig_sym)
     assert main(["verify", "--graph", str(path), "--theorem", str(theorem)]) == 0
     assert len(calls) == 1
+
+
+def test_verify_rejects_usage_errors_before_the_eigensolve(k4_file, monkeypatch, capsys):
+    def no_eig_sym(lap):
+        raise AssertionError("verify eigensolved before checking its arguments")
+
+    monkeypatch.setattr(spectral, "eig_sym", no_eig_sym)
+    assert main(["verify", "--graph", k4_file, "--theorem", "1", "--radius", "3"]) == 2
+    assert capsys.readouterr().err == "error: need --radius >= 4\n"
+    assert main(["verify", "--graph", k4_file, "--theorem", "1", "--base", "0", "9"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_verify_override_beta_fails(k4_file):
