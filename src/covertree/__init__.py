@@ -40,7 +40,6 @@ from .cover import (
     set_average,
     sphere_edges,
     sphere_vertices,
-    tree_distance,
     tube_edges,
     tube_vertices,
 )

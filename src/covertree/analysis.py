@@ -22,6 +22,7 @@ import numpy as np
 
 from . import cover, graph_core, spectral
 from .errors import (
+    AnalysisError,
     BudgetExceededError,
     ClassificationMismatchError,
     EmptySetError,
@@ -297,7 +298,10 @@ def fit_rate(report):
 
 
 def _bound_at(c_hat, beta, kind, r):
-    bound = c_hat * beta ** r
+    try:
+        bound = c_hat * beta ** r
+    except OverflowError:
+        raise AnalysisError(f"rate {beta!r} gives a bound past the float range at r={r}") from None
     if kind == spectral.POLYNOMIAL_FACTOR:
         bound *= 1 + r
     return bound
@@ -324,7 +328,11 @@ def bound_check(report, *, calibration_radius=4):
     for r, dev in zip(report.radii, report.deviations):
         if r > calibration_radius or dev < DEVIATION_FLOOR:
             continue
-        c_hat = max(c_hat, dev / _bound_at(1.0, beta, kind, r))
+        unit = _bound_at(1.0, beta, kind, r)
+        ratio = dev / unit if unit else math.inf
+        if not abs(ratio) < math.inf:  # beta is 0 or nan, or beta ** r is below the float range
+            raise AnalysisError(f"rate {beta!r} gives no finite constant at r={r}")
+        c_hat = max(c_hat, ratio)
     report.c_hat = c_hat
     # no bound is computed where none is tested: beta ** r can pass the float range
     bounds = [math.inf if r <= calibration_radius or dev < DEVIATION_FLOOR

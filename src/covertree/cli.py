@@ -141,14 +141,16 @@ def _resolve_base(g, tokens):
 
 
 def _load_tube(g, path):
-    header, paths = graph_core.read_records(
-        graph_core.read_ascii(path), "tube", "tube <root> <count>", 2, "member",
-        lambda row: [] if row == ["."] else [int(tok) for tok in row])
-    try:
-        root, _ = map(int, header[1:])
-    except ValueError as exc:
-        raise GraphFileError("tube file must start with 'tube <root> <count>'") from exc
-    return [cover.cover_vertex(g, root, p) for p in paths]
+    def member_parser(header):
+        try:
+            root, _ = map(int, header[1:])
+        except ValueError as exc:
+            raise GraphFileError("tube file must start with 'tube <root> <count>'") from exc
+        cover.cover_vertex(g, root, ())  # an out-of-range root is the header's fault, not a line's
+        return lambda row: cover.cover_vertex(g, root, [] if row == ["."] else map(int, row))
+
+    return graph_core.read_records(graph_core.read_ascii(path), "tube", "tube <root> <count>",
+                                   2, "member", member_parser)[1]
 
 
 def _emit(text, output):

@@ -6,8 +6,8 @@ spheres, tubes and horocycle subsets as layers of half-edge paths held as
 parent-pointer levels, one level per radius (PathLayer), and averages lifted
 functions over them both by brute-force enumeration and by a non-backtracking
 transfer operator over half-edges (exact integer sizes, float path
-distributions).  An object BFS over cover_neighbors (tree_arc,
-tree_sphere, tube_edges) stays as the reference the layers are tested against.
+distributions).  The object BFS that the layers are tested against is
+tests/reference_bfs.py.
 """
 
 from __future__ import annotations
@@ -103,26 +103,6 @@ def _steps(g, root, path):
 def cover_children(g, cv):
     """Tree neighbours one step farther from the root."""
     return [CoverVertex(cv.root, cv.path + (h,), g.head(h)) for h in _steps(g, cv.root, cv.path)]
-
-
-def cover_neighbors(g, cv):
-    out = cover_children(g, cv)
-    parent = cover_parent(g, cv)
-    if parent is not None:
-        out.append(parent)
-    return out
-
-
-def tree_distance(u, v):
-    """Distance between two cover vertices sharing a root (path algebra)."""
-    if u.root != v.root:
-        raise ValueError("cover vertices live in trees with different roots")
-    c = 0
-    for a, b in zip(u.path, v.path):
-        if a != b:
-            break
-        c += 1
-    return (len(u.path) - c) + (len(v.path) - c)
 
 
 # --- arcs and spheres (root coordinates) ---
@@ -365,23 +345,6 @@ def validate_subtree(g, members):
     return seen, top
 
 
-def _tube_layers(g, members, max_radius):
-    """Yield layers of vertices at tree distance 0 .. R from the member set
-    (object BFS, the reference for the path layers)."""
-    visited = set(members)
-    layer = list(members)
-    yield list(layer)
-    for _ in range(max_radius):
-        nxt = []
-        for cv in layer:
-            for nb in cover_neighbors(g, cv):
-                if nb not in visited:
-                    visited.add(nb)
-                    nxt.append(nb)
-        layer = nxt
-        yield list(layer)
-
-
 def _by_depth(paths):
     """The paths as blocks, one per depth."""
     groups = {}
@@ -408,6 +371,17 @@ def _upward(g, cv, r):
     return blocks
 
 
+def _below(g, top, seen, k):
+    """Blocks of the cover vertices k + 1 levels below a validated subtree and
+    outside it: the children of members that are not members, with their
+    descendants k levels down."""
+    paths = {cv.path for cv in seen}
+    boundary = [path + (h,) for path in paths for h in _steps(g, top.root, path)
+                if path + (h,) not in paths]
+    table = _arc_table(g)
+    return [table.descend((rows, ()), k) for rows in _by_depth(boundary)]
+
+
 def tube_vertices(g, members, r):
     """Cover vertices at tree distance exactly r from a connected subtree.
 
@@ -419,54 +393,27 @@ def tube_vertices(g, members, r):
     seen, top = validate_subtree(g, members)
     if r == 0:
         return PathLayer(g, top.root, _by_depth(cv.path for cv in seen), VERTICES)
-    paths = {cv.path for cv in seen}
-    boundary = [path + (h,) for path in paths for h in _steps(g, top.root, path)
-                if path + (h,) not in paths]
-    table = _arc_table(g)
-    blocks = [table.descend((rows, ()), r - 1) for rows in _by_depth(boundary)]
-    return PathLayer(g, top.root, blocks + _upward(g, top, r), VERTICES)
+    return PathLayer(g, top.root, _below(g, top, seen, r - 1) + _upward(g, top, r), VERTICES)
 
 
 def tube_edges(g, members, r):
-    """Tree edges whose nearer endpoint is at tree distance exactly r from the subtree."""
-    seen, _ = validate_subtree(g, members)
-    dist = {}
-    for k, layer in enumerate(_tube_layers(g, seen, r + 1)):
-        for cv in layer:
-            dist[cv] = k
-    out = set()
-    for cv, d in dist.items():
-        if cv.depth == 0:
-            continue
-        parent = cover_parent(g, cv)
-        if parent in dist and min(d, dist[parent]) == r:
-            out.add(CoverEdge(cv, g.edge_of(cv.path[-1])))
-    return frozenset(out)
+    """Tree edges whose nearer endpoint is at tree distance exactly r from a
+    connected subtree, each held as its deeper endpoint.
 
-
-def tree_sphere(g, center, r):
-    """Sphere of radius r around an arbitrary cover vertex."""
-    return frozenset(_layer_at(_tube_layers(g, {center}, r), r))
-
-
-def tree_arc(g, base_cv, toward_cv, radius):
-    """Vertices at tree distance ``radius`` from ``base_cv`` on the branch through
-    its neighbour ``toward_cv``."""
-    if tree_distance(base_cv, toward_cv) != 1:
-        raise ValueError("tree_arc requires adjacent cover vertices")
-    if radius == 0:
-        return frozenset([base_cv])
-    visited = {base_cv, toward_cv}
-    layer = [toward_cv]
-    for _ in range(radius - 1):
-        nxt = []
-        for cv in layer:
-            for nb in cover_neighbors(g, cv):
-                if nb not in visited:
-                    visited.add(nb)
-                    nxt.append(nb)
-        layer = nxt
-    return frozenset(layer)
+    Away from the subtree's ancestors the deeper endpoint is the farther one,
+    so these are the vertices of the tube of radius r + 1, as arc_edge_layers
+    reads an arc, except on the path up from the top vertex: there the edge
+    at height r is held by its lower end, the ancestor r levels up, and not
+    by the ancestor r + 1 levels up.  Radius 0 adds the subtree's own edges,
+    held by the members other than the top.
+    """
+    seen, top = validate_subtree(g, members)
+    blocks = _below(g, top, seen, r) + _upward(g, top, r + 1)
+    if r < top.depth:  # _upward's last block is the ancestor r + 1 levels up
+        blocks[-1] = _block([top.path[:top.depth - r]], top.depth - r)
+    if r == 0:
+        blocks += _by_depth(cv.path for cv in seen if cv != top)
+    return PathLayer(g, top.root, blocks, EDGES)
 
 
 # --- geodesics and horocycle subsets ---
@@ -518,11 +465,6 @@ def horocycle_subset(g, geodesic, r):
     geodesic.validate(g)
     v_r1 = geodesic.vertex_at(g, r + 1)
     return PathLayer(g, v_r1.root, _upward(g, v_r1, r + 1), VERTICES)
-
-
-def busemann_value(g, geodesic, w, horizon):
-    """Finite-truncation Busemann value  d(w, v_n) - n  at n = horizon."""
-    return tree_distance(w, geodesic.vertex_at(g, horizon)) - horizon
 
 
 # --- scalar fields ---
@@ -901,7 +843,7 @@ def _field_value(row):
 
 def read_field(text):
     header, rows = graph_core.read_records(
-        text, "field", "field vertices|edges <count>", 2, "value", _field_value)
+        text, "field", "field vertices|edges <count>", 2, "value", lambda _: _field_value)
     if len(header) != 3 or header[1] not in (VERTICES, EDGES):
         raise GraphFileError("field file must start with 'field vertices|edges <count>'")
     values = dict(rows)
@@ -934,7 +876,8 @@ def read_geodesic(g, text):
             raise ValueError("expected 'u v [k]'")
         return g.half_edge(*map(int, row))
 
-    header, steps = graph_core.read_records(text, "geodesic", "geodesic <period>", 1, "step", step)
+    header, steps = graph_core.read_records(
+        text, "geodesic", "geodesic <period>", 1, "step", lambda _: step)
     if len(header) != 2:
         raise GraphFileError("geodesic file must start with 'geodesic <period>'")
     return GeodesicSpec(tuple(steps)).validate(g)

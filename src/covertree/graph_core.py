@@ -11,6 +11,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import (
+    CoverError,
     DisconnectedGraphError,
     EmptyGraphError,
     GraphError,
@@ -135,9 +136,6 @@ class Graph:
         """Undirected edge id of half-edge ``h``."""
         return self._edge_of[h]
 
-    def edge_endpoints(self, e):
-        return self._edge_pairs[e]
-
     def edges(self):
         return self._edge_pairs
 
@@ -154,13 +152,6 @@ class Graph:
     def continuations(self, h):
         """Half-edges that extend ``h`` without backtracking."""
         return self._continuations[h]
-
-    def edge_degree(self, e):
-        """Number of edges meeting edge ``e`` in either endpoint (simple graphs)."""
-        if not self.is_simple():
-            raise NotSimpleError("edge degree is defined for simple graphs only")
-        u, v = self._edge_pairs[e]
-        return self._degrees[u] + self._degrees[v] - 2
 
     def is_simple(self):
         seen = set()
@@ -236,7 +227,8 @@ class Classification:
     For the regular kinds ``q + 1`` is the common degree and q >= 2 is required
     (degree at least 3); constant-degree graphs below that report as irregular.
     For semiregular graphs every edge joins a degree-(p+1) vertex in ``part_p``
-    to a degree-(q+1) vertex in ``part_q`` with p < q.
+    to a degree-(q+1) vertex in ``part_q`` with p < q.  ``part_p`` is None
+    exactly when the graph is not bipartite.
     """
 
     kind: str
@@ -245,9 +237,6 @@ class Classification:
     p: int | None = None
     part_p: frozenset[int] | None = None
     part_q: frozenset[int] | None = None
-
-    def is_bipartite(self):
-        return self.part_p is not None
 
 
 def _two_coloring(g):
@@ -372,10 +361,11 @@ def generate(name, *params):
 def read_records(text, kind, usage, count_at, noun, parse):
     """Header tokens and parsed records of an input file of ``kind``.
 
-    Header token ``count_at`` is the number of record lines; ``parse`` turns
-    one line's tokens into a record, and a ValueError or GraphError it raises
-    becomes a GraphFileError that names the line.  Header tokens other than
-    the kind and the count are the caller's to check.
+    Header token ``count_at`` is the number of record lines.  Once they are
+    counted, ``parse(header)`` returns the function that turns one line's
+    tokens into a record, and a ValueError, GraphError or CoverError that
+    function raises becomes a GraphFileError that names the line.  Header
+    tokens other than the kind and the count are the caller's to check.
     """
     lines = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
     rows = [tokens for tokens in lines if tokens]
@@ -391,10 +381,11 @@ def read_records(text, kind, usage, count_at, noun, parse):
     if len(rows) - 1 != count:
         raise GraphFileError(f"expected {count} {noun} lines, found {len(rows) - 1}")
     records = []
+    parse_row = parse(header)
     for row in rows[1:]:
         try:
-            records.append(parse(row))
-        except (ValueError, GraphError) as exc:
+            records.append(parse_row(row))
+        except (ValueError, GraphError, CoverError) as exc:
             number = next(i for i, tokens in enumerate(lines, 1) if tokens is row)
             raise GraphFileError(f"line {number}: bad {noun} '{' '.join(row)}': {exc}") from exc
     return header, records
@@ -417,7 +408,8 @@ def _edge(row):
 
 
 def read_graph(text):
-    header, edges = read_records(text, "graph", "graph <n> <m> [loops] [multi]", 2, "edge", _edge)
+    header, edges = read_records(
+        text, "graph", "graph <n> <m> [loops] [multi]", 2, "edge", lambda _: _edge)
     flags = header[3:]
     bad = [f for f in flags if f not in ("loops", "multi")]
     if bad:

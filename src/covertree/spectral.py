@@ -117,17 +117,6 @@ class SpectralDecomposition:
         a, b = self.group_slices[k]
         return self.basis[:, a:b]
 
-    def projection(self, k):
-        b = self.group_basis(k)
-        return b @ b.T
-
-    def project(self, k, values):
-        b = self.group_basis(k)
-        return b @ (b.T @ values)
-
-    def reconstruct(self):
-        return (self.basis * self.eigenvalues) @ self.basis.T
-
 
 def eig_sym(lap):
     """Full eigendecomposition of a Laplacian by LAPACK's symmetric solver."""
@@ -421,12 +410,6 @@ class RatePrediction:
     beta_max: float
     beta_max_kind: str
     active_only: bool
-
-    def row_for(self, mu, tol=GROUPING_TOL):
-        for row in self.per_eigenvalue:
-            if abs(row.mu - mu) <= tol:
-                return row
-        raise KeyError(f"no eigenvalue near {mu}")
 
 
 def theorem_laplacian(g, theorem):

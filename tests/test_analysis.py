@@ -106,7 +106,7 @@ def test_tube_reads_the_projection_from_the_path(petersen):
 
 
 def test_k23_sign_field_never_converges(k23):
-    values = [1.0 if 0 in k23.edge_endpoints(e) else -1.0 for e in range(k23.edge_count)]
+    values = [1.0 if 0 in k23.edges()[e] else -1.0 for e in range(k23.edge_count)]
     f = ScalarField(EDGES, values)
     assert cover.graph_average(f) == 0.0
     report = deviation_series(k23, f, set_kind="arc", radius=20, base=0)
@@ -287,7 +287,8 @@ def _reference_envelope(g, f, base, theorem, radius, decomp):
     for k, mu in enumerate(decomp.distinct):
         if abs(mu - 1.0) <= spectral.TRIVIAL_EIGENVALUE_TOL:
             continue
-        comp = decomp.project(k, f.values)
+        b = decomp.group_basis(k)
+        comp = b @ (b.T @ f.values)
         if f.support == VERTICES:
             f0, f1 = comp[g.tail(base)], comp[g.head(base)]
         else:

@@ -237,7 +237,8 @@ def test_arbitrary_input_files_exit_cleanly(fuzz_inputs, kind, draw):
 
 def _break(text, fault):
     """A valid input file's text with one fault: emptied, a wrong header
-    keyword, its last record line dropped, or that line made unreadable."""
+    keyword, its last record line dropped, that line made unreadable, or made
+    to name vertex 99, which Petersen does not have."""
     lines = text.splitlines()
     if fault == "empty":
         return ""
@@ -245,19 +246,22 @@ def _break(text, fault):
         return "\n".join(["bogus" + lines[0][lines[0].index(" "):]] + lines[1:]) + "\n"
     if fault == "count":
         return "\n".join(lines[:-1]) + "\n"
-    return "\n".join(lines[:-1] + ["x"]) + "\n"
+    return "\n".join(lines[:-1] + ["x" if fault == "record" else "0 99"]) + "\n"
 
 
-@pytest.mark.parametrize("fault", ["empty", "header", "count", "record"])
+@pytest.mark.parametrize("fault", ["empty", "header", "count", "record", "range"])
 @pytest.mark.parametrize("kind", ["graph", "field", "geodesic", "tube"])
 def test_malformed_input_files_exit_3(kind, fault, fuzz_inputs, tmp_path, capsys):
     _, files = fuzz_inputs
     bad = tmp_path / f"bad.{kind}"
     bad.write_text(_break(files[kind].read_text(), fault))
+    last = len(bad.read_text().splitlines())
     for argv in _fuzz_argvs(files, kind, bad):
         assert main(argv) == 3, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+        if fault == "range" and kind in ("geodesic", "tube"):  # graph and field ids: file-wide
+            assert err.startswith(f"error: line {last}: bad "), err
 
 
 def test_malformed_record_names_its_line(tmp_path, petersen_file, capsys):
@@ -418,6 +422,14 @@ def test_rate_override_beta_fails(tmp_path, k4_file):
     assert doc["verdict"] == "fail"  # report still written
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_rate_bound_past_the_float_range_exits_3(tmp_path, petersen_file, fmt, capsys):
+    field = _write_field(tmp_path, graph_core.load_graph(petersen_file), VERTICES, 9)
+    assert main(["rate", "--graph", petersen_file, "--field", field, "--theorem", "1",
+                 "--base", "0", "1", "--override-beta", "1e30", "--format", fmt]) == 3
+    assert capsys.readouterr().err == "error: rate 1e+30 gives a bound past the float range at r=11\n"
+
+
 def test_rate_constant_field(tmp_path, k4_file):
     g = graph_core.load_graph(k4_file)
     field = tmp_path / "const.fld"
@@ -481,6 +493,58 @@ def test_verify_rejects_usage_errors_before_the_eigensolve(k4_file, monkeypatch,
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_verify_bound_past_the_float_range_exits_3(petersen_file, capsys):
+    assert main(["verify", "--graph", petersen_file, "--theorem", "1",
+                 "--override-beta", "1e30"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: rate 1e+30 gives a bound past the float range at r=")
+    assert err.count("\n") == 1
+
+
 def test_verify_override_beta_fails(k4_file):
     assert main(["verify", "--graph", k4_file, "--theorem", "1",
                  "--override-beta", "0.3535533905932738"]) == 1
+
+
+# --- rate and verify options ---
+
+_HOSTILE_BETAS = ["0", "1e-300", "0.5", "2", "1e30", "1e308", "inf", "nan", "-3"]
+
+
+@pytest.fixture(scope="module")
+def rate_inputs(tmp_path_factory):
+    """Petersen (theorems 1, 2) and K(3,4) (theorem 3) with a random field on
+    each regime's support."""
+    d = tmp_path_factory.mktemp("rate")
+    cases = []
+    for name, g, theorems in [("pet", graph_core.generate("petersen"), (1, 2)),
+                              ("k34", graph_core.generate("complete_bipartite", 3, 4), (3,))]:
+        graph_core.save_graph(g, d / f"{name}.g")
+        for theorem in theorems:
+            support = VERTICES if theorem == 1 else EDGES
+            field = _write_field(d, g, support, theorem, name=f"{name}{theorem}.fld")
+            cases.append((str(d / f"{name}.g"), g, theorem, field))
+    return cases
+
+
+@given(draw=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rate_and_verify_options_exit_cleanly(rate_inputs, draw):
+    # an uncaught exception fails the test; exit 1 needs a failed check on stdout
+    graph, g, theorem, field = draw.draw(st.sampled_from(rate_inputs), label="case")
+    beta = draw.draw(st.one_of(st.sampled_from(_HOSTILE_BETAS), st.floats().map(repr)),
+                     label="beta")
+    radius = draw.draw(st.integers(2, 40), label="radius")
+    h = draw.draw(st.integers(0, g.half_edge_count - 1), label="base")
+    options = ["--graph", graph, "--theorem", str(theorem), "--radius", str(radius),
+               f"--override-beta={beta}",  # with "=", "-3" is read as a value
+               "--base", str(g.tail(h)), str(g.head(h))]
+    fmt = draw.draw(st.sampled_from(["json", "csv"]), label="format")
+    for argv in (["rate", "--field", field, "--format", fmt, *options], ["verify", *options]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2, 3), argv
+        failed = re.search(r"^FAIL |\b(bound|envelope) fail\b", out.getvalue(), re.M)
+        assert (rc == 1) <= bool(failed), argv
+        assert rc in (0, 1) or err.getvalue().startswith("error:"), argv

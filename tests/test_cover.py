@@ -20,7 +20,6 @@ from covertree.cover import (
     arc_vertex_count,
     arc_vertex_layers,
     arc_vertices,
-    busemann_value,
     constant_field,
     cover_root,
     cover_vertex,
@@ -32,9 +31,6 @@ from covertree.cover import (
     set_average,
     sphere_edges,
     sphere_vertices,
-    tree_arc,
-    tree_distance,
-    tree_sphere,
     tube_edges,
     tube_vertices,
     write_field,
@@ -49,6 +45,8 @@ from covertree.errors import (
     InvalidGeodesicError,
     SupportMismatchError,
 )
+import reference_bfs
+from reference_bfs import busemann_value, cover_neighbors, tree_arc, tree_distance, tree_sphere
 from test_graph_core import connected_graphs
 from test_transfer import _graphs
 
@@ -162,12 +160,15 @@ def _assert_same_layer(f, layer, reference):
 def test_tube_layers_match_the_object_bfs(name, seeded_cubic):
     g = _graphs(seeded_cubic)[name]
     fv = random_field(g, VERTICES, 43)
+    fe = random_field(g, EDGES, 45)
     rng = random.Random(name)
     for i in range(20):
         members = _random_subtree(g, rng, i % 5)  # the upward branch needs a top below the root
-        bfs = cover._tube_layers(g, set(members), 6)
+        bfs = reference_bfs._tube_layers(g, set(members), 6)
         for r, reference in enumerate(bfs):
             _assert_same_layer(fv, tube_vertices(g, members, r), frozenset(reference))
+            _assert_same_layer(fe, tube_edges(g, members, r),
+                               reference_bfs.tube_edges(g, members, r))
     if name == "path":
         empty = tube_vertices(g, [cover_root(g, 0)], 5)  # past the far end of the path
         assert len(empty) == 0
@@ -279,7 +280,7 @@ def test_tube_matches_bfs_oracle(petersen):
     for d in range(1, radius + 1):
         nxt = []
         for cv in frontier:
-            for nb in cover.cover_neighbors(petersen, cv):
+            for nb in cover_neighbors(petersen, cv):
                 if nb not in dist:
                     dist[nb] = d
                     nxt.append(nb)

@@ -110,7 +110,7 @@ def test_degree_sum_is_twice_edge_count(data):
 def test_classify_k4(k4):
     cls = classify(k4)
     assert cls.kind == REGULAR and cls.q == 2 and cls.simple
-    assert not cls.is_bipartite()
+    assert cls.part_p is None
 
 
 def test_classify_k33(k33):
@@ -132,10 +132,10 @@ def test_classify_k34(k34):
     assert all(k34.degree(v) == 4 for v in cls.part_q)
     # constant edge degree p + q, counted directly
     for e in range(k34.edge_count):
-        u, v = k34.edge_endpoints(e)
+        u, v = k34.edges()[e]
         incident = sum(
             1 for other in range(k34.edge_count) if other != e
-            and set(k34.edge_endpoints(other)) & {u, v}
+            and set(k34.edges()[other]) & {u, v}
         )
         assert incident == 5
 
@@ -186,7 +186,7 @@ def test_distance_basics(k4, k33):
 def test_petersen_distances_against_walk_matrix(petersen):
     a = np.zeros((10, 10))
     for e in range(petersen.edge_count):
-        u, v = petersen.edge_endpoints(e)
+        u, v = petersen.edges()[e]
         a[u, v] = a[v, u] = 1
     reach = np.eye(10)
     expected = np.full((10, 10), -1, dtype=int)
@@ -222,10 +222,16 @@ def test_line_graph_k34(k34):
     assert all(lg.degree(v) == 5 for v in range(12))
 
 
+def _edge_degree(g, e):
+    """Number of edges meeting edge ``e`` in either endpoint (simple graphs)."""
+    u, v = g.edges()[e]
+    return g.degree(u) + g.degree(v) - 2
+
+
 def test_line_graph_degree_matches_edge_degree(petersen):
     lg = line_graph(petersen)
     for e in range(petersen.edge_count):
-        assert lg.degree(e) == petersen.edge_degree(e)
+        assert lg.degree(e) == _edge_degree(petersen, e)
 
 
 def test_line_graph_rejects_multigraph():
@@ -237,7 +243,7 @@ def test_line_graph_rejects_multigraph():
 def test_regular_edge_degree_constant(k4, petersen):
     for g in (k4, petersen):
         q = classify(g).q
-        assert all(g.edge_degree(e) == 2 * q for e in range(g.edge_count))
+        assert all(_edge_degree(g, e) == 2 * q for e in range(g.edge_count))
 
 
 # --- generators ---
