@@ -63,6 +63,7 @@ class ConvergenceReport:
     fitted_beta: float | None = None
     non_convergent: bool = False
     c_hat: float | None = None
+    bounds: list[float | None] | None = None  # bound_check's, None where none was tested
     verdict: str | None = None
     notes: list[str] = field(default_factory=list)
 
@@ -245,6 +246,14 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
     return reports if fields is f else reports[0]
 
 
+def arc_deviations(g, values, support, base, radius):
+    """Arc averages and their deviations, two (radius + 1, m) arrays, of the field
+    value columns ``values`` on ``support``, where the graph average is the target."""
+    _, averages = _arc_union(g, values, support, [base], radius, enumeration_budget(), "arc")
+    targets = [math.fsum(col) / len(col) for col in values.T.tolist()]  # graph_average's bits
+    return averages, np.abs(averages - targets)
+
+
 def _finish_report(g, f, cls, set_kind, radius, sizes, averages, anchor):
     split = (
         f.support == cover.VERTICES
@@ -281,12 +290,9 @@ def fit_rate(report):
         raise InsufficientDataError(
             f"only {len(kept)} usable radii for rate fitting (need >= 6)"
         )
-    xs = []
-    ys = []
-    for i in range(len(kept) - _FIT_WINDOW + 1):
-        chunk = kept[i:i + _FIT_WINDOW]
-        xs.append(chunk[0][0])
-        ys.append(max(d for _, d in chunk))
+    radii, devs = zip(*kept)
+    xs = radii[:len(kept) - _FIT_WINDOW + 1]
+    ys = [max(devs[i:i + _FIT_WINDOW]) for i in range(len(xs))]
     slope = float(np.polyfit(xs, np.log(ys), 1)[0])
     if slope >= 0 or ys[-1] >= ys[0]:
         report.fitted_beta = None
@@ -335,26 +341,28 @@ def bound_check(report, *, calibration_radius=4):
         c_hat = max(c_hat, ratio)
     report.c_hat = c_hat
     # no bound is computed where none is tested: beta ** r can pass the float range
-    bounds = [math.inf if r <= calibration_radius or dev < DEVIATION_FLOOR
-              else _bound_at(c_hat, beta, kind, r)
-              for r, dev in zip(report.radii, report.deviations)]
-    return c_hat, _check_under(report, "bound", bounds)
+    report.bounds = [None if r <= calibration_radius or dev < DEVIATION_FLOOR
+                     else _bound_at(c_hat, beta, kind, r)
+                     for r, dev in zip(report.radii, report.deviations)]
+    return c_hat, _check_under(report, "bound", report.bounds)
+
+
+def violations(deviations, bounds):
+    """True where a deviation above the floor exceeds its bound, for broadcasting
+    arrays; a bound of None reads as nan, which no deviation exceeds."""
+    deviations = np.asarray(deviations)
+    return (deviations >= DEVIATION_FLOOR) & (
+        deviations > np.asarray(bounds, dtype=float) * (1 + _PASS_RTOL) + _PASS_ATOL)
 
 
 def _check_under(report, what, bounds):
     """Pass iff every deviation above the floor sits under its bound; notes
     each violation and sets the report's verdict."""
-    passed = True
-    for r, dev, bound in zip(report.radii, report.deviations, bounds):
-        if dev < DEVIATION_FLOOR:
-            continue
-        if dev > bound * (1 + _PASS_RTOL) + _PASS_ATOL:
-            passed = False
-            report.notes.append(
-                f"{what} violated at r={r}: deviation {dev:.6e} > {bound:.6e}"
-            )
-    report.verdict = "pass" if passed else "fail"
-    return passed
+    over = np.flatnonzero(violations(report.deviations, bounds)).tolist()
+    report.notes += [f"{what} violated at r={report.radii[i]}: deviation "
+                     f"{report.deviations[i]:.6e} > {bounds[i]:.6e}" for i in over]
+    report.verdict = "fail" if over else "pass"
+    return not over
 
 
 # --- rigorous envelope from eigenspace initial values ---
@@ -406,25 +414,28 @@ def _double_step_envelope(f0, f1, mu, p, q, n):
 
 
 def envelope_series(g, f, base, theorem, radius, decomp=None):
-    """Rigorous per-radius bound on the arc deviation of ``f`` at ``base``
-    (a list of bounds for a list of fields).
+    """Rigorous per-radius bound on the arc deviation of the field ``f`` at ``base``.
 
     Each nontrivial eigenspace contributes the exact envelope of its radial
-    profile, computed in closed form from that component's two initial values;
-    the sum dominates |M_r(f) - target| at every radius whenever the radial
-    recursions hold, with no empirical calibration.
+    profile, computed in closed form from the two initial values of the
+    field's projection on it, read at the rows of the radius-0 and radius-1
+    arcs; the sum dominates |M_r(f) - target| at every radius whenever the
+    radial recursions hold.  A supplied ``decomp`` must be the regime's
+    eigendecomposition; the graph still passes the regime's gate.
 
-    A supplied ``decomp`` must be the regime's eigendecomposition; the graph
-    still passes the regime's classification gate.  The initial values of all
-    eigenspace components of all fields come from one projection, read at the
-    rows of the radius-0 and radius-1 arcs.
+    ``f`` may instead be an integer array of columns of ``decomp.basis``, for
+    an (m, radius + 1) array.  Column b in eigenspace K is B_K c + g, with
+    c = B_K^T b and g the computed remainder; its bound is the envelope of
+    B_K c plus 2 max|g|, as every arc average of g and its target lie in
+    [min g, max g].  Only the eigenspaces from the first column's to the last
+    column's are projected: O(n m (m + |K|)), not O(n^2 m), for m columns.
     """
-    fields = [f] if isinstance(f, cover.ScalarField) else f
+    columns = isinstance(f, np.ndarray)
     reg = spectral.regime(g, theorem, base)
     if decomp is None:
         decomp = spectral.eig_sym(spectral.theorem_laplacian(g, theorem)[0])
-    for item in fields:
-        cover.check_field(g, item, reg.support)
+    if not columns:
+        cover.check_field(g, f, reg.support)
     if decomp.support != reg.support:
         raise SupportMismatchError(f"regime {theorem} needs an eigenbasis on {reg.support}")
     if reg.support == cover.VERTICES:
@@ -432,21 +443,32 @@ def envelope_series(g, f, base, theorem, radius, decomp=None):
     else:
         rows0 = [g.edge_of(base)]
         rows1 = [g.edge_of(h) for h in g.continuations(base)]
-    coeffs = decomp.basis.T @ np.column_stack([item.values for item in fields])
-    starts = [a for a, _ in decomp.group_slices]
-    f0s = np.add.reduceat(decomp.basis[rows0].mean(axis=0)[:, None] * coeffs, starts, axis=0)
-    f1s = np.add.reduceat(decomp.basis[rows1].mean(axis=0)[:, None] * coeffs, starts, axis=0)
-    mus = np.array(decomp.distinct)
+    starts = np.array([a for a, _ in decomp.group_slices])
+    first, last, a, basis = 0, len(starts), 0, decomp.basis
+    if columns:
+        own = np.searchsorted(starts, f, side="right") - 1  # each column's eigenspace
+        first, last = own.min(), own.max() + 1
+        a, b = starts[first], decomp.group_slices[last - 1][1]
+        basis, vecs = decomp.basis[:, a:b], decomp.basis[:, f]
+        coeffs = basis.T @ vecs
+        coeffs[(np.searchsorted(starts, np.arange(a, b), side="right") - 1)[:, None] != own] = 0.0
+        rest = 2.0 * np.abs(vecs - basis @ coeffs).max(axis=0)[:, None]
+    else:
+        coeffs = basis.T @ f.values[:, None]
+    starts = starts[first:last] - a
+    f0s = np.add.reduceat(basis[rows0].mean(axis=0)[:, None] * coeffs, starts, axis=0)
+    f1s = np.add.reduceat(basis[rows1].mean(axis=0)[:, None] * coeffs, starts, axis=0)
+    mus = np.array(decomp.distinct[first:last])
     keep = np.abs(mus - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL
     mus, f0s, f1s = mus[keep], f0s[keep], f1s[keep]
     n = np.arange(radius + 1)
     if reg.p == reg.q:
         env = _one_step_envelope(f0s, f1s, reg.roots(mus), n)
     else:
-        env = np.zeros((len(fields), radius + 1))
+        env = np.zeros((coeffs.shape[1], radius + 1))
         for mu, f0, f1 in zip(mus.tolist(), f0s, f1s):
             env += _double_step_envelope(f0, f1, mu, reg.p, reg.q, n)
-    return env.tolist() if fields is f else env[0].tolist()
+    return env + rest if columns else env[0].tolist()
 
 
 def envelope_check(report, env):
@@ -560,19 +582,18 @@ def check_doob_condition(g, decomp):
                   if abs(mu - target) <= spectral.GROUPING_TOL * 10), None)
     if group is None:
         return True  # vacuous: the extreme eigenvalue does not occur
-    star = [[g.edge_of(h) for h in g.out(v)] for v in range(g.vertex_count)]
-    vecs = decomp.group_basis(group).T
-    if any(abs(math.fsum(vec[e] for e in edges)) > _CHECK_TOL for vec in vecs for edges in star):
+    vecs = decomp.group_basis(group)
+    # float star sums: only a sum within rounding (~1e-16) of the tolerance can flip
+    star = [g.edge_of(h) for v in range(g.vertex_count) for h in g.out(v)]
+    if np.any(np.abs(np.add.reduceat(vecs[star], np.cumsum([0, *g.degrees()[:-1]]))) > _CHECK_TOL):
         return False
-    fields = [cover.ScalarField(cover.EDGES, vec) for vec in vecs]
     for base in (0, g.half_edge_count - 1):  # every eigenvector from one transfer per base
         reg = _edge_regime(g, base)
-        sizes, sums = cover.arc_edge_sums(g, fields, base, _DOOB_RADIUS)
-        averages = sums.T / [float(n) for n in sizes]
-        expected = [averages[:, 0]]
-        for n in range(_DOOB_RADIUS):
-            expected.append(expected[-1] * (-1.0 / reg.q if n % 2 == 0 else -1.0 / reg.p))
-        if np.any(np.abs(averages - np.transpose(expected)) > _CHECK_TOL):
+        sizes, sums = cover.arc_edge_sums(g, vecs, base, _DOOB_RADIUS)
+        averages = sums / np.array(sizes, dtype=float)[:, None]
+        steps = np.where(np.arange(_DOOB_RADIUS) % 2, -1.0 / reg.p, -1.0 / reg.q)
+        expected = averages[0] * np.cumprod([1.0, *steps])[:, None]
+        if np.any(np.abs(averages - expected) > _CHECK_TOL):
             return False
     return True
 
@@ -580,16 +601,12 @@ def check_doob_condition(g, decomp):
 # --- report serialisation ---
 
 def report_to_csv(report):
+    """The series as CSV, with bound_check's bounds (empty where it tested none)."""
     lines = ["r,average,target,deviation,bound"]
-    for i, r in enumerate(report.radii):
-        if report.predicted_beta is not None and report.c_hat is not None:
-            bound = repr(_bound_at(report.c_hat, report.predicted_beta,
-                                   report.predicted_kind or spectral.EXACT_GEOMETRIC, r))
-        else:
-            bound = ""
-        lines.append(
-            f"{r},{report.averages[i]!r},{report.targets[i]!r},{report.deviations[i]!r},{bound}"
-        )
+    bounds = report.bounds or [None] * len(report.radii)
+    for r, a, t, d, b in zip(report.radii, report.averages, report.targets,
+                             report.deviations, bounds):
+        lines.append(f"{r},{a!r},{t!r},{d!r},{'' if b is None else repr(b)}")
     return "\n".join(lines) + "\n"
 
 

@@ -779,10 +779,10 @@ def arc_counts(g, base, support, max_radius):
 
 def _arc_sums(g, f, base, max_radius, sizes, support):
     fields = [f] if isinstance(f, ScalarField) else f
-    for item in fields:
-        check_field(g, item, support)
+    for item in [ScalarField(support, f[:, 0])] if isinstance(f, np.ndarray) else fields:
+        check_field(g, item, support)  # of value columns, the first stands for all
+    values = f if isinstance(f, np.ndarray) else np.array([item.values for item in fields]).T
     sizes = list(arc_counts(g, base, support, max_radius)) if sizes is None else sizes
-    values = np.array([item.values for item in fields]).T
     op = transfer_operator(g)
     if support == VERTICES:
         averages = np.concatenate([values[g.tail(base)][None],
@@ -795,7 +795,8 @@ def _arc_sums(g, f, base, max_radius, sizes, support):
 
 def arc_vertex_sums(g, f, base, max_radius, sizes=None):
     """Per-radius (size, sum of lifted values) over vertex arcs A_0 .. A_R; a list of
-    fields gives an (R+1, m) array of sums; ``sizes`` from arc_counts are not recounted."""
+    fields, or an (n, m) array of field values, gives an (R+1, m) array of sums;
+    ``sizes`` from arc_counts are not recounted."""
     return _arc_sums(g, f, base, max_radius, sizes, VERTICES)
 
 

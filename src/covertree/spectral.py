@@ -105,9 +105,7 @@ class SpectralDecomposition:
     distinct: tuple[float, ...] = field(init=False)   # mean eigenvalue per group
 
     def __post_init__(self):
-        self.distinct = tuple(
-            float(np.mean(self.eigenvalues[a:b])) for a, b in self.group_slices
-        )
+        self.distinct = tuple(_by_group(self.eigenvalues, self.group_slices, np.mean).tolist())
 
     def multiplicity(self, k):
         a, b = self.group_slices[k]
@@ -118,19 +116,23 @@ class SpectralDecomposition:
         return self.basis[:, a:b]
 
 
+def _by_group(values, slices, reduce):
+    """``reduce`` over each group's slice of ``values``; a one-element group is its element."""
+    starts, stops = np.array(slices, dtype=np.intp).reshape(-1, 2).T
+    out = values[starts]
+    for k in np.flatnonzero(stops - starts > 1).tolist():
+        out[k] = reduce(values[starts[k]:stops[k]])
+    return out
+
+
 def eig_sym(lap):
     """Full eigendecomposition of a Laplacian by LAPACK's symmetric solver."""
     w, v = np.linalg.eigh(lap.matrix)
     order = np.argsort(w, kind="stable")
     w = w[order]
     v = v[:, order]
-    slices = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > GROUPING_TOL:
-            slices.append((start, i))
-            start = i
-    return SpectralDecomposition(lap.support, w, v, tuple(slices))
+    cuts = (np.flatnonzero(np.diff(w) > GROUPING_TOL) + 1).tolist()
+    return SpectralDecomposition(lap.support, w, v, tuple(zip([0, *cuts], [*cuts, len(w)])))
 
 
 def fourier_coefficients(f, decomp):
@@ -146,10 +148,7 @@ def fourier_coefficients(f, decomp):
     if len(f.values) != decomp.basis.shape[0]:
         raise SupportMismatchError("field length does not match the eigenbasis")
     coeffs = decomp.basis.T @ f.values
-    norms = np.array([
-        math.sqrt(float(np.sum(coeffs[a:b] ** 2))) for a, b in decomp.group_slices
-    ])
-    return coeffs, norms
+    return coeffs, np.sqrt(_by_group(coeffs ** 2, decomp.group_slices, np.sum))
 
 
 # --- per-eigenvalue decay rates ---
@@ -380,13 +379,15 @@ def regime(g, theorem, base=0):
 
 def radial_series(f0, f1, mu, regime, n_max):
     """Radial averages F(0..n_max) of an eigenfunction lift, by exact recursion
-    iteration from the two initial values under the ``Regime``'s steps."""
-    values = [float(f0), float(f1)]
+    iteration from the two initial values under the ``Regime``'s steps; arrays
+    ``f0``, ``f1``, ``mu`` of shape (m,) give (n_max + 1, m), with the same bits."""
+    values = [np.asarray(f0, dtype=float), np.asarray(f1, dtype=float)]
     steps = regime.steps()
     for n in range(2, n_max + 1):
         a, b, d = steps[n % 2]
         values.append(((mu * a - b) * values[-1] - values[-2]) / d)
-    return values[: n_max + 1]
+    series = np.array(values[: n_max + 1])
+    return series.tolist() if series.ndim == 1 else series
 
 
 # --- rate prediction for a whole field ---
@@ -429,15 +430,11 @@ def rate_prediction(g, theorem, f=None, decomp=None):
     reg = regime(g, theorem)
     if decomp is None:
         decomp = eig_sym(theorem_laplacian(g, theorem)[0])
-    norms = None
-    if f is not None:
-        _, norms = fourier_coefficients(f, decomp)
-    rows = []
-    for k, mu in enumerate(decomp.distinct):
-        beta, kind = reg.rate(mu)
-        norm = float(norms[k]) if norms is not None else None
-        active = True if norms is None else norm > ACTIVITY_TOL
-        rows.append(EigenvalueRate(mu, decomp.multiplicity(k), beta, kind, active, norm))
+    norms = (fourier_coefficients(f, decomp)[1].tolist() if f is not None
+             else [None] * len(decomp.distinct))
+    rows = [EigenvalueRate(mu, decomp.multiplicity(k), *reg.rate(mu),
+                           norm is None or norm > ACTIVITY_TOL, norm)
+            for k, (mu, norm) in enumerate(zip(decomp.distinct, norms))]
     candidates = [r for r in rows
                   if r.active and abs(r.mu - 1.0) > TRIVIAL_EIGENVALUE_TOL]
     if not candidates:

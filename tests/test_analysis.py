@@ -278,31 +278,48 @@ def test_envelope_catches_corrupted_series(k4):
     assert not envelope_check(report, env)
 
 
+def _eigenspace_envelope(g, comp, mu, base, theorem, radius):
+    """Closed-form envelope of ``comp``, a field in the eigenspace of ``mu``,
+    from its two initial values at ``base``."""
+    n = np.arange(radius + 1)
+    if theorem == 1:
+        f0, f1 = comp[g.tail(base)], comp[g.head(base)]
+    else:
+        sizes, sums = cover.arc_edge_sums(g, ScalarField(EDGES, comp), base, 1)
+        f0, f1 = sums[0], sums[1] / sizes[1]
+    if theorem == 3:
+        return analysis._double_step_envelope(
+            f0, f1, mu, g.degree(g.tail(base)) - 1, g.degree(g.head(base)) - 1, n)
+    roots_of = (spectral.characteristic_roots_regular_vertex if theorem == 1
+                else spectral.characteristic_roots_regular_edge)
+    roots = [np.array([x], dtype=complex) for x in roots_of(mu, graph_core.classify(g).q)]
+    return analysis._one_step_envelope(np.array([f0]), np.array([f1]), roots, n)
+
+
 def _reference_envelope(g, f, base, theorem, radius, decomp):
     """The envelope summed eigenspace by eigenspace, each from its own
     projection of ``f``."""
-    cls = graph_core.classify(g)
-    n = np.arange(radius + 1)
     env = np.zeros(radius + 1)
     for k, mu in enumerate(decomp.distinct):
-        if abs(mu - 1.0) <= spectral.TRIVIAL_EIGENVALUE_TOL:
-            continue
-        b = decomp.group_basis(k)
-        comp = b @ (b.T @ f.values)
-        if f.support == VERTICES:
-            f0, f1 = comp[g.tail(base)], comp[g.head(base)]
-        else:
-            sizes, sums = cover.arc_edge_sums(g, ScalarField(EDGES, comp), base, 1)
-            f0, f1 = sums[0], sums[1] / sizes[1]
-        if theorem == 3:
-            env += analysis._double_step_envelope(
-                f0, f1, mu, g.degree(g.tail(base)) - 1, g.degree(g.head(base)) - 1, n)
-        else:
-            roots_of = (spectral.characteristic_roots_regular_vertex if theorem == 1
-                        else spectral.characteristic_roots_regular_edge)
-            roots = [np.array([x], dtype=complex) for x in roots_of(mu, cls.q)]
-            env += analysis._one_step_envelope(np.array([f0]), np.array([f1]), roots, n)
+        if abs(mu - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL:
+            b = decomp.group_basis(k)
+            env += _eigenspace_envelope(g, b @ (b.T @ f.values), mu, base, theorem, radius)
     return env
+
+
+def _own_reference_envelope(g, vec, k, base, theorem, radius, decomp):
+    """The envelope of eigenvector ``vec`` of eigenspace ``k``: that of its own
+    projection plus twice the largest entry of the remainder."""
+    b = decomp.group_basis(k)
+    comp = b @ (b.T @ vec)
+    return (_eigenspace_envelope(g, comp, decomp.distinct[k], base, theorem, radius)
+            + 2 * np.abs(vec - comp).max())
+
+
+def _eigenvector_columns(decomp):
+    """Every nontrivial eigenvector column, with its eigenspace."""
+    return [(i, k) for k, ((a, b), mu) in enumerate(zip(decomp.group_slices, decomp.distinct))
+            if abs(mu - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL for i in range(a, b)]
 
 
 @pytest.mark.parametrize("name,theorem", [
@@ -329,28 +346,78 @@ def test_batched_columns_equal_the_per_column_series(name, theorem, request, see
     g = seeded_cubic(60, 60) if name == "cubic-60" else request.getfixturevalue(name)
     lap, reg = spectral.theorem_laplacian(g, theorem)
     decomp = spectral.eig_sym(lap)
-    columns = [decomp.basis[:, i] for (a, b), mu in zip(decomp.group_slices, decomp.distinct)
-               if abs(mu - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL for i in range(a, b)]
-    sums_of = cover.arc_vertex_sums if reg.support == VERTICES else cover.arc_edge_sums
+    columns = _eigenvector_columns(decomp)
     op = cover.transfer_operator(g)
-    at = np.column_stack(columns)[op.heads if reg.support == VERTICES else op.edges]
+    at = decomp.basis[:, [i for i, _ in columns]][op.heads if reg.support == VERTICES else op.edges]
     for base in (0, 1, g.half_edge_count // 2, g.half_edge_count - 1):
         batched = op.averages(at, base, 12)
         assert all(np.array_equal(batched[:, j], op.averages(at[:, j], base, 12))
                    for j in range(len(columns)))
         for start in range(0, len(columns), VERIFY_BLOCK):
-            fields = [ScalarField(reg.support, vec) for vec in columns[start:start + VERIFY_BLOCK]]
-            reports = deviation_series(g, fields, set_kind="arc", radius=12, base=base)
-            envs = envelope_series(g, fields, base, theorem, 12, decomp=decomp)
-            assert len(reports) == len(envs) == len(fields)
-            for f, report, env in zip(fields, reports, envs):
-                sizes, sums = sums_of(g, f, base, 12)
-                assert report.sizes == sizes
-                assert report.averages == [s / n for s, n in zip(sums, sizes)]
+            block = columns[start:start + VERIFY_BLOCK]
+            ids = np.array([i for i, _ in block])
+            averages, deviations = analysis.arc_deviations(
+                g, decomp.basis[:, ids], reg.support, base, 12)
+            env = envelope_series(g, ids, base, theorem, 12, decomp=decomp)
+            assert averages.shape == deviations.shape == env.T.shape == (13, len(block))
+            for j, (i, k) in enumerate(block):
+                report = deviation_series(g, ScalarField(reg.support, decomp.basis[:, i]),
+                                          set_kind="arc", radius=12, base=base)
+                assert averages[:, j].tolist() == report.averages
+                assert deviations[:, j].tolist() == report.deviations
                 # unit eigenvectors project with absolute rounding near 1e-16; where an
                 # envelope is that small no two summation orders agree relatively
-                ref = _reference_envelope(g, f, base, theorem, 12, decomp)
-                assert np.allclose(env, ref, rtol=1e-12, atol=1e-15)
+                ref = _own_reference_envelope(g, decomp.basis[:, i], k, base, theorem, 12, decomp)
+                assert np.allclose(env[j], ref, rtol=1e-12, atol=1e-15)
+
+
+# The own-eigenspace envelope of a unit eigenvector differs from the full
+# projection's by rounding: the full one sums n - 1 cross terms of a few ulps
+# each, the own one adds 2 max|g| for a remainder g of a few ulps.  The cases
+# below differ by up to 2.7e-15 (Petersen, theorem 2); seeded cubic graphs at
+# base 0 by 3.1e-15 at 240 vertices, 4.3e-15 at 1000 and 4.7e-15 at 2000.
+OWN_ENVELOPE_ROUNDING = 1e-14
+
+
+@pytest.mark.parametrize("name,theorem", [
+    ("k4", 1), ("petersen", 1), ("cubic-60", 1), ("k4", 2), ("petersen", 2), ("cubic-60", 2),
+    ("k33", 2), ("k34", 3),
+])
+def test_own_eigenspace_envelope_dominates_and_matches_the_full_projection(
+        name, theorem, request, seeded_cubic):
+    g = seeded_cubic(60, 60) if name == "cubic-60" else request.getfixturevalue(name)
+    lap, reg = spectral.theorem_laplacian(g, theorem)
+    decomp = spectral.eig_sym(lap)
+    ids = np.array([i for i, _ in _eigenvector_columns(decomp)])
+    for base in (0, 1, g.half_edge_count // 2, g.half_edge_count - 1):
+        for start in range(0, len(ids), VERIFY_BLOCK):
+            block = ids[start:start + VERIFY_BLOCK]
+            env = envelope_series(g, block, base, theorem, 12, decomp=decomp)
+            _, deviations = analysis.arc_deviations(g, decomp.basis[:, block], reg.support,
+                                                    base, 12)
+            assert not analysis.violations(deviations, env.T).any()
+            full = [envelope_series(g, ScalarField(reg.support, decomp.basis[:, i]), base,
+                                    theorem, 12, decomp=decomp) for i in block]
+            assert np.abs(env - full).max() <= OWN_ENVELOPE_ROUNDING
+        # the blocks only bound the work: all columns at once give the same bounds
+        whole = envelope_series(g, ids, base, theorem, 12, decomp=decomp)
+        assert np.abs(whole - np.vstack([envelope_series(
+            g, ids[s:s + VERIFY_BLOCK], base, theorem, 12, decomp=decomp)
+            for s in range(0, len(ids), VERIFY_BLOCK)])).max() <= 1e-15
+
+
+def test_own_eigenspace_envelope_bounds_any_remainder(petersen):
+    # 2 max|g| bounds the remainder's deviation for any g, not only a rounding-sized
+    # one: halved eigenvectors are still eigenvectors, but b = B_K c + g with
+    # B_K c = b / 4 and g = 3 b / 4, so without that term the bound fails at r = 0
+    decomp = spectral.eig_sym(spectral.vertex_laplacian(petersen))
+    basis = decomp.basis.copy()
+    basis[:, :3] *= 0.5  # three of the four columns at mu = -2/3
+    bent = spectral.SpectralDecomposition(VERTICES, decomp.eigenvalues, basis, decomp.group_slices)
+    for base in range(petersen.half_edge_count):
+        env = envelope_series(petersen, np.arange(3), base, 1, 12, decomp=bent)
+        _, deviations = analysis.arc_deviations(petersen, basis[:, :3], VERTICES, base, 12)
+        assert not analysis.violations(deviations, env.T).any()
 
 
 def test_one_step_envelope_dominates_radial_series_in_both_root_cases(k4):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertree import cover, graph_core, spectral
-from covertree.cli import generic_field, main, random_field
+from covertree.cli import checks_to_json, generic_field, main, random_field
 from covertree.cover import EDGES, VERTICES
 from covertree.errors import SizeOutOfRangeError
 
@@ -430,6 +430,41 @@ def test_rate_bound_past_the_float_range_exits_3(tmp_path, petersen_file, fmt, c
     assert capsys.readouterr().err == "error: rate 1e+30 gives a bound past the float range at r=11\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_rate_constant_field_with_a_huge_beta_exits_0_in_both_formats(tmp_path, petersen_file,
+                                                                      fmt, capsys):
+    # every deviation is zero, so no bound is tested and none is computed or printed
+    field = tmp_path / "const.fld"
+    cover.save_field(cover.constant_field(graph_core.load_graph(petersen_file), VERTICES, 1.0),
+                     field)
+    dest = tmp_path / f"rate.{fmt}"
+    assert main(["rate", "--graph", petersen_file, "--field", str(field), "--theorem", "1",
+                 "--base", "0", "1", "--override-beta", "1e30", "--format", fmt,
+                 "-o", str(dest)]) == 0
+    assert capsys.readouterr().err == ""
+    if fmt == "csv":
+        assert all(line.endswith(",") for line in dest.read_text().splitlines()[1:])
+    else:
+        assert json.loads(dest.read_text())["verdict"] == "pass"
+
+
+def test_rate_csv_prints_the_tested_bounds(tmp_path, k4_file):
+    g = graph_core.load_graph(k4_file)
+    field = tmp_path / "ind.fld"
+    cover.save_field(cover.indicator_field(g, VERTICES, 0), field)
+    dest = tmp_path / "rate.csv"
+    assert main(["rate", "--graph", k4_file, "--field", str(field), "--theorem", "1",
+                 "--base", "0", "1", "--radius", "10", "--format", "csv", "-o", str(dest)]) == 0
+    rows = [line.split(",") for line in dest.read_text().splitlines()[1:]]
+    beta = 2 ** -0.5
+    c_hat = max(float(d) / beta ** int(r) for r, _, _, d, _ in rows[:5])
+    # empty over the calibration radii 0..4, c_hat * beta**r after them
+    assert [b for *_, b in rows[:5]] == [""] * 5
+    assert all(float(d) > 1e-13 for *_, d, _ in rows[5:])
+    assert [float(b) for *_, b in rows[5:]] == pytest.approx(
+        [c_hat * beta ** r for r in range(5, 11)], rel=1e-12)
+
+
 def test_rate_constant_field(tmp_path, k4_file):
     g = graph_core.load_graph(k4_file)
     field = tmp_path / "const.fld"
@@ -504,6 +539,20 @@ def test_verify_bound_past_the_float_range_exits_3(petersen_file, capsys):
 def test_verify_override_beta_fails(k4_file):
     assert main(["verify", "--graph", k4_file, "--theorem", "1",
                  "--override-beta", "0.3535533905932738"]) == 1
+
+
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=12) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u2028", "\U0001f600", "mu=-0.666666667 [3]"])
+
+
+@given(st.lists(st.builds(lambda name, passed, detail: {"name": name, "passed": passed,
+                                                         "detail": detail},
+                          _TEXT, st.booleans(), _TEXT), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_checks_json_is_json_dumps_byte_for_byte(checks):
+    # the keys in verify's order; names and details with quotes, backslashes,
+    # control characters and non-ASCII text
+    assert checks_to_json(checks) == json.dumps({"checks": checks}, indent=2)
 
 
 # --- rate and verify options ---

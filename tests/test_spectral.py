@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covertree import cover, graph_core, spectral
+from covertree.cli import random_field
 from covertree.cover import EDGES, VERTICES, ScalarField
 from covertree.errors import (
     BipartiteEigenvalueError,
@@ -115,6 +116,24 @@ def test_eig_sym_two_by_two():
     lap = spectral.LaplacianMatrix(VERTICES, np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
     decomp = eig_sym(lap)
     assert np.allclose(decomp.eigenvalues, [-1.0, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["k4", "petersen", "k33", "k34", "cubic-60"])
+def test_grouping_and_norms_have_the_bits_of_the_per_group_loop(name, request, seeded_cubic):
+    # groups of one take their element; larger groups keep np.mean and np.sum
+    g = seeded_cubic(60, 60) if name == "cubic-60" else request.getfixturevalue(name)
+    regular = graph_core.classify(g).kind != graph_core.SEMIREGULAR
+    for lap in ([vertex_laplacian(g)] if regular else []) + [edge_laplacian(g)]:
+        decomp = eig_sym(lap)
+        w, slices, start = decomp.eigenvalues, [], 0
+        for i in range(1, len(w) + 1):
+            if i == len(w) or w[i] - w[i - 1] > spectral.GROUPING_TOL:
+                slices.append((start, i))
+                start = i
+        assert decomp.group_slices == tuple(slices)
+        assert decomp.distinct == tuple(float(np.mean(w[a:b])) for a, b in slices)
+        coeffs, norms = fourier_coefficients(random_field(g, lap.support, 3), decomp)
+        assert norms.tolist() == [math.sqrt(float(np.sum(coeffs[a:b] ** 2))) for a, b in slices]
 
 
 @pytest.mark.parametrize("builder", [
@@ -435,8 +454,6 @@ def test_rate_prediction_k4(k4):
 
 
 def test_rate_prediction_petersen_generic(petersen):
-    from covertree.cli import random_field
-
     pred = rate_prediction(petersen, 1, random_field(petersen, VERTICES, 1))
     assert pred.beta_max == pytest.approx(2 ** -0.5, abs=1e-12)
     # without a field: maximise over the whole spectrum (the mixing rate)
@@ -538,28 +555,34 @@ def test_regime_roots_match_the_scalar_roots(k4, petersen):
             assert d[i] == ref[2]
 
 
-@given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
-@settings(max_examples=200, deadline=None)
-def test_radial_series_is_the_explicit_recursion_bit_for_bit(k4, k34, f0, f1, mu):
-    n_max = 9
+_UNIT = st.floats(-1, 1)
 
-    def explicit(step):
-        values = [f0, f1]
-        for n in range(2, n_max + 1):
-            values.append(step(n, values[-1], values[-2]))
-        return values
+
+@given(st.lists(st.tuples(_UNIT, _UNIT, _UNIT), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_radial_series_is_the_explicit_recursion_bit_for_bit(k4, k34, triples):
+    # each (f0, f1, mu) alone, and all of them as one array call, column by column
+    n_max = 9
+    f0s, f1s, mus = (np.array(column) for column in zip(*triples))
+
+    def check(reg, step):
+        columns = radial_series(f0s, f1s, mus, reg, n_max)
+        assert columns.shape == (n_max + 1, len(triples))
+        for j, (f0, f1, mu) in enumerate(triples):
+            values = [f0, f1]
+            for n in range(2, n_max + 1):
+                values.append(step(n, mu, values[-1], values[-2]))
+            assert radial_series(f0, f1, mu, reg, n_max) == values
+            assert columns[:, j].tolist() == values
 
     q = 2
-    assert radial_series(f0, f1, mu, regime(k4, 1), n_max) == explicit(
-        lambda n, a, b: ((q + 1) * mu * a - b) / q)
-    assert radial_series(f0, f1, mu, regime(k4, 2), n_max) == explicit(
-        lambda n, a, b: -((q - 1 - 2 * mu * q) * a + b) / q)
+    check(regime(k4, 1), lambda n, mu, a, b: ((q + 1) * mu * a - b) / q)
+    check(regime(k4, 2), lambda n, mu, a, b: -((q - 1 - 2 * mu * q) * a + b) / q)
     for base in (k34.half_edge(0, 3), k34.half_edge(3, 0)):
         reg = regime(k34, 3, base)
         p, q, s = reg.p, reg.q, reg.p + reg.q
-        assert radial_series(f0, f1, mu, reg, n_max) == explicit(
-            lambda n, a, b: ((mu * s - (q - 1)) * a - b) / p if n % 2 == 0
-            else ((mu * s - (p - 1)) * a - b) / q)
+        check(reg, lambda n, mu, a, b: ((mu * s - (q - 1)) * a - b) / p if n % 2 == 0
+              else ((mu * s - (p - 1)) * a - b) / q)
 
 
 # --- Ihara-Bass: rates from the non-backtracking spectrum ---
