@@ -89,79 +89,141 @@ def _check_counts(sizes, first, cap, what, empty):
             f"{what} series to radius {cap + 1} has more than {cap} elements (cap {cap})")
 
 
-def _arc_union(g, fields, support, bases, radius, cap, what):
-    """Per-radius (sizes, averages) over the disjoint union of the arcs at
-    ``bases``, one average column per field of ``fields``.  The budget
-    applies to the union at every radius from 1: the arcs are counted in
-    lockstep chunks of radii, so a huge radius fails at the first radius over
-    the cap, and a dead end at its first empty radius, before any averaging.
+@dataclass(frozen=True)
+class _Union:
+    """A set family as a disjoint union of arcs on ``support``.
 
-    Arc averages are weighted by exact size fractions and centred on the first
-    non-empty arc's, so the union's size never has to fit a float and arcs
-    with equal averages give exactly that average.
+    At radius r it holds the arcs of radius r + ``shift`` at the bases
+    ``pieces[r % len(pieces)]``, a base once per tree edge over it.  ``zero``
+    lists the radius-0 elements (vertex or edge ids) where the family replaces
+    radius 0; ``what`` and ``empty`` name the set in budget and empty-set errors.
     """
-    if not bases:  # radius 0 is the caller's; with no arc, every later radius is empty
+
+    support: str
+    pieces: tuple
+    shift: int = 0
+    zero: tuple | None = None
+    what: str = "arc"
+    empty: str = "set"
+
+
+def _summed(counts):
+    """Radius-by-radius sum of lists of sizes; a lone list is not copied."""
+    return counts[0] if len(counts) == 1 else list(map(sum, zip(*counts)))
+
+
+def _union_series(g, values, union, radius, cap):
+    """Per-radius (sizes, averages) over ``union`` of the field value columns
+    ``values``, an (n, m) array.  The distinct bases are counted in lockstep
+    chunks of radii, so a huge radius fails at the first radius over the cap,
+    and a dead end at its first empty radius, before any averaging.  Then one
+    arc series per distinct base gives every radius: a radius with one piece
+    takes its average, and one with more weighs the pieces' averages by exact
+    size fractions, centred on the first non-empty piece's, so the union's size
+    never has to fit a float and equal averages give exactly that average.
+    """
+    if not all(union.pieces):  # radius 0 is the caller's; with no arc, every later radius is empty
         raise EmptySetError("set at radius 1 is empty")
-    counters = [cover.arc_counts(g, h, support, radius) for h in bases]
-    counted, sizes = [[] for _ in bases], []
+    index = {h: i for i, h in enumerate(dict.fromkeys(itertools.chain(*union.pieces)))}
+    bases, pieces = list(index), [[index[h] for h in piece] for piece in union.pieces]
+    period, shift, support = len(pieces), union.shift, union.support
+    counters = [cover.arc_counts(g, h, support, radius + shift) for h in bases]
+    counted = [list(itertools.islice(c, shift)) for c in counters]
+    sizes = []
     keep = radius <= cap  # a longer series fails by radius cap + 1; its sizes are not kept
     for start in range(0, radius + 1, _COUNT_CHUNK):
         chunk = [list(itertools.islice(c, _COUNT_CHUNK)) for c in counters]
-        part = chunk[0] if len(bases) == 1 else list(map(sum, zip(*chunk)))
-        # radius 0 is not capped: it has one element per base, a half-edge leaving
-        # the root or the caller's subtree, and spheres and tubes replace it
-        _check_counts(part if start else part[1:], start or 1, cap, what, "set")
+        if period == 1:  # the same pieces at every radius
+            part = _summed([chunk[i] for i in pieces[0]])
+        else:  # radius start + k has the pieces (start + k) mod period
+            part = [0] * len(chunk[0])
+            for c, piece in enumerate(pieces):
+                k = (c - start) % period
+                part[k::period] = _summed([chunk[i][k::period] for i in piece])
+        # arc radius 0 is not capped: it has one element per piece, a half-edge
+        # leaving the root or the subtree, and spheres and tubes replace it
+        skip = 0 if start or shift else 1
+        _check_counts(part[1:] if skip else part, start + skip, cap, union.what, union.empty)
         if keep:
             for sizes_b, n in zip(counted, chunk):
                 sizes_b += n
             sizes += part
     sums_of = cover.arc_vertex_sums if support == cover.VERTICES else cover.arc_edge_sums
-    series = [sums_of(g, fields, h, radius, sizes_b)[1] for h, sizes_b in zip(bases, counted)]
-    if len(bases) == 1:  # one arc: nothing to weigh
-        return sizes, series[0] / np.array(sizes, dtype=float)[:, None] + 0.0
-    scale = np.array(counted, dtype=float)  # rounds as float(n); the sums raised past the range
-    means = np.array(series) / np.maximum(scale, 1.0)[..., None]
-    first = (scale > 0).argmax(axis=0)
-    centre = means[first, np.arange(radius + 1)]
-    weights = np.array([list(map(operator.truediv, sizes_b, sizes)) for sizes_b in counted])
-    weights[first, np.arange(radius + 1)] = 0.0  # the centre's own arc
-    terms = (weights[..., None] * (means - centre)).transpose(1, 2, 0).reshape(-1, len(bases))
-    return sizes, centre + np.reshape(list(map(math.fsum, terms.tolist())), centre.shape)
+    series = [sums_of(g, values, h, radius + shift, sizes_b)[1]
+              for h, sizes_b in zip(bases, counted)]
+    averages = np.empty((radius + 1, values.shape[1]))
+    for c, piece in enumerate(pieces):
+        rs = slice(shift + c, None, period)  # the arc radii of radii c, c + period, ..
+        scale = np.array([counted[i][rs] for i in piece], dtype=float)  # each fits: its sums did
+        if len(piece) == 1:  # one arc: nothing to weigh
+            averages[c::period] = series[piece[0]][rs] / scale[0, :, None] + 0.0
+            continue
+        means = np.array([series[i][rs] for i in piece]) / np.maximum(scale, 1.0)[..., None]
+        first = (scale > 0).argmax(axis=0)
+        centre = means[first, np.arange(len(first))]
+        weights = np.array([list(map(operator.truediv, counted[i][rs], sizes[c::period]))
+                            for i in piece])
+        weights[first, np.arange(len(first))] = 0.0  # the centre's own arc
+        terms = (weights[..., None] * (means - centre)).transpose(1, 2, 0).reshape(-1, len(piece))
+        averages[c::period] = centre + np.reshape(list(map(math.fsum, terms.tolist())),
+                                                  centre.shape)
+    if union.zero is not None:
+        sizes[0], averages[0] = len(union.zero), cover.part_average(values, union.zero)
+    return sizes, averages
 
 
-def _tube_boundary(g, members):
-    """Projected half-edges of the tree edges leaving a validated subtree.
-
-    Returns (member set, boundary list, internal edge ids); the boundary list
-    may repeat a half-edge when two boundary tree edges project onto it.
-    """
+def _tube(g, members, support):
+    """The tube around a validated subtree as a _Union: the arcs behind the tree
+    edges leaving it, a half-edge once per such edge over it, and at radius 0 the
+    subtree, with its internal edges on edges."""
     seen, top = cover.validate_subtree(g, members)
     paths = {cv.path for cv in seen}
-    boundary = []
-    internal = []
+    boundary, internal = [], []
     for cv in seen:  # set order: the boundary order picks a union's centre arc
         steps = g.continuations(cv.path[-1]) if cv.path else g.out(cv.root)
         boundary += [h for h in steps if cv.path + (h,) not in paths]
         if cv != top:
-            internal.append(g.edge_of(cv.path[-1]))
+            internal.append(cv.path[-1])
         elif cv.path:
             boundary.append(g.twin(cv.path[-1]))  # upward direction at the top vertex
-    return seen, boundary, internal
+    vertices = support == cover.VERTICES
+    zero = [cv.vertex for cv in seen] if vertices else list(map(g.edge_of, boundary + internal))
+    return _Union(support, (tuple(boundary),), zero=tuple(zero),
+                  what="tube" if vertices else "edge tube")
 
 
-def _bipartite_targets(g, f, cls, anchor_part, radius, kind):
-    """Per-radius targets for vertex fields on regular bipartite graphs.
+def _describe(g, set_kind, support, anchor):
+    """The set family at ``anchor`` as a _Union, the one per-family case split."""
+    if set_kind == "arc":
+        return _Union(support, ((anchor,),))
+    if set_kind == "sphere":  # radius 0 is the root, which every arc shares
+        return _Union(cover.VERTICES, (tuple(g.out(anchor)),), zero=(anchor,), what="sphere")
+    if set_kind == "edge-sphere":
+        return _Union(cover.EDGES, (tuple(g.out(anchor)),), what="edge sphere")
+    if set_kind == "tube":
+        return _tube(g, anchor, support)
+    # the radius-r piece is the arc of radius r + 1 behind the (r+1)-th geodesic half-edge
+    anchor.validate(g)
+    return _Union(cover.VERTICES, tuple((g.twin(h),) for h in anchor.half_edges), shift=1,
+                  what="horocycle", empty="horocycle")
 
-    Arc and sphere elements of even radius project into the anchor's part and
-    odd ones into the other part; horocycle members always project into the
-    root's part.
-    """
-    other = cls.part_q if anchor_part == cls.part_p else cls.part_p
-    even = cover.part_average(f, anchor_part)
-    odd = cover.part_average(f, other)
-    if kind == "horocycle":
-        return [even] * (radius + 1)
-    return [even if r % 2 == 0 else odd for r in range(radius + 1)]
+
+def _report(g, f, cls, set_kind, union, sizes, averages):
+    """The series of one field with its targets: the graph average, but for a
+    vertex field on a regular bipartite graph the average of the part that holds
+    every element of radius r, if one part does.  A piece's elements at arc
+    radius k lie in its tail's part, flipped k times."""
+    targets = [cover.graph_average(f)] * len(sizes)
+    if f.support == cover.VERTICES and cls.kind == graph_core.REGULAR_BIPARTITE:
+        means = [cover.part_average(f, cls.part_p), cover.part_average(f, cls.part_q)]
+        for r, target in enumerate(targets):
+            sides = {(g.tail(h) in cls.part_q) ^ (r + union.shift) % 2
+                     for h in union.pieces[r % len(union.pieces)]}
+            if r == 0 and union.zero is not None:
+                sides = {v in cls.part_q for v in union.zero}
+            targets[r] = means[sides.pop()] if len(sides) == 1 else target
+    return ConvergenceReport(set_kind, list(range(len(sizes))), list(sizes), averages, targets,
+                             list(map(abs, map(operator.sub, averages, targets))))
 
 
 def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
@@ -179,95 +241,30 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
         raise ValueError(f"set kind must be one of {SET_KINDS}")
     if radius < 2:
         raise ValueError("need radius >= 2 for a deviation series")
-    anchors = {"arc": base, "sphere": root, "edge-sphere": root,
-               "tube": subtree, "horocycle": geodesic}
-    if anchors[set_kind] is None:
+    anchor = {"arc": base, "sphere": root, "edge-sphere": root,
+              "tube": subtree, "horocycle": geodesic}[set_kind]
+    if anchor is None:
         raise ValueError(f"{set_kind} series needs its anchor argument")
     cap = enumeration_budget(budget)
     cls = graph_core.classify(g)
     fields = [f] if isinstance(f, cover.ScalarField) else f
-    support = {"sphere": cover.VERTICES, "edge-sphere": cover.EDGES,
-               "horocycle": cover.VERTICES}.get(set_kind, fields[0].support)
+    union = _describe(g, set_kind, fields[0].support, anchor)
     for item in fields:
-        cover.check_field(g, item, support)
-
-    if set_kind == "arc":
-        sizes, averages = _arc_union(g, fields, support, [base], radius, cap, "arc")
-        anchor = g.tail(base)
-    elif set_kind in ("sphere", "edge-sphere"):
-        sizes, averages = _arc_union(g, fields, support, g.out(root), radius, cap,
-                                     set_kind.replace("-", " "))
-        if set_kind == "sphere":
-            sizes[0] = 1  # every arc shares the root at radius 0
-        anchor = root
-    elif set_kind == "tube":
-        members, boundary, internal = _tube_boundary(g, subtree)
-        if support == cover.VERTICES:
-            sizes, averages = _arc_union(g, fields, support, boundary, radius, cap, "tube")
-            # radius 0 is the subtree itself
-            sizes[0] = len(members)
-            averages[0] = [cover.set_average(item, members) for item in fields]
-        else:
-            sizes, averages = _arc_union(g, fields, support, boundary, radius, cap, "edge tube")
-            # radius 0 also contains the subtree's internal edges
-            boundary_sums = averages[0] * sizes[0]
-            sizes[0] += len(internal)
-            averages[0] = [(math.fsum(item.values[internal].tolist()) + s) / sizes[0]
-                           for item, s in zip(fields, boundary_sums)]
-        parts = {("p" if cv.vertex in (cls.part_p or ()) else "q") for cv in members}
-        anchor = next(iter(members)).vertex if len(parts) == 1 else None
-    else:  # horocycle
-        geodesic.validate(g)
-        # the radius-r piece is the arc of radius r + 1 at the r-th base, and the bases
-        # repeat with the period.  Distinct bases are counted in lockstep chunks, so the budget
-        # stops at the first radius over the cap; one series per distinct base does the rest.
-        distinct, index = np.unique([g.twin(h) for h in geodesic.half_edges], return_inverse=True)
-        counters = [cover.arc_counts(g, h, support, radius + 1) for h in distinct.tolist()]
-        counted = [[next(c)] for c in counters]  # radius 0: the tail alone
-        pieces, sizes = index.tolist(), []
-        keep = radius <= cap  # as in _arc_union
-        for start in range(0, radius + 1, _COUNT_CHUNK):
-            # the chunks hold the arcs' sizes from radius start + 1 on
-            chunk = [list(itertools.islice(c, _COUNT_CHUNK)) for c in counters]
-            part = [chunk[pieces[r % len(pieces)]][r - start]
-                    for r in range(start, min(start + _COUNT_CHUNK, radius + 1))]
-            _check_counts(part, start, cap, "horocycle", "horocycle")
-            if keep:
-                for sizes_h, n in zip(counted, chunk):
-                    sizes_h += n
-                sizes += part
-        series = [cover.arc_vertex_sums(g, fields, h, radius + 1, sizes_h)[1]
-                  for h, sizes_h in zip(distinct.tolist(), counted)]
-        averages = (np.array(series)[np.resize(index, radius + 1), np.arange(1, radius + 2)]
-                    / np.array(sizes, dtype=float)[:, None])
-        anchor = geodesic.root(g)
-    reports = [_finish_report(g, item, cls, set_kind, radius, list(sizes),
-                              averages[:, j].tolist(), anchor) for j, item in enumerate(fields)]
+        cover.check_field(g, item, union.support)
+    sizes, averages = _union_series(g, np.array([item.values for item in fields]).T, union,
+                                    radius, cap)
+    reports = [_report(g, item, cls, set_kind, union, sizes, column)
+               for item, column in zip(fields, averages.T.tolist())]
     return reports if fields is f else reports[0]
 
 
 def arc_deviations(g, values, support, base, radius):
     """Arc averages and their deviations, two (radius + 1, m) arrays, of the field
     value columns ``values`` on ``support``, where the graph average is the target."""
-    _, averages = _arc_union(g, values, support, [base], radius, enumeration_budget(), "arc")
+    _, averages = _union_series(g, values, _Union(support, ((base,),)), radius,
+                                enumeration_budget())
     targets = [math.fsum(col) / len(col) for col in values.T.tolist()]  # graph_average's bits
     return averages, np.abs(averages - targets)
-
-
-def _finish_report(g, f, cls, set_kind, radius, sizes, averages, anchor):
-    split = (
-        f.support == cover.VERTICES
-        and cls.kind == graph_core.REGULAR_BIPARTITE
-        and anchor is not None
-    )
-    if split:
-        anchor_part = cls.part_p if anchor in cls.part_p else cls.part_q
-        targets = _bipartite_targets(g, f, cls, anchor_part, radius, set_kind)
-    else:
-        targets = [cover.graph_average(f)] * (radius + 1)
-    deviations = list(map(abs, map(operator.sub, averages, targets)))
-    return ConvergenceReport(set_kind, list(range(radius + 1)), sizes,
-                             averages, targets, deviations)
 
 
 # --- rate fitting and bound checking ---

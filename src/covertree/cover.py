@@ -520,8 +520,9 @@ def graph_average(f):
 
 
 def part_average(f, part):
-    """Mean of a vertex field over a vertex subset."""
-    return _mean([float(f.values[v]) for v in part])
+    """Mean of a field, or list of column means of an (n, m) value array, over the ids ``part``."""
+    values = f.values[list(part)] if isinstance(f, ScalarField) else f[list(part)]
+    return _mean(values.tolist()) if values.ndim == 1 else list(map(_mean, values.T.tolist()))
 
 
 def _expected_length(g, support):

@@ -127,6 +127,21 @@ def test_bipartite_parity_targets(k33):
     assert report_q.targets[1] == pytest.approx(1 / 3, abs=1e-15)
 
 
+def test_bipartite_tube_targets_follow_the_parts_of_its_elements(k33):
+    # the star tube of vertex 0 holds both parts at radius 0, but its six boundary
+    # tails all lie in {3, 4, 5}, so from radius 1 on each radius lies in one part
+    f = random_field(k33, VERTICES, 3)
+    root = cover.cover_root(k33, 0)
+    report = deviation_series(k33, f, set_kind="tube", radius=12,
+                              subtree=[root] + cover.cover_children(k33, root))
+    cls = graph_core.classify(k33)
+    own, other = (cls.part_p, cls.part_q) if 0 in cls.part_p else (cls.part_q, cls.part_p)
+    assert report.targets[0] == cover.graph_average(f)
+    assert report.targets[1:] == [cover.part_average(f, own if r % 2 else other)
+                                  for r in range(1, 13)]
+    assert report.deviations[12] < analysis.DEVIATION_FLOOR
+
+
 def test_eigenfield_deviations_equal_radial_profile(petersen):
     decomp = spectral.eig_sym(spectral.vertex_laplacian(petersen))
     for k, mu in enumerate(decomp.distinct):

@@ -294,9 +294,14 @@ def _triangle_tube(k4):
 @pytest.mark.parametrize("kind,support,anchor", [("sphere", VERTICES, "root"),
                                                  ("edge-sphere", EDGES, "root"),
                                                  ("tube", VERTICES, "subtree"),
-                                                 ("tube", EDGES, "subtree")])
-def test_union_series_runs_one_arc_series_per_base(petersen, monkeypatch, kind, support, anchor):
-    f = random_field(petersen, support, 5)
+                                                 ("tube", EDGES, "subtree"),
+                                                 ("tube", VERTICES, "triangle"),
+                                                 ("tube", EDGES, "triangle"),
+                                                 ("horocycle", VERTICES, "geodesic")])
+def test_union_series_runs_one_arc_series_per_base(petersen, k4, monkeypatch, kind, support,
+                                                   anchor):
+    g = k4 if anchor == "triangle" else petersen
+    f = random_field(g, support, 5)
     name = "arc_vertex_sums" if support == VERTICES else "arc_edge_sums"
     calls = []
     original = getattr(cover, name)
@@ -306,14 +311,24 @@ def test_union_series_runs_one_arc_series_per_base(petersen, monkeypatch, kind, 
         return original(g, fields, base, max_radius, sizes)
 
     monkeypatch.setattr(cover, name, counting)
-    anchors = {"root": 0, "subtree": _star(petersen, 0)}
-    analysis.deviation_series(petersen, f, set_kind=kind, radius=12,
-                              **{anchor: anchors[anchor]})
+    geo = cover.GeodesicSpec(tuple(petersen.half_edge(i, (i + 1) % 5) for i in range(5)))
+    anchors = {"root": {"root": 0}, "subtree": {"subtree": _star(petersen, 0)},
+               "triangle": {"subtree": _triangle_tube(k4)}, "geodesic": {"geodesic": geo}}
+    report = analysis.deviation_series(g, f, set_kind=kind, radius=12, **anchors[anchor])
+    # the pieces of each radius, in order: a horocycle's radius-r piece is the arc of
+    # radius r + 1 behind the (r+1)-th geodesic half-edge
     if kind == "tube":
-        bases = analysis._tube_boundary(petersen, anchors["subtree"])[1]
+        pieces, shift = [analysis._tube(g, anchors[anchor]["subtree"], support).pieces[0]], 0
+    elif kind == "horocycle":
+        pieces, shift = [[g.twin(h)] for h in geo.half_edges], 1
     else:
-        bases = petersen.out(0)
-    assert calls == list(bases)
+        pieces, shift = [g.out(0)], 0
+    assert calls == list(dict.fromkeys(h for piece in pieces for h in piece))
+    count = cover.arc_vertex_count if support == VERTICES else cover.arc_edge_count
+    assert report.sizes[1:] == [sum(count(g, h, r + shift) for h in pieces[r % len(pieces)])
+                                for r in range(1, 13)]
+    if anchor == "triangle":  # a repeated boundary half-edge runs once and counts twice
+        assert pieces[0].count(4) == 2 and calls.count(4) == 1
 
 
 def _assert_matches_enumeration(g, f, kind, layer, radius, **anchor):
@@ -326,7 +341,7 @@ def _assert_matches_enumeration(g, f, kind, layer, radius, **anchor):
 
 def test_triangle_tube_with_a_repeated_boundary_matches_enumeration(k4):
     members = _triangle_tube(k4)
-    _, boundary, _ = analysis._tube_boundary(k4, members)
+    boundary = analysis._tube(k4, members, VERTICES).pieces[0]
     assert sorted(boundary) == [0, 2, 4, 4, 8, 10]  # both ends of the walk leave 0 by 0 -> 3
     for seed in (1, 2, 3):
         fv, fe = random_field(k4, VERTICES, seed), random_field(k4, EDGES, seed)
@@ -334,6 +349,23 @@ def test_triangle_tube_with_a_repeated_boundary_matches_enumeration(k4):
                                     6, subtree=members)
         _assert_matches_enumeration(k4, fe, "tube", lambda r: cover.tube_edges(k4, members, r),
                                     6, subtree=members)
+
+
+def test_radius_0_of_tubes_and_spheres_is_one_correctly_rounded_mean(petersen, k4):
+    # an edge tube's radius 0 is its boundary edges and the subtree's internal edges
+    for g, members in ((petersen, _star(petersen, 0)), (k4, _triangle_tube(k4))):
+        for seed in (1, 2, 3):
+            fv, fe = random_field(g, VERTICES, seed), random_field(g, EDGES, seed)
+            zeros = [(fe, "tube", {"subtree": members}, cover.tube_edges(g, members, 0)),
+                     (fv, "tube", {"subtree": members}, cover.tube_vertices(g, members, 0)),
+                     (fv, "sphere", {"root": 0}, [cover.cover_root(g, 0)])]
+            for f, kind, anchor, elements in zeros:
+                report = analysis.deviation_series(g, f, set_kind=kind, radius=4, **anchor)
+                assert report.sizes[0] == len(elements)
+                assert report.averages[0].hex() == cover.set_average(f, elements).hex()
+    negative = cover.constant_field(petersen, VERTICES, -0.0)  # a -0.0 root reads +0.0
+    report = analysis.deviation_series(petersen, negative, set_kind="sphere", radius=2, root=0)
+    assert math.copysign(1.0, report.averages[0]) == 1.0
 
 
 @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)],  # pendant path
