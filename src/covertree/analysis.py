@@ -91,13 +91,11 @@ def _check_counts(sizes, first, cap, what, empty):
 
 @dataclass(frozen=True)
 class _Union:
-    """A set family as a disjoint union of arcs on ``support``.
-
-    At radius r it holds the arcs of radius r + ``shift`` at the bases
-    ``pieces[r % len(pieces)]``, a base once per tree edge over it.  ``zero``
-    lists the radius-0 elements (vertex or edge ids) where the family replaces
-    radius 0; ``what`` and ``empty`` name the set in budget and empty-set errors.
-    """
+    """A set family as a disjoint union of arcs on ``support``: at radius r, the
+    arcs of radius r + ``shift`` at the bases ``pieces[r % len(pieces)]``, a base
+    once per tree edge over it.  ``zero`` lists the radius-0 elements (vertex or
+    edge ids) where the family replaces radius 0; ``what`` and ``empty`` name the
+    set in budget and empty-set errors."""
 
     support: str
     pieces: tuple
@@ -154,15 +152,16 @@ def _union_series(g, values, union, radius, cap):
     averages = np.empty((radius + 1, values.shape[1]))
     for c, piece in enumerate(pieces):
         rs = slice(shift + c, None, period)  # the arc radii of radii c, c + period, ..
-        scale = np.array([counted[i][rs] for i in piece], dtype=float)  # each fits: its sums did
+        counts = [counted[i][rs] for i in piece]
+        scale = np.array(counts, dtype=float)  # each fits: its sums did
         if len(piece) == 1:  # one arc: nothing to weigh
             averages[c::period] = series[piece[0]][rs] / scale[0, :, None] + 0.0
             continue
         means = np.array([series[i][rs] for i in piece]) / np.maximum(scale, 1.0)[..., None]
         first = (scale > 0).argmax(axis=0)
         centre = means[first, np.arange(len(first))]
-        weights = np.array([list(map(operator.truediv, counted[i][rs], sizes[c::period]))
-                            for i in piece])
+        totals = sizes[c::period]
+        weights = np.array([list(map(operator.truediv, n, totals)) for n in counts])
         weights[first, np.arange(len(first))] = 0.0  # the centre's own arc
         terms = (weights[..., None] * (means - centre)).transpose(1, 2, 0).reshape(-1, len(piece))
         averages[c::period] = centre + np.reshape(list(map(math.fsum, terms.tolist())),

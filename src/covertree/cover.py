@@ -480,7 +480,7 @@ class ScalarField:
         arr = np.array(values, dtype=float)
         if arr.ndim != 1:
             raise ValueError("field values must be a flat vector")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("field values must be finite")
         arr.setflags(write=False)
         self.support = support
