@@ -262,7 +262,7 @@ def arc_deviations(g, values, support, base, radius):
     value columns ``values`` on ``support``, where the graph average is the target."""
     _, averages = _union_series(g, values, _Union(support, ((base,),)), radius,
                                 enumeration_budget())
-    targets = [math.fsum(col) / len(col) for col in values.T.tolist()]  # graph_average's bits
+    targets = list(map(cover._mean, values.T.tolist()))  # graph_average's bits
     return averages, np.abs(averages - targets)
 
 
@@ -489,13 +489,12 @@ def check_sphere_decomposition(g, v0, f, radius):
     averages weighted by their exact sizes; an empty sphere has rows only.
     """
     cover.check_field(g, f, cover.VERTICES)
-    out = g.out(v0)
-    layer_iters = [cover.arc_vertex_layers(g, h, radius) for h in out]
-    for it in layer_iters:
+    spheres = cover.sphere_vertex_layers(g, v0, radius)  # built apart from the arcs
+    layer_iters = [cover.arc_vertex_layers(g, h, radius) for h in g.out(v0)]
+    for it in [spheres, *layer_iters]:
         next(it)  # radius 0 is the shared root, not part of the decomposition
-    for r in range(1, radius + 1):
+    for r, sphere in enumerate(spheres, 1):
         layers = [next(it) for it in layer_iters]
-        sphere = cover.sphere_vertices(g, v0, r)
         arcs = _sorted_rows([block for layer in layers for block in layer.blocks], r)
         if (any(layer.root != sphere.root for layer in layers)
                 or not (arcs[1:] != arcs[:-1]).any(axis=1).all()  # pairwise disjoint

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 a verification check failed (report still written),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -69,6 +70,7 @@ def generic_field(g, support, seed, decomp):
 
 # --- argument plumbing ---
 
+@functools.cache  # parsing does not change the parser; one build per process
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="covertree",

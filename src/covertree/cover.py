@@ -302,11 +302,17 @@ def _stacked(g, v0, arcs, support):
     return PathLayer(g, v0, [part for arc in arcs for part in arc.parts], support)
 
 
+def sphere_vertex_layers(g, v0, max_radius):
+    """Yield the spheres S_0 .. S_R(v0), each the d(v0) arcs of its radius stacked."""
+    yield _root_layer(g, v0)
+    arcs = [_arc_layers(g, h, max_radius, VERTICES) for h in g.out(v0)]
+    for _ in range(max_radius):
+        yield _stacked(g, v0, [next(arc) for arc in arcs], VERTICES)
+
+
 def sphere_vertices(g, v0, r):
-    """The sphere S_r(v0): the disjoint union of the d(v0) arcs of radius r."""
-    if r == 0:
-        return _root_layer(g, v0)
-    return _stacked(g, v0, [arc_vertices(g, h, r) for h in g.out(v0)], VERTICES)
+    """The sphere S_r(v0)."""
+    return _layer_at(sphere_vertex_layers(g, v0, r), r)
 
 
 def sphere_edges(g, v0, r):
@@ -505,13 +511,22 @@ def indicator_field(g, support, index):
     return ScalarField(support, values)
 
 
-def _mean(values):
-    """Correctly rounded mean of a list of floats."""
+def _mean(values, counts=None):
+    """The one mean, correctly rounded, of a list of floats or of the multiset
+    holding values[v] counts[v] times: fsum of the exact terms 2**b * values[v],
+    b a set bit of counts[v], rounds the list's exact total, so has its bits."""
+    n = len(values) if counts is None else int(counts.sum())
     try:
-        return math.fsum(values) / len(values)
+        if counts is not None:
+            v, b = np.nonzero(counts[:, None] >> np.arange(int(counts.max()).bit_length()) & 1)
+            with np.errstate(over="ignore"):
+                values = np.ldexp(values[v], b)
+            if not np.isfinite(values).all():  # fsum would return inf, or fail on inf - inf
+                raise OverflowError
+            values = values.tolist()
+        return math.fsum(values) / n
     except OverflowError:
-        raise SizeOutOfRangeError(
-            f"the sum of {len(values)} field values is past the float range") from None
+        raise SizeOutOfRangeError(f"the sum of {n} field values is past the float range") from None
 
 
 def graph_average(f):
@@ -545,7 +560,8 @@ def set_average(f, elements):
     """Mean of the lifted field over a set of cover vertices or cover edges.
 
     A PathLayer is read straight from its path rows, without building its
-    objects; fsum rounds correctly, so the mean has the same bits either way.
+    objects.  N elements on V ids are averaged as per-id counts when N > V *
+    N.bit_length(), where their expansion is surely the shorter list.
     """
     if isinstance(elements, PathLayer):
         support, ids = elements.support, elements.ids()
@@ -562,7 +578,10 @@ def set_average(f, elements):
         raise EmptySetError("cannot average over an empty set")
     if f.support != support:
         raise SupportMismatchError(_NEEDS_FIELD[support])
-    return _mean(f.values[ids].tolist())
+    values, n = f.values, len(ids)
+    if n > len(values) * n.bit_length():
+        return _mean(values, np.bincount(ids, minlength=len(values)))
+    return _mean(values[ids].tolist())
 
 
 # --- non-backtracking transfer operator over half-edges ---
@@ -780,8 +799,13 @@ def arc_counts(g, base, support, max_radius):
 
 def _arc_sums(g, f, base, max_radius, sizes, support):
     fields = [f] if isinstance(f, ScalarField) else f
-    for item in [ScalarField(support, f[:, 0])] if isinstance(f, np.ndarray) else fields:
-        check_field(g, item, support)  # of value columns, the first stands for all
+    if isinstance(f, np.ndarray):  # value columns, checked whole
+        if not np.isfinite(f).all():
+            raise ValueError("field values must be finite")
+        if f.ndim != 2 or len(f) != _expected_length(g, support):
+            raise SupportMismatchError(f"values of shape {f.shape} do not fit the graph's {support}")
+    for item in () if isinstance(f, np.ndarray) else fields:
+        check_field(g, item, support)
     values = f if isinstance(f, np.ndarray) else np.array([item.values for item in fields]).T
     sizes = list(arc_counts(g, base, support, max_radius)) if sizes is None else sizes
     op = transfer_operator(g)

@@ -487,20 +487,22 @@ def test_sphere_decomposition_off_constant_degree(edges):
 def test_sphere_decomposition_rejects_a_faulty_sphere(petersen, monkeypatch, fault):
     f = cover.constant_field(petersen, VERTICES, 1.0)  # equal averages: only the rows can differ
     assert check_sphere_decomposition(petersen, 0, f, 4)
-    sphere_vertices = cover.sphere_vertices
+    sphere_vertex_layers = cover.sphere_vertex_layers
 
-    def faulty(g, v0, r):
-        rows = np.concatenate(sphere_vertices(g, v0, r).blocks)
-        if r == 3:
-            if fault == "drop":
-                rows = rows[1:]
-            elif fault == "duplicate":
-                rows = np.vstack([rows[:1], rows[:-1]])
-            else:  # a row of the sphere around another vertex
-                rows = np.vstack([rows[:-1], sphere_vertices(g, 1, r).blocks[0][:1]])
-        return cover.PathLayer(g, v0, [rows], VERTICES)
+    def faulty(g, v0, max_radius):
+        for r, sphere in enumerate(sphere_vertex_layers(g, v0, max_radius)):
+            rows = np.concatenate(sphere.blocks)
+            if r == 3:
+                if fault == "drop":
+                    rows = rows[1:]
+                elif fault == "duplicate":
+                    rows = np.vstack([rows[:1], rows[:-1]])
+                else:  # a row of the sphere around another vertex
+                    other = list(sphere_vertex_layers(g, 1, r))[r]
+                    rows = np.vstack([rows[:-1], other.blocks[0][:1]])
+            yield cover.PathLayer(g, v0, [rows], VERTICES)
 
-    monkeypatch.setattr(cover, "sphere_vertices", faulty)
+    monkeypatch.setattr(cover, "sphere_vertex_layers", faulty)
     assert not check_sphere_decomposition(petersen, 0, f, 4)
 
 
@@ -518,7 +520,13 @@ def test_sphere_decomposition_rejects_overlapping_arcs(petersen, monkeypatch):
                 layer = cover.PathLayer(g, layer.root, [rows], VERTICES)
             yield layer
 
+    def spheres(g, v0, max_radius):
+        for layers in zip(*[overlapping(g, h, max_radius) for h in g.out(v0)]):
+            yield cover.PathLayer(g, v0, [part for layer in layers for part in layer.parts],
+                                  VERTICES)
+
     monkeypatch.setattr(cover, "arc_vertex_layers", overlapping)
+    monkeypatch.setattr(cover, "sphere_vertex_layers", spheres)
     assert not check_sphere_decomposition(petersen, 0, f, 4)
 
 

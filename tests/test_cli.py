@@ -499,6 +499,18 @@ def test_verify_petersen_theorem1(petersen_file):
     assert main(["verify", "--graph", petersen_file, "--theorem", "1"]) == 0
 
 
+def test_parser_built_once_serves_every_call_alike(tmp_path, petersen_file, capsys):
+    # the parser is built once per process; a rate call in between leaves no trace
+    verify = ["verify", "--graph", petersen_file, "--theorem", "1"]
+    first = main(verify), capsys.readouterr().out
+    field = _write_field(tmp_path, graph_core.load_graph(petersen_file), VERTICES, 3)
+    assert main(["rate", "--graph", petersen_file, "--field", field, "--theorem", "1",
+                 "--base", "0", "1"]) == 0
+    capsys.readouterr()
+    assert (main(verify), capsys.readouterr().out) == first
+    assert first[0] == 0 and "PASS" in first[1]
+
+
 @pytest.mark.parametrize("generator,theorem", [
     (("petersen",), 1), (("petersen",), 2), (("complete_bipartite", 3, 4), 3),
 ])

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,7 @@ from covertree.errors import (
     EmptySubtreeError,
     GraphFileError,
     InvalidGeodesicError,
+    SizeOutOfRangeError,
     SupportMismatchError,
 )
 import reference_bfs
@@ -129,8 +131,8 @@ def test_path_layers_match_the_object_bfs(name, seeded_cubic):
             if deeper:
                 assert set_average(fe, layer) == math.fsum(fe.values[e] for e in edges) / len(edges)
     for v in range(g.vertex_count):
-        for r in range(7):
-            assert sphere_vertices(g, v, r) == tree_sphere(g, cover_root(g, v), r)
+        for r, sphere in enumerate(cover.sphere_vertex_layers(g, v, 6)):
+            assert sphere == sphere_vertices(g, v, r) == tree_sphere(g, cover_root(g, v), r)
 
 
 def _random_subtree(g, rng, depth):
@@ -398,6 +400,87 @@ def test_set_average_errors(k4):
     fe = indicator_field(k4, EDGES, 0)
     with pytest.raises(SupportMismatchError):
         set_average(fe, arc_vertices(k4, 0, 2))
+
+
+# --- the one mean ---
+
+def _bits(x):
+    return float(x).hex()
+
+
+def test_mean_of_a_count_expansion_has_the_bits_of_the_plain_list():
+    # subnormal to 1e300 in size, both signs, counts to 2**20: fsum rounds the
+    # exact total once, and the expansion's exact total is the list's
+    rng = random.Random(18)
+    for trial in range(300):
+        big = trial % 60 == 0
+        size = rng.randint(1, 3 if big else 12)
+        values = np.array([rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-320, 300)
+                           for _ in range(size)])
+        counts = np.array([rng.randrange(2 ** (20 if big else rng.randint(0, 12)) + 1)
+                           for _ in range(size)])
+        counts[rng.randrange(size)] += 1
+        plain = np.repeat(values, counts).tolist()
+        if not big:  # fsum's result does not depend on the order
+            rng.shuffle(plain)
+        assert _bits(cover._mean(values, counts)) == _bits(cover._mean(plain))
+
+
+def _size_rule_layers(g, support, radius):
+    """Every arc layer of ``support`` at every base, and every vertex sphere, to ``radius``."""
+    for h in range(g.half_edge_count):
+        yield from (arc_vertex_layers if support == VERTICES else arc_edge_layers)(g, h, radius)
+    if support == VERTICES:
+        for v in range(g.vertex_count):
+            yield from cover.sphere_vertex_layers(g, v, radius)
+
+
+@pytest.mark.parametrize("name", ["k4", "petersen", "k33", "k34"])
+def test_set_average_has_the_bits_of_fsum_on_both_sides_of_the_size_rule(name, request):
+    g = request.getfixturevalue(name)
+    sides = Counter()
+    for support in (VERTICES, EDGES):
+        f = random_field(g, support, 41)
+        for layer in _size_rule_layers(g, support, 11):
+            ids, n = layer.ids(), len(layer)
+            sides[n > len(f.values) * n.bit_length()] += 1
+            assert _bits(set_average(f, layer)) == _bits(math.fsum(f.values[ids].tolist()) / n)
+    assert sides[True] and sides[False]
+
+
+def test_set_average_hands_fsum_the_short_expansion(k34, monkeypatch):
+    f = random_field(k34, EDGES, 5)
+    layer = next(layer for h in range(k34.half_edge_count)
+                 for layer in arc_edge_layers(k34, h, 11) if len(layer) == 23328)
+    fsum, lengths = math.fsum, []
+
+    def spy(terms):
+        terms = list(terms)
+        lengths.append(len(terms))
+        return fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", spy)
+    got = set_average(f, layer)
+    monkeypatch.undo()
+    assert lengths and lengths[0] <= k34.edge_count * (23328).bit_length()
+    assert _bits(got) == _bits(math.fsum(f.values[layer.ids()].tolist()) / 23328)
+
+
+def test_mean_past_the_float_range_raises_on_both_list_forms(k4):
+    top = 1.5e308
+    with pytest.raises(SizeOutOfRangeError, match="the sum of 3 field values"):
+        cover._mean(np.array([top, 1.0]), np.array([2, 1]))
+    with pytest.raises(SizeOutOfRangeError, match="the sum of 3 field values"):
+        cover._mean([top, 1.0, top])
+    # one term is +inf and one -inf: fsum itself would raise ValueError
+    with pytest.raises(SizeOutOfRangeError, match="the sum of 4 field values"):
+        cover._mean(np.array([top, -top]), np.array([2, 2]))
+    f = ScalarField(VERTICES, [top] * 4)
+    for r in (2, 6):  # 6 elements on 4 ids are listed, 96 are counted
+        sphere = sphere_vertices(k4, 0, r)
+        assert (len(sphere) > 4 * len(sphere).bit_length()) == (r == 6)
+        with pytest.raises(SizeOutOfRangeError, match=f"the sum of {len(sphere)} field values"):
+            set_average(f, sphere)
 
 
 def test_transfer_trivial_radii(k4):

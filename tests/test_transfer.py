@@ -18,7 +18,12 @@ import pytest
 from covertree import analysis, cover, graph_core
 from covertree.cli import main, random_field
 from covertree.cover import EDGES, VERTICES
-from covertree.errors import BudgetExceededError, EmptySetError, SizeOutOfRangeError
+from covertree.errors import (
+    BudgetExceededError,
+    EmptySetError,
+    SizeOutOfRangeError,
+    SupportMismatchError,
+)
 
 SIZE_RADIUS = 40
 AVERAGE_RADIUS = 60
@@ -619,6 +624,19 @@ def test_centring_overflows_only_when_a_difference_passes_the_float_range(k4):
                 op.averages(at, base, 6)
         else:
             assert np.isfinite(op.averages(at, base, 6)).all()
+
+
+def test_value_arrays_are_checked_whole_before_any_step(petersen):
+    # every column counts: a NaN in the last one is not a span past the float range
+    values = np.zeros((petersen.vertex_count, 3))
+    values[4, 2] = np.nan
+    with pytest.raises(ValueError, match="field values must be finite"):
+        cover.arc_vertex_sums(petersen, values, 0, 5)
+    values[4, 2] = 0.0
+    with pytest.raises(SupportMismatchError, match=r"shape \(10, 3\) do not fit the graph's edges"):
+        cover.arc_edge_sums(petersen, values, 0, 5)
+    with pytest.raises(SupportMismatchError, match=r"shape \(10,\) do not fit"):
+        cover.arc_vertex_sums(petersen, values[:, 0], 0, 5)
 
 
 def test_average_past_float_range_exits_3(tmp_path, capsys, monkeypatch, petersen):
