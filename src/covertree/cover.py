@@ -69,10 +69,22 @@ def cover_root(g, v):
     return CoverVertex(v, (), v)
 
 
+def check_id(g, what, i, radius=0):
+    """Raise CoverError unless ``i`` is a "half-edge" or vertex id, ValueError if radius < 0."""
+    _check_radius(radius)
+    n = g.half_edge_count if what == "half-edge" else g.vertex_count
+    if not 0 <= i < n:
+        raise CoverError(f"{what} {i} out of range 0 .. {n - 1}")
+
+
+def _check_radius(r):
+    if r < 0:
+        raise ValueError("radius must be >= 0")
+
+
 def cover_vertex(g, root, path):
     """Validated CoverVertex from a half-edge path starting at ``root``."""
-    if not 0 <= root < g.vertex_count:
-        raise CoverError(f"root vertex {root} out of range")
+    check_id(g, "root vertex", root)
     path = tuple(path)
     at = root
     prev = None
@@ -110,34 +122,48 @@ def cover_children(g, cv):
 # A layer of an arc, sphere, tube or horocycle piece holds half-edge paths from
 # one root, one row per element, in blocks of one depth each.  A block is a
 # prefix matrix of whole rows plus a tuple of levels below it; a level is a
-# pair of arrays: the index of each row's parent row in the level above, and
-# the row's last half-edge.  Layer r + 1 of an arc is layer r with one more
-# level, which lists each parent's continuations in order, so no path is ever
-# copied and the (N, depth) rows are built only when something reads them.
-# The continuations come from this module's own table, not from the transfer
-# operator's arrays, and no rows are ever merged, so enumeration stays an
-# independent oracle for the transfer.
+# pair: the rows' parents, and each row's last half-edge.  The parents are the
+# fan-out c where every row in the level above has c continuations (row i's
+# parent is row i // c), else the index of each row's parent row.  Layer r + 1
+# of an arc is layer r with one more level, which lists each parent's
+# continuations in order, so no path is ever copied and the (N, depth) rows are
+# built only when something reads them.  The continuations come from this
+# module's own table, not from the transfer operator, and no rows are ever
+# merged, so enumeration stays an independent oracle for the transfer.
 
 class _ArcTable:
-    """Continuations of every half-edge as the rows of a table padded with -1,
-    with the head vertex and the edge id of every half-edge."""
+    """Continuations of every half-edge as the rows of a table padded with -1
+    and of one contiguous (H, c) table per fan-out c, with the fan-out, head
+    and edge id of every half-edge; ``uniform`` is the fan-out if all share one."""
 
-    __slots__ = ("padded", "heads", "edges")
+    __slots__ = ("padded", "tables", "fanout", "uniform", "heads", "edges")
 
     def __init__(self, g):
         steps = [g.continuations(h) for h in range(g.half_edge_count)]
-        self.padded = np.full((len(steps), max(map(len, steps), default=0)), -1, dtype=np.intp)
+        self.fanout = np.array(list(map(len, steps)), dtype=np.intp)
+        width = int(self.fanout.max(initial=0))
+        self.padded = np.full((len(steps), width), -1, dtype=np.intp)
         for h, row in enumerate(steps):
             self.padded[h, :len(row)] = row
+        self.tables = [np.ascontiguousarray(self.padded[:, :c]) for c in range(width + 1)]
+        self.uniform = width if (self.fanout == width).all() else None
         self.heads = np.array(g.heads, dtype=np.intp)
         self.edges = np.array([g.edge_of(h) for h in range(g.half_edge_count)], dtype=np.intp)
 
     def extend(self, last):
         """The level below paths ending in ``last``: parents in order, then
-        each parent's continuations in table order."""
-        cont = self.padded[last]
-        keep = cont >= 0
-        return keep.nonzero()[0], cont[keep]
+        each parent's continuations in table order.  Where every parent has
+        the same fan-out c, that is one gather from the (H, c) table and the
+        level stores c; otherwise the padded rows are masked."""
+        c = self.uniform
+        if c is None:
+            fan = self.fanout[last]
+            c = int(fan[0]) if len(fan) else 0
+            if (fan != c).any():
+                cont = self.padded[last]
+                keep = cont >= 0
+                return keep.nonzero()[0], cont[keep]
+        return c, self.tables[c].take(last, axis=0).ravel()
 
     def descend(self, block, k):
         """The block k half-edges longer: every descendant k levels down."""
@@ -166,13 +192,13 @@ def _size(block):
 
 def _materialise(block):
     """The (N, depth) rows of a block, read-only: each level's last half-edges
-    read through the parent indices of the levels below it."""
+    read through the parents of the levels below it, i // c for a fan-out c."""
     prefix, levels = block
     rows = np.empty((_size(block), prefix.shape[1] + len(levels)), dtype=np.intp)
-    at = slice(None)
+    at = np.arange(len(rows))
     for j, (parent, last) in enumerate(reversed(levels), 1):
         rows[:, -j] = last[at]
-        at = parent[at]
+        at = at // parent if isinstance(parent, int) else parent[at]
     rows[:, :prefix.shape[1]] = prefix[at]
     rows.setflags(write=False)
     return rows
@@ -181,9 +207,9 @@ def _materialise(block):
 class PathLayer(Set):
     """Read-only set of cover vertices, or of the tree edges above them, held
     in ``parts``: blocks of half-edge paths from one root, one depth per
-    block, each a prefix matrix of rows plus a tuple of (parent index, last
-    half-edge) levels below it; a plain (N, depth) matrix is a block with no
-    levels.  An arc has one block; a sphere has one per arc; a tube or
+    block, each a prefix matrix of rows plus a tuple of (parents: a fan-out or
+    an index array, last half-edge) levels below it; a plain (N, depth) matrix
+    is a block with no levels.  An arc has one block; a sphere has one per arc; a tube or
     horocycle piece has one per depth its branches start at.
 
     ``len`` and ``ids()`` read only the last level.  ``blocks`` are the full
@@ -269,12 +295,14 @@ def _arc_layers(g, base, n, support):
 
 def arc_vertex_layers(g, base, max_radius):
     """Yield the vertex arcs A_0 .. A_R of the directed edge ``base`` as path layers."""
+    check_id(g, "half-edge", base, max_radius)
     yield _root_layer(g, g.tail(base))
     yield from _arc_layers(g, base, max_radius, VERTICES)
 
 
 def _layer_at(layers, r):
-    """Layer ``r`` of a generator that yields layers 0, 1, .., r."""
+    """Item ``r`` of an iterator over radii 0, 1, .., r."""
+    _check_radius(r)
     return next(itertools.islice(layers, r, None))
 
 
@@ -290,6 +318,7 @@ def arc_edge_layers(g, base, max_radius):
     on the branch through ``base``, so their deeper endpoints are exactly the
     vertex arc of radius r + 1: the same blocks, read as edges.
     """
+    check_id(g, "half-edge", base, max_radius)
     yield from _arc_layers(g, base, max_radius + 1, EDGES)
 
 
@@ -297,17 +326,17 @@ def arc_edges(g, base, r):
     return _layer_at(arc_edge_layers(g, base, r), r)
 
 
-def _stacked(g, v0, arcs, support):
-    """One layer holding the blocks of the arcs at v0's half-edges."""
-    return PathLayer(g, v0, [part for arc in arcs for part in arc.parts], support)
+def _spheres(g, v0, n, support):
+    """The arc layers of 1 .. n half-edges at v0's half-edges, stacked into one per length."""
+    for arcs in zip(*[_arc_layers(g, h, n, support) for h in g.out(v0)]):
+        yield PathLayer(g, v0, [part for arc in arcs for part in arc.parts], support)
 
 
 def sphere_vertex_layers(g, v0, max_radius):
     """Yield the spheres S_0 .. S_R(v0), each the d(v0) arcs of its radius stacked."""
+    check_id(g, "root vertex", v0, max_radius)
     yield _root_layer(g, v0)
-    arcs = [_arc_layers(g, h, max_radius, VERTICES) for h in g.out(v0)]
-    for _ in range(max_radius):
-        yield _stacked(g, v0, [next(arc) for arc in arcs], VERTICES)
+    yield from _spheres(g, v0, max_radius, VERTICES)
 
 
 def sphere_vertices(g, v0, r):
@@ -315,9 +344,15 @@ def sphere_vertices(g, v0, r):
     return _layer_at(sphere_vertex_layers(g, v0, r), r)
 
 
+def sphere_edge_layers(g, v0, max_radius):
+    """Yield the edge spheres S'_0 .. S'_R(v0), each the d(v0) edge arcs of its radius stacked."""
+    check_id(g, "root vertex", v0, max_radius)
+    yield from _spheres(g, v0, max_radius + 1, EDGES)
+
+
 def sphere_edges(g, v0, r):
     """Tree edges whose nearer endpoint lies at distance r from the root."""
-    return _stacked(g, v0, [arc_edges(g, h, r) for h in g.out(v0)], EDGES)
+    return _layer_at(sphere_edge_layers(g, v0, r), r)
 
 
 # --- tubes around a finite connected subtree ---
@@ -396,6 +431,7 @@ def tube_vertices(g, members, r):
     member, a child outside the subtree with its descendants r - 1 levels
     down; above the top vertex, its upward branch.
     """
+    _check_radius(r)
     seen, top = validate_subtree(g, members)
     if r == 0:
         return PathLayer(g, top.root, _by_depth(cv.path for cv in seen), VERTICES)
@@ -413,6 +449,7 @@ def tube_edges(g, members, r):
     by the ancestor r + 1 levels up.  Radius 0 adds the subtree's own edges,
     held by the members other than the top.
     """
+    _check_radius(r)
     seen, top = validate_subtree(g, members)
     blocks = _below(g, top, seen, r) + _upward(g, top, r + 1)
     if r < top.depth:  # _upward's last block is the ancestor r + 1 levels up
@@ -468,6 +505,7 @@ def horocycle_subset(g, geodesic, r):
     from the (r+1)-th geodesic vertex back to the r-th: that vertex's upward
     branch of radius r + 1.
     """
+    _check_radius(r)
     geodesic.validate(g)
     v_r1 = geodesic.vertex_at(g, r + 1)
     return PathLayer(g, v_r1.root, _upward(g, v_r1, r + 1), VERTICES)
@@ -779,19 +817,18 @@ def _sums(sizes, averages):
 
 def arc_vertex_count(g, base, r):
     """|A_r(base)| by exact integer counting; keeps only the last size."""
-    for size in arc_counts(g, base, VERTICES, r):
-        pass
-    return size
+    return _layer_at(arc_counts(g, base, VERTICES, r), r)
 
 
 def arc_edge_count(g, base, r):
     """|A'_r(base)| by exact integer counting."""
-    return arc_vertex_count(g, base, r + 1)
+    return _layer_at(arc_counts(g, base, EDGES, r), r)
 
 
 def arc_counts(g, base, support, max_radius):
     """Iterate over the exact sizes of the vertex or edge arcs at ``base``,
     radius 0 .. max_radius; A'_r has the paths of r + 1 half-edges."""
+    check_id(g, "half-edge", base, max_radius)
     counts = transfer_operator(g).counts(base, max_radius + (support == EDGES))
     # A_0 is the tail alone; A_r has the paths of r half-edges
     return itertools.chain([1], counts) if support == VERTICES else counts

@@ -22,6 +22,7 @@ from covertree.cover import EDGES, VERTICES, ScalarField
 from covertree.errors import (
     BudgetExceededError,
     ClassificationMismatchError,
+    CoverError,
     InsufficientDataError,
     SupportMismatchError,
 )
@@ -481,6 +482,23 @@ def test_sphere_decomposition_off_constant_degree(edges):
     g = graph_core.build_graph(max(map(max, edges)) + 1, edges)
     f = random_field(g, VERTICES, 32)
     assert all(check_sphere_decomposition(g, v, f, 8) for v in range(g.vertex_count))
+
+
+@pytest.mark.parametrize("bad", [-1, 10])
+def test_anchors_out_of_range_raise_cover_error(petersen, bad):
+    # -1 would read as base 29 or vertex 9, 10 and 30 would raise a bare IndexError
+    fv = random_field(petersen, VERTICES, 33)
+    fe = random_field(petersen, EDGES, 34)
+    base = 30 if bad > 0 else bad
+    with pytest.raises(CoverError, match=rf"^half-edge {base} out of range 0 \.\. 29$"):
+        deviation_series(petersen, fv, set_kind="arc", radius=4, base=base)
+    for kind, f in (("sphere", fv), ("edge-sphere", fe)):
+        with pytest.raises(CoverError, match=rf"^root vertex {bad} out of range 0 \.\. 9$"):
+            deviation_series(petersen, f, set_kind=kind, radius=4, root=bad)
+    with pytest.raises(CoverError, match=rf"^root vertex {bad} out of range 0 \.\. 9$"):
+        check_sphere_decomposition(petersen, bad, fv, 3)
+    with pytest.raises(ValueError, match="^radius must be >= 0$"):
+        check_sphere_decomposition(petersen, 0, fv, -1)
 
 
 @pytest.mark.parametrize("fault", ["drop", "duplicate", "outside"])

@@ -30,6 +30,7 @@ from covertree.cover import (
     read_field,
     read_geodesic,
     set_average,
+    sphere_edge_layers,
     sphere_edges,
     sphere_vertices,
     tube_edges,
@@ -133,6 +134,13 @@ def test_path_layers_match_the_object_bfs(name, seeded_cubic):
     for v in range(g.vertex_count):
         for r, sphere in enumerate(cover.sphere_vertex_layers(g, v, 6)):
             assert sphere == sphere_vertices(g, v, r) == tree_sphere(g, cover_root(g, v), r)
+        for r, sphere in enumerate(sphere_edge_layers(g, v, 6)):
+            bfs = reference_bfs.tube_edges(g, [cover_root(g, v)], r)
+            assert len(sphere) == len(bfs) and sphere == sphere_edges(g, v, r) == bfs
+            if bfs:
+                edges = [ce.edge for ce in bfs]
+                want = math.fsum(fe.values[edges].tolist()) / len(edges)
+                assert set_average(fe, sphere) == want
 
 
 def _random_subtree(g, rng, depth):
@@ -226,6 +234,30 @@ def test_sphere_sizes_regular(k4, petersen):
 def test_edge_sphere_radius_zero(k4):
     assert len(sphere_edges(k4, 0, 0)) == 3
     assert {ce.edge for ce in sphere_edges(k4, 0, 0)} == {k4.edge_of(h) for h in k4.out(0)}
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_edge_spheres_stack_the_edge_arcs_row_for_row(name, seeded_cubic):
+    g = _graphs(seeded_cubic)[name]
+    for v in range(g.vertex_count):
+        arcs = [list(arc_edge_layers(g, h, 6)) for h in g.out(v)]
+        for r, sphere in enumerate(sphere_edge_layers(g, v, 6)):
+            blocks = [block for arc in arcs for block in arc[r].blocks]
+            assert sphere.root == v and sphere.support == EDGES
+            assert len(sphere.blocks) == len(blocks)
+            assert all(np.array_equal(a, b) for a, b in zip(sphere.blocks, blocks))
+            assert np.array_equal(sphere.ids(), np.concatenate([arc[r].ids() for arc in arcs]))
+
+
+def test_edge_sphere_series_extends_each_arc_once_per_radius(petersen, monkeypatch):
+    calls = []
+    extend = cover._ArcTable.extend
+    monkeypatch.setattr(cover._ArcTable, "extend",
+                        lambda table, last: calls.append(len(last)) or extend(table, last))
+    assert len(list(sphere_edge_layers(petersen, 0, 11))) == 12
+    assert len(calls) == 3 * 11  # one level per arc per radius past 0
+    del calls[:]
+    assert len(sphere_edges(petersen, 0, 11)) == 3 * 2 ** 11 and len(calls) == 3 * 11
 
 
 def test_sphere_is_disjoint_union_of_arcs(petersen):
@@ -571,6 +603,74 @@ def test_geodesic_file_parallel_index():
     assert geo.half_edges == (0, 3)
     with pytest.raises(GraphFileError):
         read_geodesic(g, "geodesic 1\n0 1 5\n")
+
+
+def _tube_star(g):
+    return [cover_root(g, 0)] + cover.cover_children(g, cover_root(g, 0))
+
+
+def _ones(g, support):
+    return constant_field(g, support, 1.0)
+
+
+def _petersen_cycle(g):
+    return GeodesicSpec(tuple(g.half_edge(i, (i + 1) % 5) for i in range(5)))
+
+
+ENTRY_POINTS = {
+    "arc_vertex_layers": lambda g, r: list(arc_vertex_layers(g, 0, r)),
+    "arc_edge_layers": lambda g, r: list(arc_edge_layers(g, 0, r)),
+    "arc_vertices": lambda g, r: arc_vertices(g, 0, r),
+    "arc_edges": lambda g, r: arc_edges(g, 0, r),
+    "sphere_vertex_layers": lambda g, r: list(cover.sphere_vertex_layers(g, 0, r)),
+    "sphere_edge_layers": lambda g, r: list(sphere_edge_layers(g, 0, r)),
+    "sphere_vertices": lambda g, r: sphere_vertices(g, 0, r),
+    "sphere_edges": lambda g, r: sphere_edges(g, 0, r),
+    "tube_vertices": lambda g, r: tube_vertices(g, _tube_star(g), r),
+    "tube_edges": lambda g, r: tube_edges(g, _tube_star(g), r),
+    "horocycle_subset": lambda g, r: horocycle_subset(g, _petersen_cycle(g), r),
+    "arc_vertex_count": lambda g, r: arc_vertex_count(g, 0, r),
+    "arc_edge_count": lambda g, r: arc_edge_count(g, 0, r),
+    "arc_counts_vertices": lambda g, r: list(cover.arc_counts(g, 0, VERTICES, r)),
+    "arc_counts_edges": lambda g, r: list(cover.arc_counts(g, 0, EDGES, r)),
+    "arc_vertex_sums": lambda g, r: cover.arc_vertex_sums(g, _ones(g, VERTICES), 0, r),
+    "arc_edge_sums": lambda g, r: cover.arc_edge_sums(g, _ones(g, EDGES), 0, r),
+    "arc_average_transfer": lambda g, r: arc_average_transfer(g, _ones(g, VERTICES), 0, r),
+}
+
+
+@pytest.mark.parametrize("r", [-1, -2])
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_every_entry_point_refuses_a_negative_radius(name, r, petersen):
+    ENTRY_POINTS[name](petersen, 0)  # radius 0 is fine
+    with pytest.raises(ValueError, match=r"^radius must be >= 0$"):
+        ENTRY_POINTS[name](petersen, r)
+
+
+ANCHORED = {
+    "arc_vertex_layers": ("half-edge", lambda g, i: list(arc_vertex_layers(g, i, 2))),
+    "arc_edge_layers": ("half-edge", lambda g, i: list(arc_edge_layers(g, i, 2))),
+    "arc_vertices": ("half-edge", lambda g, i: arc_vertices(g, i, 2)),
+    "arc_edges": ("half-edge", lambda g, i: arc_edges(g, i, 2)),
+    "arc_vertex_count": ("half-edge", lambda g, i: arc_vertex_count(g, i, 2)),
+    "arc_edge_count": ("half-edge", lambda g, i: arc_edge_count(g, i, 2)),
+    "arc_edge_sums": ("half-edge", lambda g, i: cover.arc_edge_sums(g, _ones(g, EDGES), i, 2)),
+    "sphere_vertex_layers": ("vertex", lambda g, i: list(cover.sphere_vertex_layers(g, i, 2))),
+    "sphere_edge_layers": ("vertex", lambda g, i: list(sphere_edge_layers(g, i, 2))),
+    "sphere_vertices": ("vertex", lambda g, i: sphere_vertices(g, i, 2)),
+    "sphere_edges": ("vertex", lambda g, i: sphere_edges(g, i, 2)),
+    "cover_vertex": ("vertex", lambda g, i: cover_vertex(g, i, [])),
+}
+
+
+@pytest.mark.parametrize("name", ANCHORED)
+def test_anchors_out_of_range_raise_cover_error_naming_the_range(name, petersen):
+    kind, call = ANCHORED[name]
+    top = petersen.half_edge_count if kind == "half-edge" else petersen.vertex_count
+    call(petersen, top - 1)
+    for bad in (-1, top):  # -1 would wrap to the last id, ``top`` would raise IndexError
+        with pytest.raises(CoverError, match=rf"{kind} {bad} out of range 0 \.\. {top - 1}$"):
+            call(petersen, bad)
 
 
 def test_cover_vertex_validation(k4):

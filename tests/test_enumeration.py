@@ -4,10 +4,13 @@ The reference holds every layer as an (N, depth) matrix and builds the next
 one by repeating each row once per continuation of its last half-edge and
 appending that continuation, so it copies every earlier column at each
 radius.  The path layers keep parent-pointer levels instead; they must give
-the same rows in the same order, the same ids and the same average bits.
+the same rows in the same order, the same ids and the same average bits.  A
+level whose parents all have one fan-out c stores c instead of its parent
+indices; on regular and semiregular graphs every level must.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,14 +28,18 @@ from covertree.cover import (
     arc_vertices,
     horocycle_subset,
     set_average,
+    tube_edges,
     tube_vertices,
 )
+from test_cover import _closed_walk, _random_subtree
 from test_graph_core import connected_graphs
 from test_transfer import _graphs
 
 RADIUS = 8
 ORACLE_GRAPHS = ("k4", "petersen", "k34", "cubic60", "chords", "path", "loops")
 DEAD_ENDS = {"pendant": [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)], "k13": [(0, 1), (0, 2), (0, 3)]}
+UNIFORM = ("k34", "k25", "petersen", "cubic60")  # one fan-out per level everywhere
+MIXED = ("chords", "path", "loops", *DEAD_ENDS)   # levels with parents of two fan-outs, or c = 0
 
 
 class ReferenceTable:
@@ -122,6 +129,7 @@ def _assert_reference_rows(f, layer, want):
     assert len(layer) == len(ids) and np.array_equal(layer.ids(), ids)
     if len(ids):
         assert set_average(f, layer) == math.fsum(f.values[ids].tolist()) / len(ids)
+        return len(ids) > len(f.values) * len(ids).bit_length()  # set_average's size rule
 
 
 def _assert_arcs_match_reference(g, radius=RADIUS):
@@ -154,6 +162,84 @@ def test_arc_layers_match_the_matrix_reference_everywhere(data):
 
 def _star(g, cv):
     return [cv] + cover.cover_children(g, cv)
+
+
+def _graph(name, seeded_cubic):
+    if name in DEAD_ENDS:
+        edges = DEAD_ENDS[name]
+        return graph_core.build_graph(max(map(max, edges)) + 1, edges)
+    return _graphs(seeded_cubic)[name]
+
+
+def _geodesics(g, name, rng):
+    """Closed non-backtracking walks, none on a tree; the pendant's random
+    walks could run into its dead end, so it gets its triangle."""
+    if name == "pendant":
+        return [GeodesicSpec(tuple(g.half_edge(i, (i + 1) % 3) for i in range(3)))]
+    return [_closed_walk(g, rng) for _ in range(3)] if g.edge_count >= g.vertex_count else []
+
+
+def _tubes_and_horocycles(g, name):
+    """(layer, reference blocks) pairs: tubes of radius 1 .. RADIUS around the
+    first vertices and their stars and around random subtrees, some with
+    their top below the root, and the horocycle pieces of radius 0 .. RADIUS
+    along closed walks."""
+    rng = random.Random(name)
+    roots = [cover.cover_root(g, v) for v in range(min(g.vertex_count, 5))]
+    subtrees = [[cv] for cv in roots] + [_star(g, cv) for cv in roots]
+    for members in subtrees + [_random_subtree(g, rng, i % 3) for i in range(6)]:
+        for r in range(1, RADIUS + 1):
+            yield tube_vertices(g, members, r), reference_tube(g, members, r)
+    for geodesic in _geodesics(g, name, rng):
+        for r in range(RADIUS + 1):
+            yield horocycle_subset(g, geodesic, r), reference_horocycle(g, geodesic, r)
+
+
+def _parents(layer):
+    """The parents of every level of every block of ``layer``."""
+    return [parents for _, levels in layer.parts for parents, _ in levels]
+
+
+@pytest.mark.parametrize("name", UNIFORM)
+def test_uniform_levels_store_their_fan_out(name, seeded_cubic):
+    # a fallback to the masked gather would store index arrays and fail here
+    g = _graph(name, seeded_cubic)
+    fv, fe = random_field(g, VERTICES, 56), random_field(g, EDGES, 57)
+    layers, sides = [], set()
+    for base in range(g.half_edge_count):
+        *_, arc = arc_vertex_layers(g, base, RADIUS)
+        *_, edge_arc = arc_edge_layers(g, base, RADIUS)
+        layers += [arc, edge_arc]
+        sides.add(_assert_reference_rows(fe, edge_arc, [reference_arc(g, base, RADIUS + 1)[-1]]))
+    for layer, want in _tubes_and_horocycles(g, name):
+        layers.append(layer)
+        sides.add(_assert_reference_rows(fv, layer, want))
+    rng = random.Random(name)
+    layers += [tube_edges(g, _random_subtree(g, rng, 2), r) for r in range(RADIUS + 1)]
+    parents = [p for layer in layers for p in _parents(layer)]
+    assert len(parents) > RADIUS * g.half_edge_count
+    assert all(type(p) is int for p in parents)
+    assert sides >= {False, True}  # set_average's bits on both sides of its size rule
+
+
+@pytest.mark.parametrize("name", MIXED)
+def test_tubes_and_horocycles_with_mixed_fan_out_match_the_matrix_reference(name, seeded_cubic):
+    g = _graph(name, seeded_cubic)
+    fv = random_field(g, VERTICES, 58)
+    parents = []
+    for layer, want in _tubes_and_horocycles(g, name):
+        _assert_reference_rows(fv, layer, want)
+        parents += _parents(layer)
+    dead_ends = 0  # levels of fan-out 0 below a non-empty level
+    for base in range(g.half_edge_count):
+        *_, arc = arc_vertex_layers(g, base, RADIUS)
+        (prefix, levels), = arc.parts
+        sizes = [len(prefix)] + [len(last) for _, last in levels]
+        dead_ends += sum(type(p) is int and p == 0 and n > 0 for (p, _), n in zip(levels, sizes))
+        parents += _parents(arc)
+    # the star's levels each have one fan-out, 0 or 2, so it never masks
+    assert {type(p) for p in parents} == ({int} if name == "k13" else {int, np.ndarray})
+    assert (dead_ends > 0) == (name in ("path", *DEAD_ENDS))
 
 
 def test_tubes_and_horocycles_match_the_matrix_reference(petersen):
