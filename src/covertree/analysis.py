@@ -193,10 +193,10 @@ def _tube(g, members, support):
 
 def _describe(g, set_kind, support, anchor):
     """The set family at ``anchor`` as a _Union, the one per-family case split."""
-    if set_kind in ("arc", "sphere", "edge-sphere"):
-        cover.check_id(g, "half-edge" if set_kind == "arc" else "root vertex", anchor)
-    if set_kind == "arc":
+    if set_kind == "arc":  # arc_counts checks the base
         return _Union(support, ((anchor,),))
+    if set_kind in ("sphere", "edge-sphere"):  # g.out would wrap a negative root
+        cover.check_id("root vertex", anchor, g.vertex_count)
     if set_kind == "sphere":  # radius 0 is the root, which every arc shares
         return _Union(cover.VERTICES, (tuple(g.out(anchor)),), zero=(anchor,), what="sphere")
     if set_kind == "edge-sphere":
@@ -491,7 +491,7 @@ def check_sphere_decomposition(g, v0, f, radius):
     averages weighted by their exact sizes; an empty sphere has rows only.
     """
     cover.check_field(g, f, cover.VERTICES)
-    cover.check_id(g, "root vertex", v0, radius)
+    cover.check_id("root vertex", v0, g.vertex_count)
     spheres = cover.sphere_vertex_layers(g, v0, radius)  # built apart from the arcs
     layer_iters = [cover.arc_vertex_layers(g, h, radius) for h in g.out(v0)]
     for it in [spheres, *layer_iters]:

@@ -69,10 +69,8 @@ def cover_root(g, v):
     return CoverVertex(v, (), v)
 
 
-def check_id(g, what, i, radius=0):
-    """Raise CoverError unless ``i`` is a "half-edge" or vertex id, ValueError if radius < 0."""
-    _check_radius(radius)
-    n = g.half_edge_count if what == "half-edge" else g.vertex_count
+def check_id(what, i, n):
+    """Raise CoverError unless the ``what`` id ``i`` lies in 0 .. n - 1."""
     if not 0 <= i < n:
         raise CoverError(f"{what} {i} out of range 0 .. {n - 1}")
 
@@ -84,7 +82,7 @@ def _check_radius(r):
 
 def cover_vertex(g, root, path):
     """Validated CoverVertex from a half-edge path starting at ``root``."""
-    check_id(g, "root vertex", root)
+    check_id("root vertex", root, g.vertex_count)
     path = tuple(path)
     at = root
     prev = None
@@ -132,11 +130,11 @@ def cover_children(g, cv):
 # merged, so enumeration stays an independent oracle for the transfer.
 
 class _ArcTable:
-    """Continuations of every half-edge as the rows of a table padded with -1
-    and of one contiguous (H, c) table per fan-out c, with the fan-out, head
-    and edge id of every half-edge; ``uniform`` is the fan-out if all share one."""
+    """Continuations of every half-edge as the rows of a table padded with -1,
+    with the fan-out, head and edge id of every half-edge; ``uniform`` is the
+    fan-out if all share one."""
 
-    __slots__ = ("padded", "tables", "fanout", "uniform", "heads", "edges")
+    __slots__ = ("padded", "fanout", "uniform", "heads", "edges")
 
     def __init__(self, g):
         steps = [g.continuations(h) for h in range(g.half_edge_count)]
@@ -145,7 +143,6 @@ class _ArcTable:
         self.padded = np.full((len(steps), width), -1, dtype=np.intp)
         for h, row in enumerate(steps):
             self.padded[h, :len(row)] = row
-        self.tables = [np.ascontiguousarray(self.padded[:, :c]) for c in range(width + 1)]
         self.uniform = width if (self.fanout == width).all() else None
         self.heads = np.array(g.heads, dtype=np.intp)
         self.edges = np.array([g.edge_of(h) for h in range(g.half_edge_count)], dtype=np.intp)
@@ -153,7 +150,7 @@ class _ArcTable:
     def extend(self, last):
         """The level below paths ending in ``last``: parents in order, then
         each parent's continuations in table order.  Where every parent has
-        the same fan-out c, that is one gather from the (H, c) table and the
+        the same fan-out c, that is one gather of the first c columns and the
         level stores c; otherwise the padded rows are masked."""
         c = self.uniform
         if c is None:
@@ -163,7 +160,7 @@ class _ArcTable:
                 cont = self.padded[last]
                 keep = cont >= 0
                 return keep.nonzero()[0], cont[keep]
-        return c, self.tables[c].take(last, axis=0).ravel()
+        return c, self.padded[:, :c].take(last, axis=0).ravel()
 
     def descend(self, block, k):
         """The block k half-edges longer: every descendant k levels down."""
@@ -295,7 +292,8 @@ def _arc_layers(g, base, n, support):
 
 def arc_vertex_layers(g, base, max_radius):
     """Yield the vertex arcs A_0 .. A_R of the directed edge ``base`` as path layers."""
-    check_id(g, "half-edge", base, max_radius)
+    check_id("half-edge", base, g.half_edge_count)
+    _check_radius(max_radius)
     yield _root_layer(g, g.tail(base))
     yield from _arc_layers(g, base, max_radius, VERTICES)
 
@@ -318,7 +316,8 @@ def arc_edge_layers(g, base, max_radius):
     on the branch through ``base``, so their deeper endpoints are exactly the
     vertex arc of radius r + 1: the same blocks, read as edges.
     """
-    check_id(g, "half-edge", base, max_radius)
+    check_id("half-edge", base, g.half_edge_count)
+    _check_radius(max_radius)
     yield from _arc_layers(g, base, max_radius + 1, EDGES)
 
 
@@ -328,13 +327,15 @@ def arc_edges(g, base, r):
 
 def _spheres(g, v0, n, support):
     """The arc layers of 1 .. n half-edges at v0's half-edges, stacked into one per length."""
-    for arcs in zip(*[_arc_layers(g, h, n, support) for h in g.out(v0)]):
-        yield PathLayer(g, v0, [part for arc in arcs for part in arc.parts], support)
+    arcs = [_arc_layers(g, h, n, support) for h in g.out(v0)]
+    for _ in range(n):  # not zip: a vertex with no half-edges still has n empty layers
+        yield PathLayer(g, v0, [part for arc in arcs for part in next(arc).parts], support)
 
 
 def sphere_vertex_layers(g, v0, max_radius):
     """Yield the spheres S_0 .. S_R(v0), each the d(v0) arcs of its radius stacked."""
-    check_id(g, "root vertex", v0, max_radius)
+    check_id("root vertex", v0, g.vertex_count)
+    _check_radius(max_radius)
     yield _root_layer(g, v0)
     yield from _spheres(g, v0, max_radius, VERTICES)
 
@@ -346,7 +347,8 @@ def sphere_vertices(g, v0, r):
 
 def sphere_edge_layers(g, v0, max_radius):
     """Yield the edge spheres S'_0 .. S'_R(v0), each the d(v0) edge arcs of its radius stacked."""
-    check_id(g, "root vertex", v0, max_radius)
+    check_id("root vertex", v0, g.vertex_count)
+    _check_radius(max_radius)
     yield from _spheres(g, v0, max_radius + 1, EDGES)
 
 
@@ -828,7 +830,8 @@ def arc_edge_count(g, base, r):
 def arc_counts(g, base, support, max_radius):
     """Iterate over the exact sizes of the vertex or edge arcs at ``base``,
     radius 0 .. max_radius; A'_r has the paths of r + 1 half-edges."""
-    check_id(g, "half-edge", base, max_radius)
+    check_id("half-edge", base, g.half_edge_count)
+    _check_radius(max_radius)
     counts = transfer_operator(g).counts(base, max_radius + (support == EDGES))
     # A_0 is the tail alone; A_r has the paths of r half-edges
     return itertools.chain([1], counts) if support == VERTICES else counts

@@ -260,6 +260,18 @@ def test_edge_sphere_series_extends_each_arc_once_per_radius(petersen, monkeypat
     assert len(sphere_edges(petersen, 0, 11)) == 3 * 2 ** 11 and len(calls) == 3 * 11
 
 
+def test_spheres_of_an_edgeless_vertex_are_empty_past_radius_0():
+    g = graph_core.build_graph(1, [])
+    spheres, edge_spheres = list(cover.sphere_vertex_layers(g, 0, 3)), list(sphere_edge_layers(g, 0, 3))
+    assert len(spheres) == len(edge_spheres) == 4
+    assert spheres[0] == frozenset([cover_root(g, 0)])
+    for r in range(4):
+        assert len(edge_spheres[r]) == len(sphere_edges(g, 0, r)) == 0
+        assert len(edge_spheres[r].ids()) == 0
+        if r:
+            assert len(spheres[r]) == len(sphere_vertices(g, 0, r)) == 0
+
+
 def test_sphere_is_disjoint_union_of_arcs(petersen):
     for r in range(1, 6):
         union = set()

@@ -242,6 +242,25 @@ def test_tubes_and_horocycles_with_mixed_fan_out_match_the_matrix_reference(name
     assert (dead_ends > 0) == (name in ("path", *DEAD_ENDS))
 
 
+def _nbytes(held):
+    if isinstance(held, np.ndarray):
+        return held.nbytes
+    return sum(map(_nbytes, held)) if isinstance(held, (list, tuple)) else 0
+
+
+def test_a_wide_star_keeps_one_padded_table():
+    # one (H, c) copy per fan-out c up to the width would be H * 999 * 1000 / 2 entries here
+    leaves = 999
+    g = graph_core.build_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+    table = cover._arc_table(g)
+    held = _nbytes([getattr(table, slot) for slot in cover._ArcTable.__slots__])
+    assert table.padded.shape == (2 * leaves, leaves - 1)
+    assert held <= table.padded.nbytes + 3 * g.half_edge_count * table.padded.itemsize
+    for r, sphere in enumerate(cover.sphere_vertex_layers(g, 1, 3)):
+        assert len(sphere) == [1, 1, leaves - 1, 0][r]
+        assert all(type(p) is int for p in _parents(sphere))
+
+
 def test_tubes_and_horocycles_match_the_matrix_reference(petersen):
     fv = random_field(petersen, VERTICES, 53)
     below = cover.cover_vertex(petersen, 0, [petersen.half_edge(0, 1), petersen.half_edge(1, 2)])
