@@ -130,9 +130,8 @@ def cover_children(g, cv):
 # merged, so enumeration stays an independent oracle for the transfer.
 
 class _ArcTable:
-    """Continuations of every half-edge as the rows of a table padded with -1,
-    with the fan-out, head and edge id of every half-edge; ``uniform`` is the
-    fan-out if all share one."""
+    """Continuations of every half-edge as rows padded with -1, with its fan-out
+    (``uniform`` if all share one), head vertex and edge id."""
 
     __slots__ = ("padded", "fanout", "uniform", "heads", "edges")
 
@@ -148,10 +147,8 @@ class _ArcTable:
         self.edges = np.array([g.edge_of(h) for h in range(g.half_edge_count)], dtype=np.intp)
 
     def extend(self, last):
-        """The level below paths ending in ``last``: parents in order, then
-        each parent's continuations in table order.  Where every parent has
-        the same fan-out c, that is one gather of the first c columns and the
-        level stores c; otherwise the padded rows are masked."""
+        """The level below paths ending in ``last``, each parent's continuations in
+        order: one gather stored with c if every parent has fan-out c, else masked."""
         c = self.uniform
         if c is None:
             fan = self.fanout[last]
@@ -206,8 +203,8 @@ class PathLayer(Set):
     in ``parts``: blocks of half-edge paths from one root, one depth per
     block, each a prefix matrix of rows plus a tuple of (parents: a fan-out or
     an index array, last half-edge) levels below it; a plain (N, depth) matrix
-    is a block with no levels.  An arc has one block; a sphere has one per arc; a tube or
-    horocycle piece has one per depth its branches start at.
+    is a block with no levels.  An arc has one block; a sphere has one per arc;
+    a tube or horocycle piece has one per depth its branches start at.
 
     ``len`` and ``ids()`` read only the last level.  ``blocks`` are the full
     (N, depth) ``intp`` rows, built on first use, kept and read-only.

@@ -501,11 +501,6 @@ def test_anchors_out_of_range_raise_cover_error(petersen, bad):
         check_sphere_decomposition(petersen, 0, fv, -1)
 
 
-def test_sphere_decomposition_of_an_edgeless_vertex():
-    g = graph_core.build_graph(1, [])
-    assert check_sphere_decomposition(g, 0, cover.constant_field(g, VERTICES, 1.0), 3)
-
-
 @pytest.mark.parametrize("fault", ["drop", "duplicate", "outside"])
 def test_sphere_decomposition_rejects_a_faulty_sphere(petersen, monkeypatch, fault):
     f = cover.constant_field(petersen, VERTICES, 1.0)  # equal averages: only the rows can differ
