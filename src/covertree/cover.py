@@ -154,7 +154,7 @@ class _ArcTable:
             fan = self.fanout[last]
             c = int(fan[0]) if len(fan) else 0
             if (fan != c).any():
-                cont = self.padded[last]
+                cont = self.padded.take(last, axis=0)
                 keep = cont >= 0
                 return keep.nonzero()[0], cont[keep]
         return c, self.padded[:, :c].take(last, axis=0).ravel()
@@ -262,11 +262,15 @@ class PathLayer(Set):
         """The base vertex (or edge) every element projects to."""
         table = _arc_table(self.g)
         at = table.heads if self.support == VERTICES else table.edges
-        if len(self.parts) == 1 and self.parts[0][1]:  # every arc past radius 1: no copy
-            return at[self.parts[0][1][-1][1]]
-        return np.concatenate([np.empty(0, np.intp)] + [
-            at[_last(prefix, levels)] if levels or prefix.shape[1] else np.full(len(prefix), self.root)
-            for prefix, levels in self.parts])
+        if len(self.parts) == 1:  # an arc or a root: nothing to concatenate
+            return _ids(at, self.root, self.parts[0])
+        return np.concatenate([np.empty(0, np.intp)] + [_ids(at, self.root, b) for b in self.parts])
+
+
+def _ids(at, root, block):
+    """``at`` of every row's last half-edge; the root for a block of depth 0."""
+    prefix, levels = block
+    return at[_last(prefix, levels)] if levels or prefix.shape[1] else np.full(len(prefix), root)
 
 
 def _block(paths, depth):
@@ -513,9 +517,10 @@ def horocycle_subset(g, geodesic, r):
 # --- scalar fields ---
 
 class ScalarField:
-    """Real-valued function on the vertices or on the edges of the base graph."""
+    """Real-valued function on the vertices or on the edges of the base graph:
+    read-only ``values`` and their ``split`` (_split), fixed at construction."""
 
-    __slots__ = ("support", "values")
+    __slots__ = ("support", "values", "split")
 
     def __init__(self, support, values):
         if support not in (VERTICES, EDGES):
@@ -528,6 +533,8 @@ class ScalarField:
         arr.setflags(write=False)
         self.support = support
         self.values = arr
+        self.split = _split(arr)
+        self.split.setflags(write=False)
 
     def __len__(self):
         return len(self.values)
@@ -548,19 +555,31 @@ def indicator_field(g, support, index):
     return ScalarField(support, values)
 
 
-def _mean(values, counts=None):
+def _split(values):
+    """The (2, V) parts top + rest of the values: top clears the low 26 bits of
+    each stored fraction, so has at most 27 significant bits, and rest, exact,
+    at most 26; a count below 2**26 times either part, subnormal too, is exact."""
+    top = (values.view(np.int64) & -(1 << 26)).view(float)
+    return np.stack((top, values - top))
+
+
+def _mean(values, counts=None, split=None):
     """The one mean, correctly rounded, of a list of floats or of the multiset
-    holding values[v] counts[v] times: fsum of the exact terms 2**b * values[v],
-    b a set bit of counts[v], rounds the list's exact total, so has its bits."""
+    holding values[v] counts[v] times, summed as the exact terms 26-bit count
+    digit * part for each part of _split(values) (or ``split``): fsum rounds
+    their exact total, the list's, once, so the mean has the list's bits.
+    Below n * max|x| = 2**1023 no term or partial sum can overflow; from it on
+    the multiset is averaged as its list, and raises as the list does."""
     n = len(values) if counts is None else int(counts.sum())
     try:
-        if counts is not None:
-            v, b = np.nonzero(counts[:, None] >> np.arange(int(counts.max()).bit_length()) & 1)
-            with np.errstate(over="ignore"):
-                values = np.ldexp(values[v], b)
-            if not np.isfinite(values).all():  # fsum would return inf, or fail on inf - inf
-                raise OverflowError
-            values = values.tolist()
+        if counts is not None and n * max(map(abs, values.tolist())) >= 2.0 ** 1023:
+            values = np.repeat(values, counts).tolist()
+        elif counts is not None:
+            split = _split(values) if split is None else split
+            if n >> 26:  # a count may pass 2**26: one column per 26-bit digit
+                k = np.arange(0, n.bit_length(), 26)
+                counts, split = (counts[:, None] >> k & (1 << 26) - 1) << k, split[..., None]
+            values = (split * counts).ravel().tolist()
         return math.fsum(values) / n
     except OverflowError:
         raise SizeOutOfRangeError(f"the sum of {n} field values is past the float range") from None
@@ -597,8 +616,9 @@ def set_average(f, elements):
     """Mean of the lifted field over a set of cover vertices or cover edges.
 
     A PathLayer is read straight from its path rows, without building its
-    objects.  N elements on V ids are averaged as per-id counts when N > V *
-    N.bit_length(), where their expansion is surely the shorter list.
+    objects.  N elements on V ids are averaged as per-id counts, with the
+    field's split, when N > V * N.bit_length(), where the 2V terms per 26-bit
+    count digit are surely fewer than the N values.
     """
     if isinstance(elements, PathLayer):
         support, ids = elements.support, elements.ids()
@@ -617,7 +637,7 @@ def set_average(f, elements):
         raise SupportMismatchError(_NEEDS_FIELD[support])
     values, n = f.values, len(ids)
     if n > len(values) * n.bit_length():
-        return _mean(values, np.bincount(ids, minlength=len(values)))
+        return _mean(values, np.bincount(ids, minlength=len(values)), f.split)
     return _mean(values[ids].tolist())
 
 
@@ -755,9 +775,14 @@ def _equitable_partition(g):
     have the same number of continuations in each class, by colour refinement.
 
     Returns (class of each half-edge, quotient rows): row i lists the
-    (class j, count) pairs of any member of class i.
+    (class j, count) pairs of any member of class i.  Where every half-edge
+    has the same fan-out c, one class is already equitable: row ((0, c),).
     """
     colour = [0] * g.half_edge_count
+    fanout = {len(g.continuations(h)) for h in range(g.half_edge_count)}
+    if len(fanout) == 1:
+        c, = fanout
+        return colour, (((0, c),) if c else (),)
     count = 1
     while True:
         ids = {}

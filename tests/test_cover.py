@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +51,7 @@ from covertree.errors import (
     SupportMismatchError,
 )
 import reference_bfs
+from reference_mean import reference_mean
 from reference_bfs import busemann_value, cover_neighbors, tree_arc, tree_distance, tree_sphere
 from test_graph_core import connected_graphs
 from test_transfer import _graphs
@@ -470,6 +473,80 @@ def test_mean_of_a_count_expansion_has_the_bits_of_the_plain_list():
         assert _bits(cover._mean(values, counts)) == _bits(cover._mean(plain))
 
 
+def _signed_magnitude(rng, low, high):
+    """A random float of either sign between 10**low and 10**high, or a signed zero."""
+    if rng.random() < 0.1:
+        return rng.choice((0.0, -0.0))
+    return rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(low, high)
+
+
+def test_mean_of_counts_to_2_40_is_the_exactly_rounded_total_over_n():
+    # counts past 2**26 are split into 26-bit digits; subnormal to 1e300 values
+    # of both signs (kept below the bound n * max|x| = 2**1023, past which a
+    # multiset is listed), and signed zeros, whose zero totals round to +0.0
+    rng = random.Random(20)
+    digits = Counter()
+    for trial in range(400):
+        size = rng.randint(1, 8)
+        counts = np.array([rng.randrange(2 ** rng.randint(0, 40) + 1) for _ in range(size)])
+        counts[rng.randrange(size)] += 1
+        n = int(counts.sum())
+        high = min(300, 307 - len(str(n)))
+        values = np.array([_signed_magnitude(rng, -320, high) for _ in range(size)])
+        digits[n.bit_length() > 26] += 1
+        assert _bits(cover._mean(values, counts)) == _bits(reference_mean(values, counts))
+    for zeros in ([-0.0], [-0.0, 0.0], [-0.0, 1.0, -1.0]):
+        counts = np.arange(3, 3 + len(zeros))
+        assert _bits(cover._mean(np.array(zeros), counts)) == _bits(reference_mean(zeros, counts))
+    assert digits[True] and digits[False]
+
+
+def test_mean_on_both_sides_of_the_float_range_bound():
+    # below n * max|x| = 2**1023 the counted form is exact and never raises;
+    # from it on, it is the list, which may raise where the total fits
+    rng = random.Random(21)
+    sides = Counter()
+    for trial in range(300):
+        size = rng.randint(1, 4)
+        counts = np.array([rng.randint(1, 5) for _ in range(size)])
+        n = int(counts.sum())
+        scale = 2.0 ** 1023 / n * rng.uniform(0.5, 1.5)
+        values = np.array([rng.choice((-1.0, 1.0)) * scale * rng.uniform(0.5, 1.0)
+                           for _ in range(size)])
+        past = n * float(np.abs(values).max()) >= 2.0 ** 1023
+        sides[past] += 1
+        plain = np.repeat(values, counts).tolist()
+        try:
+            listed = _bits(cover._mean(plain))
+        except SizeOutOfRangeError:
+            assert past
+            with pytest.raises(SizeOutOfRangeError, match=f"the sum of {n} field values"):
+                cover._mean(values, counts)
+            continue
+        assert _bits(cover._mean(values, counts)) == listed == _bits(reference_mean(values, counts))
+    assert sides[True] and sides[False]
+
+
+def test_field_split_is_read_only_and_exact(k4):
+    rng = random.Random(22)
+    values = [_signed_magnitude(rng, -320, 300) for _ in range(200)] + [5e-324, -2.0 ** 1023]
+    f = ScalarField(VERTICES, values)
+    top, rest = f.split
+    assert not f.split.flags.writeable
+    with pytest.raises(ValueError):
+        f.split[0, 0] = 1.0
+    assert ((top + rest) == f.values).all()
+    for x, t, r in zip(f.values.tolist(), top.tolist(), rest.tolist()):
+        assert Fraction(t) + Fraction(r) == Fraction(x)
+        assert _significant_bits(t) <= 27 and _significant_bits(r) <= 26
+
+
+def _significant_bits(x):
+    """Bits from the highest to the lowest set bit of the float x's significand."""
+    m = abs(Fraction(x).numerator)
+    return (m >> (m & -m).bit_length() - 1).bit_length() if m else 0
+
+
 def _size_rule_layers(g, support, radius):
     """Every arc layer of ``support`` at every base, and every vertex sphere, to ``radius``."""
     for h in range(g.half_edge_count):
@@ -483,8 +560,9 @@ def _size_rule_layers(g, support, radius):
 def test_set_average_has_the_bits_of_fsum_on_both_sides_of_the_size_rule(name, request):
     g = request.getfixturevalue(name)
     sides = Counter()
-    for support in (VERTICES, EDGES):
-        f = random_field(g, support, 41)
+    # a scale of 1e-310 makes every value subnormal
+    for support, scale in itertools.product((VERTICES, EDGES), (1.0, 1e300, 1e-310)):
+        f = ScalarField(support, random_field(g, support, 41).values * scale)
         for layer in _size_rule_layers(g, support, 11):
             ids, n = layer.ids(), len(layer)
             sides[n > len(f.values) * n.bit_length()] += 1

@@ -11,6 +11,7 @@ import re
 import sys
 import time
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -244,6 +245,48 @@ def test_equitable_partition_is_coarsest_on_regular_and_semiregular(seeded_cubic
     graphs = _graphs(seeded_cubic)
     for name, classes in (("k4", 1), ("petersen", 1), ("cubic60", 1), ("k34", 2), ("k25", 2)):
         assert len(cover.transfer_operator(graphs[name]).quotient) == classes, name
+
+
+def _refined_partition(g):
+    """Colour refinement from one class to a fixed point: the reference
+    (classes, quotient) pair, in the order of first appearance."""
+    colour, count = [0] * g.half_edge_count, 1
+    while True:
+        ids = {}
+        refined = [ids.setdefault((colour[h], tuple(sorted(colour[x] for x in g.continuations(h)))),
+                                  len(ids)) for h in range(g.half_edge_count)]
+        if len(ids) == count:
+            break
+        colour, count = refined, len(ids)
+    first = {c: h for h, c in reversed(list(enumerate(colour)))}
+    quotient = tuple(tuple(sorted(Counter(colour[x] for x in g.continuations(first[c])).items()))
+                     for c in range(count))
+    return colour, quotient
+
+
+def test_uniform_fan_out_is_one_class_without_refinement(seeded_cubic, monkeypatch):
+    graphs = _graphs(seeded_cubic)
+    for name, c in (("k4", 2), ("petersen", 2), ("k33", 2), ("cubic60", 2)):
+        g = graphs[name]
+        assert cover._equitable_partition(g) == _refined_partition(g) \
+            == ([0] * g.half_edge_count, (((0, c),),)), name
+    # one read of each half-edge's fan-out, and no refinement round
+    reads = Counter()
+    continuations = graph_core.Graph.continuations
+    monkeypatch.setattr(graph_core.Graph, "continuations",
+                        lambda g, h: reads.update([h]) or continuations(g, h))
+    g = graphs["cubic60"]
+    cover._equitable_partition(g)
+    monkeypatch.undo()
+    assert reads == Counter(range(g.half_edge_count))
+    edge = graph_core.build_graph(2, [(0, 1)])  # fan-out 0: one class, no continuations
+    assert cover._equitable_partition(edge) == _refined_partition(edge) == ([0, 0], ((),))
+    bare = graph_core.build_graph(1, [])
+    assert cover._equitable_partition(bare) == _refined_partition(bare) == ([], ())
+    for name in ("k34", "k25", "chords", "path", "loops"):  # mixed fan-out is refined
+        g = graphs[name]
+        assert cover._equitable_partition(g) == _refined_partition(g), name
+    assert len(cover._equitable_partition(graphs["k34"])[1]) == 2
 
 
 @pytest.mark.parametrize("name", GRAPH_NAMES)
