@@ -476,32 +476,49 @@ def envelope_check(report, env):
 
 # --- structural checks ---
 
-def _sorted_rows(blocks, depth):
-    """The rows of blocks of one depth, in lexicographic order."""
+def _sorted_keys(blocks, depth, width):
+    """The keys (see check_sphere_decomposition) of the rows of blocks of one
+    depth, ids below ``width``, in the rows' lexicographic order."""
     rows = np.concatenate([np.empty((0, depth), dtype=np.intp), *blocks])
-    return rows[np.lexsort(rows.T[::-1])]
+    bits = (width - 1).bit_length()
+    chunks = [rows[:, j:j + 62 // bits] for j in range(0, depth, 62 // bits)]
+    keys = np.stack([c @ (1 << bits * np.arange(c.shape[1] - 1, -1, -1)) for c in chunks], axis=1)
+    return keys[np.lexsort(keys.T[::-1])]
 
 
 def check_sphere_decomposition(g, v0, f, radius):
     """Spheres decompose into the d(v0) arcs: matching rows and averages.
 
     For r >= 1 the arcs must be pairwise disjoint with the sphere's rows as
-    their union, compared on the lexicographically sorted path rows of the
-    layers, and the sphere average must equal the mean of the non-empty arcs'
-    averages weighted by their exact sizes; an empty sphere has rows only.
+    their union, compared on sorted row keys, and the sphere average must
+    equal the mean of the non-empty arcs' averages weighted by their exact
+    sizes; an empty sphere has rows only.  Key i of a row packs its ids
+    k*i .. k*i + k - 1 in Horner order, b = (H - 1).bit_length() bits each for
+    H half-edges and k = 62 // b, so it is below 2**62.  A fixed-width numeral
+    in base 2**b, it orders as the tuple of its ids and determines it, so rows
+    of one depth sort as their key tuples and are equal exactly when those are.
+    A radius or a sphere over the enumeration budget raises BudgetExceededError
+    before anything is enumerated.
     """
     cover.check_field(g, f, cover.VERTICES)
     cover.check_id("root vertex", v0, g.vertex_count)
+    cap, width = enumeration_budget(), g.half_edge_count
+    if radius > cap:
+        raise BudgetExceededError(f"sphere radius {radius} is over the cap {cap}")
+    counters = [cover.arc_counts(g, h, cover.VERTICES, radius) for h in g.out(v0)]
+    for r, n in enumerate(map(sum, zip(*counters))):
+        if r and n > cap:
+            raise BudgetExceededError(f"sphere at radius {r} has {n} elements (cap {cap})")
     spheres = cover.sphere_vertex_layers(g, v0, radius)  # built apart from the arcs
     layer_iters = [cover.arc_vertex_layers(g, h, radius) for h in g.out(v0)]
     for it in [spheres, *layer_iters]:
         next(it)  # radius 0 is the shared root, not part of the decomposition
     for r, sphere in enumerate(spheres, 1):
         layers = [next(it) for it in layer_iters]
-        arcs = _sorted_rows([block for layer in layers for block in layer.blocks], r)
+        arcs = _sorted_keys([block for layer in layers for block in layer.blocks], r, width)
         if (any(layer.root != sphere.root for layer in layers)
                 or not (arcs[1:] != arcs[:-1]).any(axis=1).all()  # pairwise disjoint
-                or not np.array_equal(arcs, _sorted_rows(sphere.blocks, r))):
+                or not np.array_equal(arcs, _sorted_keys(sphere.blocks, r, width))):
             return False
         sizes = [len(layer) for layer in layers]
         if not sum(sizes):

@@ -563,14 +563,15 @@ def _split(values):
     return np.stack((top, values - top))
 
 
-def _mean(values, counts=None, split=None):
+def _mean(values, counts=None, split=None, n=None):
     """The one mean, correctly rounded, of a list of floats or of the multiset
     holding values[v] counts[v] times, summed as the exact terms 26-bit count
     digit * part for each part of _split(values) (or ``split``): fsum rounds
     their exact total, the list's, once, so the mean has the list's bits.
     Below n * max|x| = 2**1023 no term or partial sum can overflow; from it on
-    the multiset is averaged as its list, and raises as the list does."""
-    n = len(values) if counts is None else int(counts.sum())
+    the multiset is averaged as its list, and raises as the list does.  ``n``
+    is the element count, if the caller holds it."""
+    n = (len(values) if counts is None else int(counts.sum())) if n is None else n
     try:
         if counts is not None and n * max(map(abs, values.tolist())) >= 2.0 ** 1023:
             values = np.repeat(values, counts).tolist()
@@ -637,7 +638,7 @@ def set_average(f, elements):
         raise SupportMismatchError(_NEEDS_FIELD[support])
     values, n = f.values, len(ids)
     if n > len(values) * n.bit_length():
-        return _mean(values, np.bincount(ids, minlength=len(values)), f.split)
+        return _mean(values, np.bincount(ids, minlength=len(values)), f.split, n)
     return _mean(values[ids].tolist())
 
 

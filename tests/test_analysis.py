@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -546,6 +547,107 @@ def test_sphere_decomposition_rejects_overlapping_arcs(petersen, monkeypatch):
     monkeypatch.setattr(cover, "arc_vertex_layers", overlapping)
     monkeypatch.setattr(cover, "sphere_vertex_layers", spheres)
     assert not check_sphere_decomposition(petersen, 0, f, 4)
+
+
+# 180 half-edges take 8 bits each, so a key holds 7 ids: rows of 7, 8 and 15
+# half-edges take 1, 2 and 3 keys
+@pytest.mark.parametrize("radius", [7, 8, 15])
+def test_sphere_decomposition_over_one_two_and_three_keys(seeded_cubic, radius):
+    g = seeded_cubic(60, 60)
+    assert g.half_edge_count == 180
+    assert check_sphere_decomposition(g, 0, random_field(g, VERTICES, 35), radius)
+
+
+@pytest.mark.parametrize("fault", ["drop", "duplicate", "outside", "overlap"])
+def test_sphere_decomposition_rejects_a_fault_in_the_second_key(seeded_cubic, monkeypatch, fault):
+    # radius-9 rows take two keys, and rows 0 and 1 of a cubic arc share their
+    # first 8 half-edges: each fault changes a row in column 7 or 8 only
+    g = seeded_cubic(60, 60)
+    f = cover.constant_field(g, VERTICES, 1.0)  # equal averages: only the rows can differ
+    assert check_sphere_decomposition(g, 0, f, 9)
+    arc_vertex_layers, sphere_vertex_layers = cover.arc_vertex_layers, cover.sphere_vertex_layers
+
+    def faulty(rows):
+        if fault == "drop":
+            return rows[1:]
+        if fault in ("duplicate", "overlap"):  # row 0 stands in for row 1
+            return np.vstack([rows[:1], rows[:1], rows[2:]])
+        rows = rows.copy()
+        rows[0, 8] = g.twin(rows[0, 7])  # a backtracking path: in no sphere
+        return rows
+
+    def arcs(g, base, max_radius):
+        for r, layer in enumerate(arc_vertex_layers(g, base, max_radius)):
+            if fault == "overlap" and base == g.out(0)[1] and r == 9:
+                layer = cover.PathLayer(g, layer.root, [faulty(layer.blocks[0])], VERTICES)
+            yield layer
+
+    def spheres(g, v0, max_radius):
+        if fault == "overlap":  # the sphere is built from the same faulty arcs
+            for layers in zip(*[arcs(g, h, max_radius) for h in g.out(v0)]):
+                yield cover.PathLayer(g, v0, [part for layer in layers for part in layer.parts],
+                                      VERTICES)
+            return
+        for r, sphere in enumerate(sphere_vertex_layers(g, v0, max_radius)):
+            rows = np.concatenate(sphere.blocks)
+            yield cover.PathLayer(g, v0, [faulty(rows) if r == 9 else rows], VERTICES)
+
+    monkeypatch.setattr(cover, "arc_vertex_layers", arcs)
+    monkeypatch.setattr(cover, "sphere_vertex_layers", spheres)
+    assert not check_sphere_decomposition(g, 0, f, 9)
+
+
+WIDTHS = sorted({2, 3} | {(1 << b) + d for b in range(2, 32) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_sorted_keys_order_rows_lexicographically(width):
+    # decoding the sorted keys gives back the lexsorted rows: the keys sort as the
+    # rows do and are equal only for equal rows
+    rng = np.random.default_rng(width % 1000)
+    bits = (width - 1).bit_length()
+    k = 62 // bits
+    ends = np.unique([0, 1, width // 2, width - 2, width - 1])
+    for depth in range(1, 41):
+        base = rng.integers(0, width, size=depth)
+        edits = np.repeat(base[None], 60, axis=0)  # rows one id apart, some equal
+        edits[np.arange(60), rng.integers(0, depth, size=60)] = rng.choice(ends, size=60)
+        rows = np.vstack([edits, rng.choice(ends, size=(60, depth)),
+                          rng.integers(0, width, size=(30, depth))])
+        keys = analysis._sorted_keys([rows[:50], rows[50:]], depth, width)
+        assert keys.dtype == np.int64 and keys.shape == (len(rows), -(-depth // k))
+        assert 0 <= keys.min() and keys.max() < 1 << 62
+        digits = keys[..., None] >> bits * np.arange(k - 1, -1, -1) & (1 << bits) - 1
+        tail = depth % k or k  # the last key holds the last ``tail`` ids only
+        decoded = np.hstack([digits[:, :-1].reshape(len(rows), -1), digits[:, -1, k - tail:]])
+        assert np.array_equal(decoded, rows[np.lexsort(rows.T[::-1])])
+
+
+def test_sphere_decomposition_budget_is_checked_before_enumerating(petersen, monkeypatch):
+    sphere_vertex_layers, arc_vertex_layers = cover.sphere_vertex_layers, cover.arc_vertex_layers
+
+    def enumerate_(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
+    monkeypatch.setattr(cover, "sphere_vertex_layers", enumerate_)
+    monkeypatch.setattr(cover, "arc_vertex_layers", enumerate_)
+    f = random_field(petersen, VERTICES, 36)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"^sphere at radius 23 has 12582912 elements"):
+        check_sphere_decomposition(petersen, 0, f, 30)
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setenv(analysis.BUDGET_ENV_VAR, "100")
+    with pytest.raises(BudgetExceededError, match=r"^sphere at radius 7 has 192 elements \(cap"):
+        check_sphere_decomposition(petersen, 0, f, 7)
+    edgeless = graph_core.build_graph(1, [])  # no half-edges: every sphere from radius 1 is empty
+    f0 = cover.constant_field(edgeless, VERTICES, 1.0)
+    with pytest.raises(BudgetExceededError, match=r"^sphere radius 101 is over the cap 100$"):
+        check_sphere_decomposition(edgeless, 0, f0, 101)
+    monkeypatch.setattr(cover, "sphere_vertex_layers", sphere_vertex_layers)
+    monkeypatch.setattr(cover, "arc_vertex_layers", arc_vertex_layers)
+    assert check_sphere_decomposition(petersen, 0, f, 6)  # 96 elements at radius 6
+    assert check_sphere_decomposition(edgeless, 0, f0, 100)  # empty spheres stay allowed
 
 
 def test_lemma_gap(k34, k33):

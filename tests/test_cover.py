@@ -501,6 +501,18 @@ def test_mean_of_counts_to_2_40_is_the_exactly_rounded_total_over_n():
     assert digits[True] and digits[False]
 
 
+def test_mean_given_its_element_count_keeps_its_bits():
+    # set_average passes the count it holds as len(ids) rather than summing counts
+    rng = random.Random(22)
+    for trial in range(200):
+        size = rng.randint(1, 8)
+        counts = np.array([rng.randrange(2 ** rng.randint(0, 40) + 1) for _ in range(size)])
+        counts[rng.randrange(size)] += 1
+        values = np.array([_signed_magnitude(rng, -320, 280) for _ in range(size)])
+        given = cover._mean(values, counts, cover._split(values), int(counts.sum()))
+        assert _bits(given) == _bits(cover._mean(values, counts))
+
+
 def test_mean_on_both_sides_of_the_float_range_bound():
     # below n * max|x| = 2**1023 the counted form is exact and never raises;
     # from it on, it is the list, which may raise where the total fits
