@@ -476,13 +476,33 @@ def envelope_check(report, env):
 
 # --- structural checks ---
 
-def _sorted_keys(blocks, depth, width):
-    """The keys (see check_sphere_decomposition) of the rows of blocks of one
-    depth, ids below ``width``, in the rows' lexicographic order."""
-    rows = np.concatenate([np.empty((0, depth), dtype=np.intp), *blocks])
-    bits = (width - 1).bit_length()
-    chunks = [rows[:, j:j + 62 // bits] for j in range(0, depth, 62 // bits)]
-    keys = np.stack([c @ (1 << bits * np.arange(c.shape[1] - 1, -1, -1)) for c in chunks], axis=1)
+def _fold(block, bits, memo):
+    """The keys of a block's rows, folded level by level onto those of its deepest
+    level in ``memo`` (id(level) -> (level, keys)), taken out, or of its prefix."""
+    prefix, levels, k = *block, 62 // bits
+    n = next((n for n in range(len(levels), 0, -1) if id(levels[n - 1]) in memo), 0)
+    if n:
+        keys = memo.pop(id(levels[n - 1]))[1]
+    else:  # a Horner product per chunk of k prefix columns
+        chunks = (prefix[:, j:j + k] for j in range(0, prefix.shape[1], k))
+        keys = np.column_stack([np.empty((len(prefix), 0), np.int64)] + [
+            c @ (1 << bits * np.arange(c.shape[1] - 1, -1, -1)) for c in chunks])
+    for depth, (parent, last) in enumerate(levels[n:], prefix.shape[1] + n):
+        keys = np.repeat(keys, parent, axis=0) if isinstance(parent, int) else keys[parent]
+        if not depth % k:  # the id starts a new key
+            keys = np.column_stack([keys, np.zeros(len(keys), np.int64)])
+        keys[:, -1] = keys[:, -1] << bits | last
+    if levels:
+        memo[id(levels[-1])] = levels[-1], keys
+    return keys
+
+
+def _sorted_keys(blocks, depth, width, memo=None):
+    """The keys (see check_sphere_decomposition) of the rows of one depth, ids below
+    ``width``, in lexicographic order; blocks are row matrices or fold through ``memo``."""
+    bits, memo = (width - 1).bit_length(), {} if memo is None else memo
+    keys = np.concatenate([np.empty((0, -(-depth // (62 // bits))), np.int64)] + [
+        _fold(b if isinstance(b, tuple) else (b, ()), bits, memo) for b in blocks])
     return keys[np.lexsort(keys.T[::-1])]
 
 
@@ -492,13 +512,16 @@ def check_sphere_decomposition(g, v0, f, radius):
     For r >= 1 the arcs must be pairwise disjoint with the sphere's rows as
     their union, compared on sorted row keys, and the sphere average must
     equal the mean of the non-empty arcs' averages weighted by their exact
-    sizes; an empty sphere has rows only.  Key i of a row packs its ids
-    k*i .. k*i + k - 1 in Horner order, b = (H - 1).bit_length() bits each for
-    H half-edges and k = 62 // b, so it is below 2**62.  A fixed-width numeral
-    in base 2**b, it orders as the tuple of its ids and determines it, so rows
-    of one depth sort as their key tuples and are equal exactly when those are.
-    A radius or a sphere over the enumeration budget raises BudgetExceededError
-    before anything is enumerated.
+    sizes, to within 1e-12 max|f|; an empty sphere has rows only.  Key i of a
+    row packs its ids k*i .. k*i + k - 1 in Horner order, b = (H - 1).bit_length()
+    bits each for H half-edges and k = 62 // b, so it is below 2**62.  A
+    fixed-width numeral in base 2**b, it orders as the tuple of its ids and
+    determines it, so rows of one depth sort as their key tuples and are equal
+    exactly when those are.  Keys fold over a block's levels, never its rows: a
+    level gathers its parents' keys, then its id starts a key at depths divisible
+    by k or shifts into the last; a per-call memo of each block's newest keys
+    makes radius r one O(N) level on radius r - 1.  A radius or a sphere over
+    the enumeration budget raises BudgetExceededError before anything is enumerated.
     """
     cover.check_field(g, f, cover.VERTICES)
     cover.check_id("root vertex", v0, g.vertex_count)
@@ -513,19 +536,20 @@ def check_sphere_decomposition(g, v0, f, radius):
     layer_iters = [cover.arc_vertex_layers(g, h, radius) for h in g.out(v0)]
     for it in [spheres, *layer_iters]:
         next(it)  # radius 0 is the shared root, not part of the decomposition
+    memo, tol = {}, 1e-12 * np.abs(f.values).max()
     for r, sphere in enumerate(spheres, 1):
         layers = [next(it) for it in layer_iters]
-        arcs = _sorted_keys([block for layer in layers for block in layer.blocks], r, width)
+        arcs = _sorted_keys([block for layer in layers for block in layer.parts], r, width, memo)
         if (any(layer.root != sphere.root for layer in layers)
                 or not (arcs[1:] != arcs[:-1]).any(axis=1).all()  # pairwise disjoint
-                or not np.array_equal(arcs, _sorted_keys(sphere.blocks, r, width))):
+                or not np.array_equal(arcs, _sorted_keys(sphere.parts, r, width, memo))):
             return False
         sizes = [len(layer) for layer in layers]
         if not sum(sizes):
             continue
         arc_mean = math.fsum(n * cover.set_average(f, layer)
                              for n, layer in zip(sizes, layers) if n) / sum(sizes)
-        if abs(cover.set_average(f, sphere) - arc_mean) > 1e-12:
+        if abs(cover.set_average(f, sphere) - arc_mean) > tol:
             return False
     return True
 

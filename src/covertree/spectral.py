@@ -91,7 +91,13 @@ def edge_laplacian(g):
         raise UnsupportedDegreeStructureError(
             "edge Laplacian requires a regular (degree >= 3) or semiregular (p, q >= 2) graph"
         )
-    return LaplacianMatrix(cover.EDGES, _adjacency(graph_core.line_graph(g)) / divisor, divisor)
+    incident = [[g.edge_of(h) for h in g.out(v)] for v in range(g.vertex_count)]
+    a = np.zeros((g.edge_count, g.edge_count))
+    for d in set(map(len, incident)):  # the line graph's edges: pairs of edges at a vertex
+        at = np.array([row for row in incident if len(row) == d])
+        a[at[:, :, None], at[:, None, :]] = 1.0
+    np.fill_diagonal(a, 0.0)
+    return LaplacianMatrix(cover.EDGES, a / divisor, divisor)
 
 
 @dataclass(eq=False)

@@ -623,6 +623,100 @@ def test_sorted_keys_order_rows_lexicographically(width):
         assert np.array_equal(decoded, rows[np.lexsort(rows.T[::-1])])
 
 
+def _assert_folds_match_rows(layers, width, memo):
+    # each block's folded keys, read through the memo, equal the chunked Horner
+    # keys of its materialised rows; the memo keeps one entry per block, its newest
+    bits = (width - 1).bit_length()
+    for layer in layers:
+        parts = [part for part in layer.parts if part[1]]
+        for part, rows in zip(layer.parts, layer.blocks):
+            assert np.array_equal(analysis._fold(part, bits, memo),
+                                  analysis._fold((rows, ()), bits, {}))
+        assert len(memo) == len(parts)
+        assert all(memo[id(levels[-1])][0] is levels[-1] for _, levels in parts)
+
+
+@pytest.mark.parametrize("name, radius, roots", [("cubic-60", 16, [0]), ("k34", 9, range(7)),
+                                                 ("loops", 12, range(3))])
+def test_folded_keys_equal_the_keys_of_the_rows(name, radius, roots, request, seeded_cubic):
+    # cubic-60: 8-bit ids, 7 a key, so radius 16 crosses keys at depths 7/8 and
+    # 14/15; the loops-and-multi-edges graph has parents of mixed fan-out
+    g = {"cubic-60": lambda: seeded_cubic(60, 60), "k34": lambda: request.getfixturevalue("k34"),
+         "loops": lambda: graph_core.build_graph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)],
+                                                 allows_loops=True, allows_multi=True)}[name]()
+    parents = set()
+    for v in roots:
+        spheres = list(cover.sphere_vertex_layers(g, v, radius))[1:]
+        _assert_folds_match_rows(spheres, g.half_edge_count, {})
+        for h in g.out(v):
+            arcs = list(cover.arc_vertex_layers(g, h, radius))[1:]
+            _assert_folds_match_rows(arcs, g.half_edge_count, {})
+            parents |= {type(p) for _, levels in arcs[-1].parts for p, _ in levels}
+    assert parents == ({int, np.ndarray} if name == "loops" else {int})
+
+
+def test_folded_keys_hold_one_id_a_key_at_width_2_31_plus_1():
+    # 32-bit ids: every level starts a new key column
+    width, rng = (1 << 31) + 1, np.random.default_rng(37)
+    prefix = np.array([[0, width - 1], [width - 1, 1 << 31], [5, 0]], dtype=np.intp)
+    levels = ()
+    for c in (2, None, 3, 1, None):
+        n = len(levels[-1][1]) if levels else len(prefix)
+        parent = c or np.sort(rng.integers(0, n, size=n + 2))
+        size = n * c if c else n + 2
+        levels += ((parent, rng.choice([0, 1, width - 2, width - 1, 1 << 30], size=size)),)
+        layer = cover.PathLayer(None, 0, [(prefix, levels)], VERTICES)
+        memo = {}
+        if len(levels) > 1:  # the keys an earlier radius leaves behind
+            analysis._fold((prefix, levels[:-1]), 32, memo)
+        _assert_folds_match_rows([layer], width, memo)
+        assert analysis._fold((prefix, levels), 32, {}).shape == (size, 2 + len(levels))
+
+
+@pytest.mark.parametrize("name, radius", [("petersen", 11), ("cubic-60", 9)])
+def test_sphere_decomposition_builds_no_rows(name, radius, request, seeded_cubic, monkeypatch):
+    g = seeded_cubic(60, 60) if name == "cubic-60" else request.getfixturevalue(name)
+
+    def refuse(block):
+        raise AssertionError("the rows were built")
+
+    monkeypatch.setattr(cover, "_materialise", refuse)
+    assert check_sphere_decomposition(g, 0, random_field(g, VERTICES, 38), radius)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e10, 1e300])
+@pytest.mark.parametrize("name", ["petersen", "k34"])
+def test_sphere_average_bound_scales_with_the_field(name, scale, request, monkeypatch):
+    # the averages agree to 1e-12 max|f| at every scale; moving the sphere's
+    # average by 1e-9 max|f| fails the check
+    g = request.getfixturevalue(name)
+    f = ScalarField(VERTICES, random_field(g, VERTICES, 39).values * scale)
+    assert check_sphere_decomposition(g, 0, f, 8)
+    sphere_vertex_layers, set_average, spheres = cover.sphere_vertex_layers, cover.set_average, []
+
+    def recorded(*args):
+        for layer in sphere_vertex_layers(*args):
+            spheres.append(layer)
+            yield layer
+
+    def moved(f, layer):
+        shift = 1e-9 * np.abs(f.values).max() if any(layer is s for s in spheres) else 0.0
+        return set_average(f, layer) + shift
+
+    monkeypatch.setattr(cover, "sphere_vertex_layers", recorded)
+    monkeypatch.setattr(cover, "set_average", moved)
+    assert not check_sphere_decomposition(g, 0, f, 8)
+
+
+def test_sphere_decomposition_of_a_zero_field_must_match_exactly(petersen, monkeypatch):
+    f = cover.constant_field(petersen, VERTICES, 0.0)
+    assert check_sphere_decomposition(petersen, 0, f, 6)
+    set_average = cover.set_average
+    monkeypatch.setattr(cover, "set_average",
+                        lambda f, layer: set_average(f, layer) + (len(layer.parts) > 1) * 5e-324)
+    assert not check_sphere_decomposition(petersen, 0, f, 6)
+
+
 def test_sphere_decomposition_budget_is_checked_before_enumerating(petersen, monkeypatch):
     sphere_vertex_layers, arc_vertex_layers = cover.sphere_vertex_layers, cover.arc_vertex_layers
 

@@ -110,6 +110,30 @@ def test_edge_laplacian_rejections(k23):
         edge_laplacian(k23)  # p = 1
 
 
+@pytest.mark.parametrize("name", ["k4", "petersen", "k33", "k34", "k35", "cubic-60"])
+def test_edge_laplacian_is_the_line_graph_adjacency(name, request, seeded_cubic):
+    # filled from each vertex's incident edges, it equals the line graph's
+    # adjacency over the edge degree bit for bit
+    g = {"k35": lambda: graph_core.generate("complete_bipartite", 3, 5),
+         "cubic-60": lambda: seeded_cubic(60, 60)}.get(name, lambda: request.getfixturevalue(name))()
+    lap = edge_laplacian(g)
+    expected = spectral._adjacency(graph_core.line_graph(g)) / lap.divisor
+    assert lap.matrix.dtype == expected.dtype and lap.matrix.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("g, error, message", [
+    (graph_core.build_graph(3, [(0, 1), (0, 1), (1, 2), (2, 0)], allows_multi=True),
+     NotSimpleError, "^edge Laplacian requires a simple graph$"),
+    (graph_core.generate("complete_bipartite", 2, 5), UnsupportedDegreeStructureError,
+     r"^edge Laplacian requires a regular \(degree >= 3\) or semiregular \(p, q >= 2\) graph$"),
+    (graph_core.build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]),  # irregular
+     UnsupportedDegreeStructureError, r"^edge Laplacian requires a regular"),
+])
+def test_edge_laplacian_raises_as_before(g, error, message):
+    with pytest.raises(error, match=message):
+        edge_laplacian(g)
+
+
 # --- eigensolver ---
 
 def test_eig_sym_two_by_two():
