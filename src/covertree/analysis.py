@@ -235,8 +235,7 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
     ``base`` is a half-edge id (arc), ``root`` a vertex id (spheres),
     ``subtree`` a list of CoverVertex (tube) and ``geodesic`` a GeodesicSpec
     (horocycle).  Sizes are exact and averages come from the transfer
-    operator, which reproduces brute-force enumeration.  A list of fields on
-    one support gives a list of reports from one path distribution per radius.
+    operator, which reproduces brute-force enumeration.
     """
     if set_kind not in SET_KINDS:
         raise ValueError(f"set kind must be one of {SET_KINDS}")
@@ -248,15 +247,10 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
         raise ValueError(f"{set_kind} series needs its anchor argument")
     cap = enumeration_budget(budget)
     cls = graph_core.classify(g)
-    fields = [f] if isinstance(f, cover.ScalarField) else f
-    union = _describe(g, set_kind, fields[0].support, anchor)
-    for item in fields:
-        cover.check_field(g, item, union.support)
-    sizes, averages = _union_series(g, np.array([item.values for item in fields]).T, union,
-                                    radius, cap)
-    reports = [_report(g, item, cls, set_kind, union, sizes, column)
-               for item, column in zip(fields, averages.T.tolist())]
-    return reports if fields is f else reports[0]
+    union = _describe(g, set_kind, f.support, anchor)
+    cover.check_field(g, f, union.support)
+    sizes, averages = _union_series(g, f.values[:, None], union, radius, cap)
+    return _report(g, f, cls, set_kind, union, sizes, averages[:, 0].tolist())
 
 
 def arc_deviations(g, values, support, base, radius):
@@ -365,50 +359,41 @@ def _check_under(report, what, bounds):
 
 # --- rigorous envelope from eigenspace initial values ---
 
-def _one_step_envelope(f0, f1, roots, n):
-    """Summed profile envelopes at the radii ``n`` of one-step recursions;
-    ``f0``, ``f1`` and the ``roots`` arrays have one row per eigenspace, and
-    2-D ``f0``, ``f1`` one column, and the result one row, per field."""
-    a_plus, a_minus, d = roots
+def _profile_envelope(f0, f1, mus, reg, radius):
+    """Summed profile envelopes at radii 0 .. ``radius`` of the eigenspaces at
+    ``mus``; ``f0``, ``f1`` have one row per eigenspace and one column per
+    field, and the result one row per field.
+
+    Parity j of a profile, x(k) = F(2k + j), is u_plus t_plus**k + u_minus
+    t_minus**k under the double step, or (x(0) + (x(1) / tau - x(0)) k) tau**k
+    at a repeated root tau.  Put through the recursion and the roots' sum and
+    product, with s the square root of the discriminant, these are
+    u_plus, -u_minus = (w_j +- s F(j)) / (2 s) and x(1) / tau - x(0) =
+    w_j / (c0 c1 - D0 - D1), where w_0 = 2 D1 c0 F(1) - m F(0),
+    w_1 = m F(1) - 2 c1 F(0) and m = c0 c1 + D1 - D0.  Each is taken as two
+    terms in F(0) and F(1), so no other difference of nearly equal values is.
+    """
+    t_plus, t_minus, d = reg.roots(mus)
+    (a0, b0, d0), (a1, b1, d1) = reg.steps()
+    c0, c1 = (mus * a0 - b0)[:, None], (mus * a1 - b1)[:, None]
+    m, s = c0 * c1 + d1 - d0, np.sqrt(d + 0j)[:, None]
+    k = np.arange(radius // 2 + 1)
     rep = np.abs(d) <= spectral.DISCRIMINANT_TOL
-    # distinct roots: |u_plus| |a_plus|**n + |u_minus| |a_minus|**n
-    ap, am, g0, g1 = a_plus[~rep], a_minus[~rep], f0[~rep].T, f1[~rep].T
-    c_plus = np.abs((g1 - am * g0) / (ap - am))
-    c_minus = np.abs((ap * g0 - g1) / (ap - am))
-    env = c_plus @ np.abs(ap)[:, None] ** n + c_minus @ np.abs(am)[:, None] ** n
-    # repeated root alpha: (|f0| + |f1 / alpha - f0| n) |alpha|**n
-    alpha, g0, g1 = 0.5 * (a_plus[rep] + a_minus[rep]), f0[rep].T, f1[rep].T
-    power = np.abs(alpha)[:, None] ** n
-    return env + np.abs(g0) @ power + np.abs(g1 / alpha - g0) @ (power * n)
-
-
-def _double_step_envelope(f0, f1, mu, p, q, n):
-    """Profile envelope at the radii ``n`` of one eigenspace under the
-    semiregular double step; array ``f0``, ``f1`` give one row per entry."""
-    t_plus, t_minus, d = spectral.transfer_eigenvalues(mu, p, q)
-    a_mat = spectral.transfer_matrix(mu, p, q)
-    w = np.array([f1, f0], dtype=complex)
-    k = n // 2
-    if abs(d) <= spectral.DISCRIMINANT_TOL:
-        t = abs(t_plus + t_minus) / 2
-        nil = float(np.linalg.norm(a_mat - ((t_plus + t_minus) / 2).real * np.eye(2), 2))
-        scale = np.linalg.norm(w, axis=0)
-        env = np.multiply.outer(scale, t ** k + k * t ** np.maximum(k - 1, 0) * nil)
-    else:
-        def eigvec(t):
-            v1 = np.array([a_mat[0, 1], t - a_mat[0, 0]], dtype=complex)
-            v2 = np.array([t - a_mat[1, 1], a_mat[1, 0]], dtype=complex)
-            v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-            return v / np.linalg.norm(v)
-
-        v_plus, v_minus = eigvec(t_plus), eigvec(t_minus)
-        a, b = np.linalg.solve(np.column_stack([v_plus, v_minus]), w)
-        # radius 2k reads component 1 of the pair (F(2k+1), F(2k)), radius 2k+1 component 0
-        comp = 1 - n % 2
-        env = (np.abs(np.multiply.outer(a, v_plus))[..., comp] * abs(t_plus) ** k
-               + np.abs(np.multiply.outer(b, v_minus))[..., comp] * abs(t_minus) ** k)
-    # radii 0 and 1 are the initial values themselves
-    return np.where(n == 0, np.abs(f0)[..., None], np.where(n == 1, np.abs(f1)[..., None], env))
+    # distinct roots: |u_plus| |t_plus|**k + |u_minus| |t_minus|**k; u holds |2 s u_plus|
+    # and |2 s u_minus| by (root, parity, eigenspace, field), and half is 1 / |2 s|
+    lead, lag = 2 * d1 * c0, 2 * c1
+    u = np.abs(np.array([[lead, m + s], [lead, m - s]]) * f1
+               - np.array([[m - s, lag], [m + s, lag]]) * f0)
+    half = np.where(rep, 0.0, 0.5 / np.sqrt(np.maximum(np.abs(d), spectral.DISCRIMINANT_TOL)))
+    power = np.abs(np.array([t_plus, t_minus]))[..., None] ** k * half[:, None]
+    env = (power.transpose(0, 2, 1)[:, None] @ u).sum(axis=0)   # (parity, radius, field)
+    if rep.any():  # repeated root tau: (|x(0)| + |x(1) / tau - x(0)| k) |tau|**k
+        w = np.array([lead, m]) * f1 - np.array([m, lag]) * f0
+        tau = np.abs(t_plus[rep] + t_minus[rep])[:, None] / 2
+        tau_k = tau ** k
+        env = (env + tau_k.T @ np.abs(np.array([f0, f1])[:, rep])
+               + (tau_k * k / (2 * d0 * d1 * tau)).T @ np.abs(w[:, rep]))
+    return env.transpose(2, 1, 0).reshape(env.shape[2], -1)[:, :radius + 1]
 
 
 def envelope_series(g, f, base, theorem, radius, decomp=None):
@@ -458,14 +443,7 @@ def envelope_series(g, f, base, theorem, radius, decomp=None):
     f1s = np.add.reduceat(basis[rows1].mean(axis=0)[:, None] * coeffs, starts, axis=0)
     mus = np.array(decomp.distinct[first:last])
     keep = np.abs(mus - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL
-    mus, f0s, f1s = mus[keep], f0s[keep], f1s[keep]
-    n = np.arange(radius + 1)
-    if reg.p == reg.q:
-        env = _one_step_envelope(f0s, f1s, reg.roots(mus), n)
-    else:
-        env = np.zeros((coeffs.shape[1], radius + 1))
-        for mu, f0, f1 in zip(mus.tolist(), f0s, f1s):
-            env += _double_step_envelope(f0, f1, mu, reg.p, reg.q, n)
+    env = _profile_envelope(f0s[keep], f1s[keep], mus[keep], reg, radius)
     return env + rest if columns else env[0].tolist()
 
 

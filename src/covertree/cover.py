@@ -861,15 +861,15 @@ def arc_counts(g, base, support, max_radius):
 
 
 def _arc_sums(g, f, base, max_radius, sizes, support):
-    fields = [f] if isinstance(f, ScalarField) else f
     if isinstance(f, np.ndarray):  # value columns, checked whole
         if not np.isfinite(f).all():
             raise ValueError("field values must be finite")
         if f.ndim != 2 or len(f) != _expected_length(g, support):
             raise SupportMismatchError(f"values of shape {f.shape} do not fit the graph's {support}")
-    for item in () if isinstance(f, np.ndarray) else fields:
-        check_field(g, item, support)
-    values = f if isinstance(f, np.ndarray) else np.array([item.values for item in fields]).T
+        values = f
+    else:
+        check_field(g, f, support)
+        values = f.values[:, None]
     sizes = list(arc_counts(g, base, support, max_radius)) if sizes is None else sizes
     op = transfer_operator(g)
     if support == VERTICES:
@@ -878,13 +878,13 @@ def _arc_sums(g, f, base, max_radius, sizes, support):
     else:
         averages = op.averages(values[op.edges], base, max_radius + 1)
     sums = _sums(sizes, averages)
-    return sizes, (sums if fields is f else sums[:, 0].tolist())
+    return sizes, (sums if values is f else sums[:, 0].tolist())
 
 
 def arc_vertex_sums(g, f, base, max_radius, sizes=None):
-    """Per-radius (size, sum of lifted values) over vertex arcs A_0 .. A_R; a list of
-    fields, or an (n, m) array of field values, gives an (R+1, m) array of sums;
-    ``sizes`` from arc_counts are not recounted."""
+    """Per-radius (size, sum of lifted values) over vertex arcs A_0 .. A_R of a field;
+    an (n, m) array of field values gives an (R+1, m) array of sums; ``sizes``
+    from arc_counts are not recounted."""
     return _arc_sums(g, f, base, max_radius, sizes, VERTICES)
 
 

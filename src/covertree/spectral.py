@@ -159,23 +159,6 @@ def fourier_coefficients(f, decomp):
 
 # --- per-eigenvalue decay rates ---
 
-def characteristic_roots_regular_vertex(mu, q):
-    """Roots of  x**2 - ((q+1)/q) mu x + 1/q,  complex pair when D < 0;
-    ``mu`` may be an array, and the roots are complex."""
-    d = (q + 1) ** 2 * mu * mu - 4 * q
-    s = np.sqrt(np.asarray(d, dtype=complex))
-    return ((q + 1) * mu + s) / (2 * q), ((q + 1) * mu - s) / (2 * q), d
-
-
-def characteristic_roots_regular_edge(mu, q):
-    """Roots of  x**2 + ((q-1-2 mu q)/q) x + 1/q;  ``mu`` may be an array,
-    and the roots are complex."""
-    b = q - 1 - 2 * mu * q
-    d = b * b - 4 * q
-    s = np.sqrt(np.asarray(d, dtype=complex))
-    return (mu - (q - 1) / (2 * q)) + s / (2 * q), (mu - (q - 1) / (2 * q)) - s / (2 * q), d
-
-
 def decay_rate_regular_vertex(mu, q):
     """Per-radius decay rate for a vertex-Laplacian eigenvalue of a regular graph.
 
@@ -318,7 +301,8 @@ class Regime:
     through the Ihara-Bass correspondence (Kotani-Sunada 2000).
 
     ``p`` + 1 and ``q`` + 1 are the tree degrees at the base's tail and head;
-    they differ only in regime 3, where the recursion is a double step.
+    they differ only in regime 3.  Every regime's recursion is read through
+    its double step, whose two halves are equal in regimes 1 and 2.
     """
 
     theorem: int
@@ -336,11 +320,19 @@ class Regime:
         return decay_rate_semiregular_edge(mu, self.cls.p, self.cls.q)
 
     def roots(self, mus):
-        """Characteristic roots (plus, minus, discriminant) of the one-step
-        recursion (p == q) at every eigenvalue of the array ``mus``."""
-        roots_of = (characteristic_roots_regular_vertex if self.support == cover.VERTICES
-                    else characteristic_roots_regular_edge)
-        return roots_of(mus, self.q)
+        """Complex roots (t_plus, t_minus) and discriminant of the double step
+        T = M_odd M_even at every eigenvalue of the array ``mus``: with
+        c_i = mu A_i - B_i, T has trace (c0 c1 - D0 - D1) / (D0 D1) and
+        determinant 1 / (D0 D1), and each parity of a radial profile, F(0),
+        F(2), .. and F(1), F(3), .., is a two-term sequence with these roots.
+        The discriminant, in units of (D0 D1)**-2, is summed as
+        c0 c1 (c0 c1 - 2 D0 - 2 D1) + (D0 - D1)**2, which in regimes 1 and 2 is
+        c**2 times the one-step one: no cancellation where T is nearly scalar."""
+        (a0, b0, d0), (a1, b1, d1) = self.steps()
+        cc = (mus * a0 - b0) * (mus * a1 - b1)
+        d = cc * (cc - 2 * (d0 + d1)) + (d0 - d1) ** 2
+        num, s = cc - (d0 + d1), np.sqrt(np.asarray(d, dtype=complex))
+        return (num + s) / (2 * d0 * d1), (num - s) / (2 * d0 * d1), d
 
     def steps(self):
         """Coefficients (A, B, D) of  F(n) = ((mu A - B) F(n-1) - F(n-2)) / D

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertree import analysis, cover, graph_core, spectral
 from covertree.analysis import (
@@ -27,6 +29,7 @@ from covertree.errors import (
     InsufficientDataError,
     SupportMismatchError,
 )
+import reference_envelope
 
 
 def _synthetic_report(deviations):
@@ -298,19 +301,13 @@ def test_envelope_catches_corrupted_series(k4):
 def _eigenspace_envelope(g, comp, mu, base, theorem, radius):
     """Closed-form envelope of ``comp``, a field in the eigenspace of ``mu``,
     from its two initial values at ``base``."""
-    n = np.arange(radius + 1)
     if theorem == 1:
         f0, f1 = comp[g.tail(base)], comp[g.head(base)]
     else:
         sizes, sums = cover.arc_edge_sums(g, ScalarField(EDGES, comp), base, 1)
         f0, f1 = sums[0], sums[1] / sizes[1]
-    if theorem == 3:
-        return analysis._double_step_envelope(
-            f0, f1, mu, g.degree(g.tail(base)) - 1, g.degree(g.head(base)) - 1, n)
-    roots_of = (spectral.characteristic_roots_regular_vertex if theorem == 1
-                else spectral.characteristic_roots_regular_edge)
-    roots = [np.array([x], dtype=complex) for x in roots_of(mu, graph_core.classify(g).q)]
-    return analysis._one_step_envelope(np.array([f0]), np.array([f1]), roots, n)
+    return analysis._profile_envelope(np.array([[f0]]), np.array([[f1]]), np.array([mu]),
+                                      spectral.regime(g, theorem, base), radius)[0]
 
 
 def _reference_envelope(g, f, base, theorem, radius, decomp):
@@ -439,21 +436,122 @@ def test_own_eigenspace_envelope_bounds_any_remainder(petersen):
 
 def test_one_step_envelope_dominates_radial_series_in_both_root_cases(k4):
     # one eigenspace at the repeated-root threshold, one with a complex pair
-    q = 2
-    mus = [2 * math.sqrt(q) / (q + 1), -1 / 3]
-    f0, f1 = np.array([0.3, -0.7]), np.array([-0.2, 0.4])
-    roots = np.array([spectral.characteristic_roots_regular_vertex(mu, q) for mu in mus],
-                     dtype=complex).T
+    q, reg = 2, spectral.regime(k4, 1)
+    mus = np.array([2 * math.sqrt(q) / (q + 1), -1 / 3])
+    f0, f1 = np.array([[0.3], [-0.7]]), np.array([[-0.2], [0.4]])
     n = np.arange(31)
-    env = analysis._one_step_envelope(f0, f1, roots, n)
-    series = [spectral.radial_series(a, b, mu, spectral.regime(k4, 1), 30)
-              for mu, a, b in zip(mus, f0, f1)]
+    env = analysis._profile_envelope(f0, f1, mus, reg, 30)[0]
+    series = [spectral.radial_series(a, b, mu, reg, 30)
+              for mu, a, b in zip(mus, f0[:, 0], f1[:, 0])]
     assert np.all(np.abs(np.sum(series, axis=0)) <= env * (1 + 1e-12))
-    alpha = q ** -0.5
-    repeated = (0.3 + abs(-0.2 / alpha - 0.3) * n) * alpha ** n
+    # the repeated root alpha, by parity: (|f0| + 2k |f1/alpha - f0|) |alpha|**2k at
+    # radius 2k and (|f1| + 2k |alpha| |f1/alpha - f0|) |alpha|**2k at radius 2k + 1
+    alpha, k = q ** -0.5, n // 2
+    slope = abs(-0.2 / alpha - 0.3)
+    repeated = np.where(n % 2, 0.2 + 2 * k * alpha * slope, 0.3 + 2 * k * slope) * alpha ** (2 * k)
     assert np.allclose(env - repeated,
-                       analysis._one_step_envelope(f0[1:], f1[1:], roots[:, 1:], n),
+                       analysis._profile_envelope(f0[1:], f1[1:], mus[1:], reg, 30)[0],
                        rtol=1e-12, atol=0)
+    # no larger than the one-step form (|f0| + n |f1/alpha - f0|) |alpha|**n, and
+    # equal to it at even radii
+    one_step = (0.3 + n * slope) * alpha ** n
+    assert np.all(repeated <= one_step * (1 + 1e-12))
+    assert np.allclose(repeated[::2], one_step[::2], rtol=1e-12, atol=0)
+
+
+def _special_mus(reg):
+    """The eigenvalues where the double step has a repeated root or the vanishing-star
+    root of modulus one; for p == q the middle two discriminant roots are (q-1)/(2q)."""
+    if reg.support == VERTICES:
+        r = 2 * math.sqrt(reg.q) / (reg.q + 1)
+        return [0.0, r, -r]
+    return [-2 / (reg.p + reg.q), *spectral.discriminant_roots(reg.p, reg.q)]
+
+
+def _scalar_mu(reg):
+    """The eigenvalue where both halves of the step vanish, so T is scalar, or None."""
+    if reg.support == VERTICES:
+        return 0.0
+    return (reg.q - 1) / (2 * reg.q) if reg.p == reg.q else None
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_envelope_closed_form_dominates_the_radial_series(k4, petersen, k34, data):
+    # independent of the library's envelope: the recursion itself, to radius 60
+    regimes = [spectral.regime(k4, 1), spectral.regime(k4, 2), spectral.regime(petersen, 1),
+               spectral.regime(petersen, 2), spectral.regime(k34, 3, k34.half_edge(0, 3)),
+               spectral.regime(k34, 3, k34.half_edge(3, 0))]
+    reg = data.draw(st.sampled_from(regimes))
+    lo = -1.0 if reg.support == VERTICES else -2 / (reg.p + reg.q)
+    mu = data.draw(st.one_of(st.floats(lo, 1.0), st.sampled_from(_special_mus(reg))))
+    # initial values 0 or of size at least 1e-100: a relative bound needs normal floats
+    value = st.floats(-1, 1).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+    f0, f1 = data.draw(value), data.draw(value)
+    env = analysis._profile_envelope(np.array([[f0]]), np.array([[f1]]), np.array([mu]), reg, 60)
+    series = np.abs(spectral.radial_series(f0, f1, mu, reg, 60))
+    assert np.all(series <= env[0] * (1 + 1e-12))
+    if mu == _scalar_mu(reg):  # each parity is geometric: the envelope is |F(n)|
+        assert np.allclose(env[0], series, rtol=1e-12, atol=0)
+
+
+def test_envelope_at_repeated_roots_is_no_larger_than_the_previous_forms(k4, petersen, k34):
+    # at a repeated double-step root the previous envelopes were the one-step form
+    # for p == q and a norm bound on the nilpotent part for p != q
+    n = np.arange(41)
+    values = np.linspace(-1, 1, 9)
+    for reg in (spectral.regime(k4, 1), spectral.regime(petersen, 2),
+                spectral.regime(k34, 3, k34.half_edge(0, 3)),
+                spectral.regime(k34, 3, k34.half_edge(3, 0))):
+        mus = [mu for mu in _special_mus(reg)
+               if abs(reg.roots(np.array([mu]))[2][0]) <= spectral.DISCRIMINANT_TOL]
+        assert len(mus) >= 2
+        for mu in mus:
+            f0, f1 = np.meshgrid(values, values)
+            env = analysis._profile_envelope(np.array([f0.ravel()]), np.array([f1.ravel()]),
+                                             np.array([mu]), reg, 40)
+            for j, (a, b) in enumerate(zip(f0.ravel(), f1.ravel())):
+                old = (reference_envelope.one_step_envelope(a, b, mu, reg.support, reg.q, n)
+                       if reg.p == reg.q else
+                       reference_envelope.double_step_envelope(a, b, mu, reg.p, reg.q, n))
+                assert np.all(env[j] <= old * (1 + 1e-12))
+                assert np.all(np.abs(spectral.radial_series(a, b, mu, reg, 40))
+                              <= env[j] * (1 + 1e-12))
+
+
+# At radii up to 12 the double-step envelope equals the previous closed forms to
+# rounding: with three fields and four bases the largest relative change is
+# 7.0e-14 on K(3,5), 3.6e-14 on K(3,4), 2.4e-14 and 1.3e-14 for theorem 2 on K4
+# and Petersen, and below 2e-15 for the rest.  Where T is scalar (K(3,3),
+# theorem 2, mu = 1/4) it is the exact |F(n)|.
+PREVIOUS_ENVELOPE_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("name,theorem", [
+    ("k4", 1), ("petersen", 1), ("cubic-60", 1), ("k4", 2), ("petersen", 2), ("cubic-60", 2),
+    ("k33", 2), ("k34", 3), ("k35", 3),
+])
+def test_envelope_matches_the_previous_closed_forms(name, theorem, request, seeded_cubic):
+    if name == "k35":
+        g = graph_core.generate("complete_bipartite", 3, 5)
+    else:
+        g = seeded_cubic(60, 60) if name == "cubic-60" else request.getfixturevalue(name)
+    lap, _ = spectral.theorem_laplacian(g, theorem)
+    decomp = spectral.eig_sym(lap)
+    for base in (0, 1, g.half_edge_count // 2, g.half_edge_count - 1):
+        d = spectral.regime(g, theorem, base).roots(np.array(decomp.distinct))[2]
+        repeated = (np.abs(d) <= spectral.DISCRIMINANT_TOL).any()
+        for seed in (11, 12, 13):
+            f = random_field(g, lap.support, seed)
+            env = np.array(envelope_series(g, f, base, theorem, 12, decomp=decomp))
+            old = reference_envelope.reference_envelope(g, f, base, theorem, 12, decomp)
+            if repeated:
+                assert np.all(env <= old * (1 + 1e-12))
+            else:
+                assert np.allclose(env, old, rtol=PREVIOUS_ENVELOPE_RTOL, atol=0)
+            report = deviation_series(g, f, set_kind="arc", radius=12, base=base)
+            assert envelope_check(report, env.tolist())
+    assert (name == "k33") == repeated
 
 
 def test_envelope_with_decomp_keeps_the_regime_gate(k33, petersen):

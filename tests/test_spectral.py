@@ -23,8 +23,6 @@ from covertree.spectral import (
     EXACT_GEOMETRIC,
     ONE_STEP,
     POLYNOMIAL_FACTOR,
-    characteristic_roots_regular_edge,
-    characteristic_roots_regular_vertex,
     critical_point,
     decay_rate_regular_edge,
     decay_rate_regular_vertex,
@@ -271,19 +269,47 @@ def test_vertex_rate_cases():
         decay_rate_regular_vertex(1.5, 2)
 
 
-def test_vertex_roots_satisfy_characteristic_polynomial():
-    mu, q = 0.99, 2
-    hi, lo, d = characteristic_roots_regular_vertex(mu, q)
-    assert d > 0
-    for x in (hi, lo):
-        assert x * x - (q + 1) / q * mu * x + 1 / q == pytest.approx(0.0, abs=1e-12)
+def _one_step_squares(reg, mu):
+    """Squares of the roots of  D x**2 - (mu A - B) x + 1,  the one-step
+    characteristic polynomial, in the order of (t_plus, t_minus): the root
+    square of a_plus comes first when mu A - B >= 0."""
+    (a, b, d), _ = reg.steps()
+    c = mu * a - b
+    s = np.sqrt(complex(c * c - 4 * d))
+    plus, minus = ((c + s) / (2 * d)) ** 2, ((c - s) / (2 * d)) ** 2
+    return (plus, minus) if c >= 0 else (minus, plus)
 
 
-@given(st.floats(-0.999, 0.999), st.integers(2, 9))
-@settings(max_examples=80, deadline=None)
-def test_vertex_root_product_is_one_over_q(mu, q):
-    hi, lo, _ = characteristic_roots_regular_vertex(mu, q)
-    assert abs(hi * lo - 1 / q) <= 1e-10
+def _one_step_residual(reg, mu, t):
+    """|D x**2 - (mu A - B) x + 1| at the better of x = +-sqrt(t)."""
+    (a, b, d), _ = reg.steps()
+    x = np.sqrt(complex(t))
+    return min(abs(d * y * y - (mu * a - b) * y + 1) for y in (x, -x))
+
+
+def test_vertex_roots_satisfy_characteristic_polynomial(k4):
+    # the double-step roots of a one-step regime square the one-step roots
+    reg = regime(k4, 1)
+    for mu in (0.99, -0.99, 0.5, 0.0):
+        plus, minus, d = reg.roots(np.array([mu]))
+        assert (d[0] > 0) == (abs(mu) > 2 * math.sqrt(2) / 3) and (d[0] == 0) == (mu == 0.0)
+        for t in (plus[0], minus[0]):
+            assert _one_step_residual(reg, mu, t) <= 1e-12
+
+
+@given(st.floats(-1, 1), st.integers(2, 9), st.integers(0, 2))
+@settings(max_examples=120, deadline=None)
+def test_regime_root_product_is_one_over_d0_d1(mu, q, theorem):
+    # regime 1 and 2 on the complete graph of degree q + 1, regime 3 on K(q + 1, q + 2)
+    if theorem == 2:
+        g = graph_core.generate("complete_bipartite", q + 1, q + 2)
+    else:
+        g = graph_core.generate("complete", q + 2)
+    for base in (0, 1):
+        reg = regime(g, theorem + 1, base)
+        (_, _, d0), (_, _, d1) = reg.steps()
+        plus, minus, _ = reg.roots(np.array([mu]))
+        assert abs(plus[0] * minus[0] * d0 * d1 - 1) <= 1e-12
 
 
 # --- decay rates: regular edge ---
@@ -298,23 +324,29 @@ def test_edge_rate_cases():
 
 
 def test_edge_root_at_doob_eigenvalue_has_modulus_one():
-    # before the vanishing-star correction one root sits on the unit circle
-    for q in (2, 3, 4, 5):
-        hi, lo, d = characteristic_roots_regular_edge(-1 / q, q)
-        assert d > 0
-        assert abs(lo) == pytest.approx(1.0, abs=1e-12)
-        assert abs(hi) == pytest.approx(1 / q, abs=1e-12)
+    # before the vanishing-star correction one root sits on the unit circle,
+    # at mu = -1/q on a regular graph and at mu = -2/(p+q) on a semiregular one
+    cases = [(graph_core.generate("complete", q + 2), 2) for q in (2, 3, 4, 5)]
+    cases += [(graph_core.generate("complete_bipartite", a, b), 3)
+              for a, b in ((3, 4), (3, 5), (4, 5), (4, 6))]
+    for g, theorem in cases:
+        for base in (0, 1):
+            reg = regime(g, theorem, base)
+            plus, minus, d = reg.roots(np.array([-2 / (reg.p + reg.q)]))
+            assert d[0] > 0
+            assert abs(plus[0]) == pytest.approx(1.0, abs=1e-12)
+            assert abs(minus[0]) == pytest.approx(1 / (reg.p * reg.q), abs=1e-12)
 
 
-@given(st.floats(0, 1).map(lambda t: t), st.integers(2, 9))
+@given(st.floats(0, 1), st.integers(2, 9))
 @settings(max_examples=80, deadline=None)
 def test_edge_roots_satisfy_characteristic_polynomial(t, q):
     mu = -1 / q + t * (1 + 1 / q)  # inside [-1/q, 1]
-    hi, lo, _ = characteristic_roots_regular_edge(mu, q)
-    for x in (hi, lo):
-        val = x * x + (q - 1 - 2 * mu * q) / q * x + 1 / q
-        assert abs(val) <= 1e-10
-    assert abs(hi * lo - 1 / q) <= 1e-10
+    reg = regime(graph_core.generate("complete", q + 2), 2)
+    plus, minus, _ = reg.roots(np.array([mu]))
+    for root in (plus[0], minus[0]):
+        assert _one_step_residual(reg, mu, root) <= 1e-10
+    assert abs(plus[0] * minus[0] - 1 / q ** 2) <= 1e-10
 
 
 # --- semiregular transfer matrix ---
@@ -568,15 +600,27 @@ def test_regime_edge_rates_stay_regular_at_the_semiregular_repeated_root(n):
     assert decay_rate_semiregular_edge(mu, q, q)[1] == POLYNOMIAL_FACTOR
 
 
-def test_regime_roots_match_the_scalar_roots(k4, petersen):
+def test_regime_roots_match_the_scalar_roots(k4, petersen, k34):
+    # one-step regimes: the squared one-step roots; away from |mu| = 2 sqrt(2)/3
+    # and the edge repeated roots the square roots are well conditioned
     mus = np.linspace(-0.5, 0.99, 41)
-    for reg, roots_of in ((regime(k4, 1), characteristic_roots_regular_vertex),
-                          (regime(petersen, 2), characteristic_roots_regular_edge)):
-        plus, minus, d = reg.roots(mus)
-        for i, mu in enumerate(mus):
-            ref = roots_of(float(mu), 2)
+    for reg in (regime(k4, 1), regime(petersen, 2)):
+        plus, minus, _ = reg.roots(mus)
+        for i, mu in enumerate(mus.tolist()):
+            ref = _one_step_squares(reg, mu)
             assert abs(plus[i] - ref[0]) <= 1e-15 and abs(minus[i] - ref[1]) <= 1e-15
-            assert d[i] == ref[2]
+    # regime 3: transfer_eigenvalues, from the same double step on both sides;
+    # its discriminant differs only in rounding, and the repeated roots agree
+    for base in (k34.half_edge(0, 3), k34.half_edge(3, 0)):
+        reg = regime(k34, 3, base)
+        special = np.array(discriminant_roots(reg.p, reg.q))
+        plus, minus, d = reg.roots(np.concatenate([np.linspace(-0.4, 1.0, 57), special]))
+        for i, mu in enumerate(np.concatenate([np.linspace(-0.4, 1.0, 57), special]).tolist()):
+            t_plus, t_minus, ref = transfer_eigenvalues(mu, reg.p, reg.q)
+            assert abs(d[i] - ref) <= 1e-14 * max(1.0, abs(ref))
+            if abs(ref) > 1e-6:
+                assert abs(plus[i] - t_plus) <= 1e-15 and abs(minus[i] - t_minus) <= 1e-15
+        assert np.all(np.abs(d[-4:]) <= spectral.DISCRIMINANT_TOL)
 
 
 _UNIT = st.floats(-1, 1)
