@@ -258,7 +258,7 @@ def arc_deviations(g, values, support, base, radius):
     value columns ``values`` on ``support``, where the graph average is the target."""
     _, averages = _union_series(g, values, _Union(support, ((base,),)), radius,
                                 enumeration_budget())
-    targets = list(map(cover._mean, values.T.tolist()))  # graph_average's bits
+    targets = cover._column_means(values)  # graph_average's bits
     return averages, np.abs(averages - targets)
 
 
@@ -373,9 +373,10 @@ def _profile_envelope(f0, f1, mus, reg, radius):
     w_1 = m F(1) - 2 c1 F(0) and m = c0 c1 + D1 - D0.  Each is taken as two
     terms in F(0) and F(1), so no other difference of nearly equal values is.
     """
-    t_plus, t_minus, d = reg.roots(mus)
     (a0, b0, d0), (a1, b1, d1) = reg.steps()
-    c0, c1 = (mus * a0 - b0)[:, None], (mus * a1 - b1)[:, None]
+    c0, c1 = mus * a0 - b0, mus * a1 - b1
+    t_plus, t_minus, d = spectral.double_step_roots(c0, c1, d0, d1)
+    c0, c1 = c0[:, None], c1[:, None]
     m, s = c0 * c1 + d1 - d0, np.sqrt(d + 0j)[:, None]
     k = np.arange(radius // 2 + 1)
     rep = np.abs(d) <= spectral.DISCRIMINANT_TOL
@@ -393,6 +394,9 @@ def _profile_envelope(f0, f1, mus, reg, radius):
         tau_k = tau ** k
         env = (env + tau_k.T @ np.abs(np.array([f0, f1])[:, rep])
                + (tau_k * k / (2 * d0 * d1 * tau)).T @ np.abs(w[:, rep]))
+    # one ulp outward (toward 2 env, so zeros stay zero): at subnormal sizes
+    # the last bits are all the precision there is
+    env = np.nextafter(env, 2 * env)
     return env.transpose(2, 1, 0).reshape(env.shape[2], -1)[:, :radius + 1]
 
 

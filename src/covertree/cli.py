@@ -301,10 +301,13 @@ def _cmd_verify(args):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
+    # the random field's prediction holds every eigenvalue's rate
+    f = generic_field(g, regime.support, args.seed, decomp)
+    prediction = spectral.rate_prediction(g, args.theorem, f, decomp=decomp)
     # per basis column: its eigenvalue, rate and index inside its eigenspace
     starts, sizes = np.array([(a, b - a) for a, b in decomp.group_slices]).T
     mus = np.repeat(decomp.distinct, sizes)
-    rates = np.repeat([regime.rate(mu)[0] for mu in decomp.distinct], sizes)
+    rates = np.repeat([row.beta for row in prediction.per_eigenvalue], sizes)
     index = np.arange(len(mus)) - np.repeat(starts, sizes)
     columns = np.flatnonzero(np.abs(mus - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL)
     for start in range(0, len(columns), VERIFY_BLOCK):
@@ -322,8 +325,6 @@ def _cmd_verify(args):
                    f"max residual {residual:.3e}")
             record(f"envelope mu={mu:.9g} [{col}]", ok, f"rate {beta:.6g}, max radius {radius}")
 
-    f = generic_field(g, regime.support, args.seed, decomp)
-    prediction = spectral.rate_prediction(g, args.theorem, f, decomp=decomp)
     report = analysis.deviation_series(g, f, set_kind="arc", radius=radius, base=base)
     report.predicted_beta = prediction.beta_max
     report.predicted_kind = prediction.beta_max_kind

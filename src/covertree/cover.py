@@ -569,13 +569,15 @@ def _mean(values, counts=None, split=None, n=None):
     digit * part for each part of _split(values) (or ``split``): fsum rounds
     their exact total, the list's, once, so the mean has the list's bits.
     Below n * max|x| = 2**1023 no term or partial sum can overflow; from it on
-    the multiset is averaged as its list, and raises as the list does.  ``n``
-    is the element count, if the caller holds it."""
+    the total is kept exactly as an integer in units of 2**-1074, id by id,
+    and raises where the list's fsum does: where a running total at the end of
+    a run of equal values rounds past the float range.  ``n`` is the element
+    count, if the caller holds it."""
     n = (len(values) if counts is None else int(counts.sum())) if n is None else n
     try:
         if counts is not None and n * max(map(abs, values.tolist())) >= 2.0 ** 1023:
-            values = np.repeat(values, counts).tolist()
-        elif counts is not None:
+            return _running_total(values, counts) / n
+        if counts is not None:
             split = _split(values) if split is None else split
             if n >> 26:  # a count may pass 2**26: one column per 26-bit digit
                 k = np.arange(0, n.bit_length(), 26)
@@ -586,6 +588,57 @@ def _mean(values, counts=None, split=None, n=None):
         raise SizeOutOfRangeError(f"the sum of {n} field values is past the float range") from None
 
 
+# 2**1024 - 2**970, halfway from the largest float to 2**1024, in units of
+# 2**-1074: a total from here on rounds past the float range
+_RANGE_EDGE = (1 << 2098) - (1 << 2044)
+
+
+def _running_total(values, counts):
+    """The correctly rounded total of the multiset listed in id order; raises
+    OverflowError where a running total at the end of an id's run rounds past
+    the float range (within a run it moves one way, so its ends bound it)."""
+    total = 0
+    for x, c in zip(values.tolist(), counts.tolist()):
+        num, den = x.as_integer_ratio()
+        total += c * num << 1075 - den.bit_length()
+        if abs(total) >= _RANGE_EDGE:
+            raise OverflowError
+    return total / (1 << 1074)
+
+
+# below this many entries an array's column means are cheaper one fsum at a time
+_COLUMN_MEANS_MIN = 1536
+
+
+def _column_means(values):
+    """_mean of every column of the (n, m) array ``values``, with its bits.
+
+    Error-free extraction (Rump, Ogita and Oishi 2008): per column, with
+    2**e > max|r| and sigma = 2**(e + k), k = n.bit_length() + 1, the high
+    part hi = (sigma + r) - sigma is exact, a multiple of ulp(sigma) / 2, and
+    r - hi is exact; n such parts, each at most 2**e, sum exactly in any
+    order, below sigma / 2.  Passes go on with r - hi until it is all zero
+    (two or three for eigenvector blocks), and fsum rounds each column's
+    exact pass sums once, as it rounds the column's list.  A zero mean takes
+    the list's fsum, whose zero sign differs across Python versions.  Small
+    blocks, all zero ones, and any with n * max|x| >= 2**1021 where sigma
+    could overflow are averaged column by column as lists, with the same
+    bits."""
+    n = len(values)
+    top = np.abs(values).max(axis=0) if values.size >= _COLUMN_MEANS_MIN else None
+    if top is None or not 0.0 < n * float(top.max()) < 2.0 ** 1021:
+        return list(map(_mean, values.T.tolist()))
+    k, rest, sums = n.bit_length() + 1, values, []
+    while top.any():
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + k)
+        hi = (rest + sigma) - sigma
+        sums.append(hi.sum(axis=0))
+        rest = rest - hi
+        top = np.abs(rest).max(axis=0)
+    return [math.fsum(col) / n or _mean(values[:, j].tolist())
+            for j, col in enumerate(np.array(sums).T.tolist())]
+
+
 def graph_average(f):
     """Mean of the field over the whole base graph."""
     return _mean(f.values.tolist())
@@ -594,7 +647,7 @@ def graph_average(f):
 def part_average(f, part):
     """Mean of a field, or list of column means of an (n, m) value array, over the ids ``part``."""
     values = f.values[list(part)] if isinstance(f, ScalarField) else f[list(part)]
-    return _mean(values.tolist()) if values.ndim == 1 else list(map(_mean, values.T.tolist()))
+    return _mean(values.tolist()) if values.ndim == 1 else _column_means(values)
 
 
 def _expected_length(g, support):
@@ -663,14 +716,14 @@ class TransferOperator:
     __slots__ = ("size", "src", "dst", "heads", "edges", "shift", "classes", "quotient")
 
     def __init__(self, g):
-        self.size = g.half_edge_count
-        fanout = [len(g.continuations(h)) for h in range(self.size)]
-        self.shift = max(fanout, default=0).bit_length()  # 2**shift > any continuation count
-        self.src = np.repeat(np.arange(self.size), fanout)
-        self.dst = np.array([h2 for h in range(self.size) for h2 in g.continuations(h)],
-                            dtype=np.intp)
+        self.size = size = g.half_edge_count
+        steps = list(map(g.continuations, range(size)))
+        fanout = np.fromiter(map(len, steps), np.intp, size)
+        self.shift = int(fanout.max(initial=0)).bit_length()  # 2**shift > any continuation count
+        self.src = np.repeat(np.arange(size), fanout)
+        self.dst = np.fromiter(itertools.chain.from_iterable(steps), np.intp, len(self.src))
         self.heads = np.array(g.heads, dtype=np.intp)
-        self.edges = np.array([g.edge_of(h) for h in range(self.size)], dtype=np.intp)
+        self.edges = np.fromiter(map(g.edge_of, range(size)), np.intp, size)
         self.classes, self.quotient = _equitable_partition(g)
 
     def counts(self, base, n):
@@ -780,7 +833,7 @@ def _equitable_partition(g):
     has the same fan-out c, one class is already equitable: row ((0, c),).
     """
     colour = [0] * g.half_edge_count
-    fanout = {len(g.continuations(h)) for h in range(g.half_edge_count)}
+    fanout = set(map(len, map(g.continuations, range(g.half_edge_count))))
     if len(fanout) == 1:
         c, = fanout
         return colour, (((0, c),) if c else (),)

@@ -329,10 +329,7 @@ class Regime:
         c0 c1 (c0 c1 - 2 D0 - 2 D1) + (D0 - D1)**2, which in regimes 1 and 2 is
         c**2 times the one-step one: no cancellation where T is nearly scalar."""
         (a0, b0, d0), (a1, b1, d1) = self.steps()
-        cc = (mus * a0 - b0) * (mus * a1 - b1)
-        d = cc * (cc - 2 * (d0 + d1)) + (d0 - d1) ** 2
-        num, s = cc - (d0 + d1), np.sqrt(np.asarray(d, dtype=complex))
-        return (num + s) / (2 * d0 * d1), (num - s) / (2 * d0 * d1), d
+        return double_step_roots(mus * a0 - b0, mus * a1 - b1, d0, d1)
 
     def steps(self):
         """Coefficients (A, B, D) of  F(n) = ((mu A - B) F(n-1) - F(n-2)) / D
@@ -341,6 +338,14 @@ class Regime:
             return ((self.q + 1, 0, self.q),) * 2
         s = self.p + self.q
         return (s, self.q - 1, self.p), (s, self.p - 1, self.q)
+
+
+def double_step_roots(c0, c1, d0, d1):
+    """Regime.roots from the step coefficients c_i = mu A_i - B_i and D_i."""
+    cc = c0 * c1
+    d = cc * (cc - 2 * (d0 + d1)) + (d0 - d1) ** 2
+    num, s = cc - (d0 + d1), np.sqrt(np.asarray(d, dtype=complex))
+    return (num + s) / (2 * d0 * d1), (num - s) / (2 * d0 * d1), d
 
 
 def regime(g, theorem, base=0):

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from covertree import analysis, cover, graph_core, spectral
@@ -475,19 +475,28 @@ def _scalar_mu(reg):
     return (reg.q - 1) / (2 * reg.q) if reg.p == reg.q else None
 
 
-@given(st.data())
+# initial values 0 or of size at least 1e-100: a relative bound needs normal floats
+_INITIAL_VALUE = st.floats(-1, 1).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+
+
+# mu is a float, or an int indexing the regime's special eigenvalues
+@given(st.integers(0, 5), st.one_of(st.floats(-1.0, 1.0), st.integers(0, 4)),
+       _INITIAL_VALUE, _INITIAL_VALUE)
+# the smallest normal mu: the profile's even radii are subnormal, and at radius 42 both
+# its float and its exact value passed the envelope before it was rounded outward
+@example(0, 2.2250738585072014e-308, 0.0, 0.5510748779973729)
+@example(2, 2.2250738585072014e-308, 0.0, 0.5510748779973729)
 @settings(max_examples=200, deadline=None)
-def test_envelope_closed_form_dominates_the_radial_series(k4, petersen, k34, data):
+def test_envelope_closed_form_dominates_the_radial_series(k4, petersen, k34, which, mu, f0, f1):
     # independent of the library's envelope: the recursion itself, to radius 60
     regimes = [spectral.regime(k4, 1), spectral.regime(k4, 2), spectral.regime(petersen, 1),
                spectral.regime(petersen, 2), spectral.regime(k34, 3, k34.half_edge(0, 3)),
                spectral.regime(k34, 3, k34.half_edge(3, 0))]
-    reg = data.draw(st.sampled_from(regimes))
+    reg = regimes[which]
     lo = -1.0 if reg.support == VERTICES else -2 / (reg.p + reg.q)
-    mu = data.draw(st.one_of(st.floats(lo, 1.0), st.sampled_from(_special_mus(reg))))
-    # initial values 0 or of size at least 1e-100: a relative bound needs normal floats
-    value = st.floats(-1, 1).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
-    f0, f1 = data.draw(value), data.draw(value)
+    special = _special_mus(reg)
+    mu = special[mu % len(special)] if isinstance(mu, int) else mu
+    assume(mu >= lo)
     env = analysis._profile_envelope(np.array([[f0]]), np.array([[f1]]), np.array([mu]), reg, 60)
     series = np.abs(spectral.radial_series(f0, f1, mu, reg, 60))
     assert np.all(series <= env[0] * (1 + 1e-12))

@@ -529,6 +529,27 @@ def test_verify_eigensolves_once(generator, theorem, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_takes_each_eigenvalue_rate_once(k34, tmp_path, monkeypatch, capsys):
+    # the rates come from the random field's prediction, one Regime.rate call per
+    # distinct eigenvalue; K(3,4)'s rates do not depend on the base's orientation
+    path = tmp_path / "k34.g"
+    graph_core.save_graph(k34, path)
+    distinct = len(spectral.eig_sym(spectral.theorem_laplacian(k34, 3)[0]).distinct)
+    real_rate, calls, rates = spectral.Regime.rate, [], []
+
+    def counting_rate(self, mu):
+        calls.append(mu)
+        return real_rate(self, mu)
+
+    monkeypatch.setattr(spectral.Regime, "rate", counting_rate)
+    for base in (("0", "3"), ("3", "0")):
+        calls.clear()
+        assert main(["verify", "--graph", str(path), "--theorem", "3", "--base", *base]) == 0
+        assert len(calls) == len(set(calls)) == distinct
+        rates.append(re.findall(r"envelope (mu=\S+ \[\d+\]): rate (\S+),", capsys.readouterr().out))
+    assert rates[0] == rates[1] and len(rates[0]) == k34.edge_count - 1
+
+
 def test_verify_rejects_usage_errors_before_the_eigensolve(k4_file, monkeypatch, capsys):
     def no_eig_sym(lap):
         raise AssertionError("verify eigensolved before checking its arguments")

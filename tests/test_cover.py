@@ -1,16 +1,18 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertree import cover, graph_core
-from covertree.cli import random_field
+from covertree import cover, graph_core, spectral
+from covertree.cli import VERIFY_BLOCK, random_field
 from covertree.cover import (
     EDGES,
     VERTICES,
@@ -483,7 +485,8 @@ def _signed_magnitude(rng, low, high):
 def test_mean_of_counts_to_2_40_is_the_exactly_rounded_total_over_n():
     # counts past 2**26 are split into 26-bit digits; subnormal to 1e300 values
     # of both signs (kept below the bound n * max|x| = 2**1023, past which a
-    # multiset is listed), and signed zeros, whose zero totals round to +0.0
+    # multiset's running total is kept exactly), and signed zeros, whose zero
+    # totals round to +0.0
     rng = random.Random(20)
     digits = Counter()
     for trial in range(400):
@@ -515,7 +518,7 @@ def test_mean_given_its_element_count_keeps_its_bits():
 
 def test_mean_on_both_sides_of_the_float_range_bound():
     # below n * max|x| = 2**1023 the counted form is exact and never raises;
-    # from it on, it is the list, which may raise where the total fits
+    # from it on, it raises where the list does, which may be where the total fits
     rng = random.Random(21)
     sides = Counter()
     for trial in range(300):
@@ -598,6 +601,118 @@ def test_set_average_hands_fsum_the_short_expansion(k34, monkeypatch):
     monkeypatch.undo()
     assert lengths and lengths[0] <= k34.edge_count * (23328).bit_length()
     assert _bits(got) == _bits(math.fsum(f.values[layer.ids()].tolist()) / 23328)
+
+
+def test_mean_of_counts_near_2_40_and_values_near_1e300_runs_in_bounded_memory():
+    # past n * max|x| = 2**1023 the counted form keeps an exact running total
+    # id by id; the listed multiset would be 2**41 floats here
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeOutOfRangeError, match="the sum of 2199023255557 field values"):
+            cover._mean(np.array([1e300, -3e299, 1e-300]), np.array([2**40 + 3, 2**40 - 5, 7]))
+        # the total is 0, but the list's running total passes the range first
+        with pytest.raises(SizeOutOfRangeError, match="the sum of 2199023255552 field values"):
+            cover._mean(np.array([1e300, -1e300]), np.array([2**40, 2**40]))
+        cases = [([1e300, 2.5e-300, -1e300], [1, 2**40 - 1, 1]),
+                 ([-1e300, 1.5e-300, 5e-324, 1e300], [1, 2**40 + 1, 2**39, 1]),
+                 ([3e307, -3e307, 2e307], [3, 3, 1])]
+        for values, counts in cases:
+            counts = np.array(counts)
+            assert int(counts.sum()) * max(map(abs, values)) >= 2.0 ** 1023
+            got = cover._mean(np.array(values), counts)
+            assert _bits(got) == _bits(reference_mean(values, counts))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+# --- column means of value arrays ---
+
+def _column(rng, kind, n):
+    """One column of n values of the kind drawn: 0 exponents spread over
+    [-1070, 60], 1 x / -x pairs, 2 such pairs around an exact tie, 3
+    subnormals, 4 signed zeros, 5 eigenvector-like, 6 one sign and near the
+    largest, whose sums grow fastest, 7 and 8 the largest value just inside
+    and just outside n * max|x| < 2**1021."""
+    if kind == 0:
+        return rng.standard_normal(n) * np.ldexp(1.0, rng.integers(-1070, 61, n))
+    if kind in (1, 2):
+        half = rng.standard_normal(n // 2) * np.ldexp(1.0, rng.integers(-60, 61, n // 2))
+        col = np.concatenate([half, -half, np.zeros(n % 2)])
+        if kind == 2 and n > 1:  # x and half an ulp of x: the total is halfway between two floats
+            x = rng.standard_normal()
+            col[-2:] = x, math.copysign(math.ulp(x) / 2, rng.choice((-1.0, 1.0)))
+        return rng.permutation(col)
+    if kind == 3:
+        return np.ldexp(rng.integers(-7, 8, n).astype(float), rng.integers(-1074, -1060, n))
+    if kind == 4:
+        return np.full(n, rng.choice((0.0, -0.0)))
+    if kind == 5:
+        return rng.standard_normal(n) / math.sqrt(n)
+    if kind == 6:
+        return rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.0, n) * 2.0 ** rng.integers(-60, 61)
+    return _at_the_guard(rng.uniform(-1.0, 1.0, n), rng.integers(n), kind == 8)
+
+
+def _at_the_guard(col, top, outside):
+    """``col``, |values| <= 1, scaled so that col[top], made the largest, puts
+    n * max|x| just inside or just outside 2**1021."""
+    col[top] = 1.0
+    return col * (2.0 ** 1021 / len(col) * (1 + 2.0 ** -40 if outside else 1 - 2.0 ** -40))
+
+
+def _column_means_both_ways(values):
+    """_column_means under its cost rule, and with every block on the array path."""
+    with mock.patch.object(cover, "_COLUMN_MEANS_MIN", 0):
+        forced = cover._column_means(values)
+    return [[_bits(x) for x in means] for means in (cover._column_means(values), forced)]
+
+
+@given(st.integers(1, 2000), st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans(),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_column_means_have_the_bits_of_the_column_lists(n, m, seed, outside, data):
+    rng = np.random.default_rng(seed)
+    kinds = data.draw(st.lists(st.integers(0, 7), min_size=m, max_size=m))
+    if outside:  # one column past the guard sends the whole block to the lists
+        kinds[rng.integers(m)] = 8
+    values = np.column_stack([_column(rng, kind, n) for kind in kinds])
+    listed = [_bits(x) for x in map(cover._mean, values.T.tolist())]
+    assert _column_means_both_ways(values) == [listed, listed]
+
+
+def test_column_means_at_the_overflow_guard():
+    # with n a power of two, a largest value just past 2**1021 / n would make
+    # sigma 2**1024; the guard leaves such blocks to the lists
+    rng = np.random.default_rng(25)
+    for n in (1, 2, 3, 64, 100, 1024, 1536, 2048):
+        for outside in (False, True):
+            values = np.column_stack([_at_the_guard(rng.uniform(-1.0, 1.0, n), 0, outside),
+                                      rng.standard_normal(n)])
+            listed = [_bits(x) for x in map(cover._mean, values.T.tolist())]
+            assert _column_means_both_ways(values) == [listed, listed]
+
+
+def _verify_blocks(lap):
+    """The nontrivial eigenvector blocks verify averages, for the Laplacian ``lap``."""
+    decomp = spectral.eig_sym(lap)
+    mus = np.repeat(decomp.distinct, [b - a for a, b in decomp.group_slices])
+    columns = np.flatnonzero(np.abs(mus - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL)
+    return [decomp.basis[:, columns[i:i + VERIFY_BLOCK]]
+            for i in range(0, len(columns), VERIFY_BLOCK)]
+
+
+def test_column_means_of_eigenvector_blocks(petersen, k34, seeded_cubic):
+    laplacians = [spectral.vertex_laplacian(seeded_cubic(n, n)) for n in (60, 120, 240)]
+    laplacians += [spectral.theorem_laplacian(g, theorem)[0]
+                   for g, theorem in ((seeded_cubic(60, 60), 2), (petersen, 2), (k34, 3))]
+    arrays = 0
+    for lap in laplacians:
+        for block in _verify_blocks(lap):
+            listed = [_bits(x) for x in map(cover._mean, block.T.tolist())]
+            assert _column_means_both_ways(block) == [listed, listed]
+            arrays += block.size >= cover._COLUMN_MEANS_MIN
+    assert arrays >= 2 + 4 + 8 + 3  # every cubic block takes the array path
 
 
 def test_mean_past_the_float_range_raises_on_both_list_forms(k4):
