@@ -110,6 +110,17 @@ def _summed(counts):
     return counts[0] if len(counts) == 1 else list(map(sum, zip(*counts)))
 
 
+def _fractions(counts, totals):
+    """The (pieces, radii) array of ``counts[i][r] / totals[r]``, each correctly
+    rounded by big-integer true division, once per distinct row: the arcs of a
+    sphere or tube on a regular graph all have the same sizes."""
+    weights = []
+    for n in counts:
+        w = next((w for m, w in zip(counts, weights) if m == n), None)
+        weights.append(list(map(operator.truediv, n, totals)) if w is None else w)
+    return np.array(weights)
+
+
 def _union_series(g, values, union, radius, cap):
     """Per-radius (sizes, averages) over ``union`` of the field value columns
     ``values``, an (n, m) array.  The distinct bases are counted in lockstep
@@ -161,7 +172,7 @@ def _union_series(g, values, union, radius, cap):
         first = (scale > 0).argmax(axis=0)
         centre = means[first, np.arange(len(first))]
         totals = sizes[c::period]
-        weights = np.array([list(map(operator.truediv, n, totals)) for n in counts])
+        weights = _fractions(counts, totals)
         weights[first, np.arange(len(first))] = 0.0  # the centre's own arc
         terms = (weights[..., None] * (means - centre)).transpose(1, 2, 0).reshape(-1, len(piece))
         averages[c::period] = centre + np.reshape(list(map(math.fsum, terms.tolist())),
@@ -370,26 +381,27 @@ def _profile_envelope(f0, f1, mus, reg, radius):
     product, with s the square root of the discriminant, these are
     u_plus, -u_minus = (w_j +- s F(j)) / (2 s) and x(1) / tau - x(0) =
     w_j / (c0 c1 - D0 - D1), where w_0 = 2 D1 c0 F(1) - m F(0),
-    w_1 = m F(1) - 2 c1 F(0) and m = c0 c1 + D1 - D0.  Each is taken as two
-    terms in F(0) and F(1), so no other difference of nearly equal values is.
+    w_1 = m F(1) - 2 c1 F(0) and m = c0 c1 + D1 - D0.  Each w_j is taken in
+    real arithmetic as two terms in F(0) and F(1), and s F(j), complex where
+    the roots are, is added last.
     """
     (a0, b0, d0), (a1, b1, d1) = reg.steps()
     c0, c1 = mus * a0 - b0, mus * a1 - b1
     t_plus, t_minus, d = spectral.double_step_roots(c0, c1, d0, d1)
     c0, c1 = c0[:, None], c1[:, None]
-    m, s = c0 * c1 + d1 - d0, np.sqrt(d + 0j)[:, None]
+    m = c0 * c1 + d1 - d0
     k = np.arange(radius // 2 + 1)
     rep = np.abs(d) <= spectral.DISCRIMINANT_TOL
     # distinct roots: |u_plus| |t_plus|**k + |u_minus| |t_minus|**k; u holds |2 s u_plus|
-    # and |2 s u_minus| by (root, parity, eigenspace, field), and half is 1 / |2 s|
-    lead, lag = 2 * d1 * c0, 2 * c1
-    u = np.abs(np.array([[lead, m + s], [lead, m - s]]) * f1
-               - np.array([[m - s, lag], [m + s, lag]]) * f0)
+    # and |2 s u_minus| = |w_j +- s F(j)| by (root, parity, eigenspace, field), and
+    # half is 1 / |2 s|
+    w = np.array([2 * d1 * c0 * f1 - m * f0, m * f1 - 2 * c1 * f0])
+    sf = np.sqrt(d + 0j)[:, None] * np.array([f0, f1])
+    u = np.abs([w + sf, w - sf])
     half = np.where(rep, 0.0, 0.5 / np.sqrt(np.maximum(np.abs(d), spectral.DISCRIMINANT_TOL)))
     power = np.abs(np.array([t_plus, t_minus]))[..., None] ** k * half[:, None]
     env = (power.transpose(0, 2, 1)[:, None] @ u).sum(axis=0)   # (parity, radius, field)
     if rep.any():  # repeated root tau: (|x(0)| + |x(1) / tau - x(0)| k) |tau|**k
-        w = np.array([lead, m]) * f1 - np.array([m, lag]) * f0
         tau = np.abs(t_plus[rep] + t_minus[rep])[:, None] / 2
         tau_k = tau ** k
         env = (env + tau_k.T @ np.abs(np.array([f0, f1])[:, rep])

@@ -2,15 +2,16 @@
 
 The goldens pin every check name, verdict and recursion residual of
 ``verify --radius 12`` and every row of the ``spectrum`` CSV for the three
-regimes, both orientations of the semiregular base included.  The seeded
-cubic-60 graph is a committed file, so its goldens need no generator.
+regimes, both orientations of the semiregular base included, and every row
+of one deep ``average`` CSV.  The seeded cubic-60 and cubic-400 graphs are
+committed files, so their goldens need no generator.
 """
 
 from pathlib import Path
 
 import pytest
 
-from covertree import graph_core
+from covertree import cover, graph_core
 from covertree.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -65,3 +66,15 @@ def test_spectrum_matches_golden(stem, name, theorem, graph_file, tmp_path):
     assert main(["spectrum", "--graph", graph_file(name), "--theorem", str(theorem),
                  "-o", str(dest)]) == 0
     assert dest.read_bytes() == (GOLDEN / f"{stem}.spectrum.csv").read_bytes()
+
+
+def test_deep_sphere_average_matches_golden(tmp_path, monkeypatch):
+    # 1,200 half-edges, so the transfer steps with its predecessor gather; the
+    # sphere's three arcs repeat and copy their rows well before radius 400
+    monkeypatch.setenv("COVERTREE_BUDGET", str(10 ** 300))
+    graph = GOLDEN / "cubic400.g"
+    assert graph_core.load_graph(graph).half_edge_count >= cover._GATHER_MIN
+    dest = tmp_path / "sphere.csv"
+    assert main(["average", "--graph", str(graph), "--field", str(GOLDEN / "cubic400.fld"),
+                 "--set", "sphere", "--root", "0", "--radius", "400", "-o", str(dest)]) == 0
+    assert dest.read_bytes() == (GOLDEN / "cubic400-sphere.average.csv").read_bytes()

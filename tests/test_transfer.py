@@ -138,26 +138,34 @@ def reference_float_averages(op, at, base, n):
     return out.reshape((n, *at.shape[1:]))
 
 
-def _steps_of(call):
-    """The number of float loop steps in ``call()``, one ``np.bincount`` call each."""
-    steps = []
-    original = np.bincount
-
-    def counting(*args, **kwargs):
-        steps.append(1)
-        return original(*args, **kwargs)
-
+def _kernel_steps(call):
+    """The float loop steps in ``call()`` by kernel: one ``np.bincount`` call
+    each for the scatter-add, one ``np.add`` call each for the gather."""
+    steps = Counter()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cover.np, "bincount", counting)
+        for name in ("bincount", "add"):
+            original = getattr(np, name)
+            patch.setattr(cover.np, name, lambda *args, _name=name, _original=original, **kwargs:
+                          steps.update([_name]) or _original(*args, **kwargs))
         call()
-    return len(steps)
+    return steps
+
+
+def _steps_of(call):
+    """The number of float loop steps in ``call()``, under either kernel."""
+    return sum(_kernel_steps(call).values())
+
+
+# per kernel, by the call that _kernel_steps counts: the _GATHER_MIN that
+# forces every operator onto it, whatever its size
+KERNELS = {"bincount": sys.maxsize, "add": 0}
 
 
 REPEAT_GRAPHS = ("k4", "petersen", "k33", "k25", "k34", "cubic60", "chords", "path", "loops")
 
 
 @pytest.mark.parametrize("name", REPEAT_GRAPHS)
-def test_repeat_exit_keeps_every_bit_of_the_stepped_loop(name, seeded_cubic):
+def test_repeat_exit_keeps_every_bit_of_the_stepped_loop(name, seeded_cubic, monkeypatch):
     g = _graphs(seeded_cubic)[name]
     op = cover.transfer_operator(g)
     one = random_field(g, VERTICES, 41).values[op.heads]
@@ -168,12 +176,16 @@ def test_repeat_exit_keeps_every_bit_of_the_stepped_loop(name, seeded_cubic):
         # in test_batched_columns_equal_the_per_column_series), and a shorter
         # series is a prefix, since each row needs only earlier steps
         want = reference_float_averages(op, np.column_stack([one, three]), base, 1000)
-        last = _steps_of(lambda: op.averages(one, base, 1000))  # 999 if it never stops
-        for n in [1000] if last == 999 else [1000, last, last + 1, last + 2]:
-            for at, cols in ((one, 0), (three, slice(1, 4))):
-                got = op.averages(at, base, n)
-                assert got.shape == (n, *at.shape[1:])
-                assert got.tobytes() == want[:n, cols].tobytes(), (name, base, n)
+        for kernel, threshold in KERNELS.items():
+            monkeypatch.setattr(cover, "_GATHER_MIN", threshold)
+            steps = _kernel_steps(lambda: op.averages(one, base, 1000))
+            last = steps[kernel]  # 999 if it never stops
+            assert steps == Counter({kernel: last})
+            for n in [1000] if last == 999 else [1000, last, last + 1, last + 2]:
+                for at, cols in ((one, 0), (three, slice(1, 4))):
+                    got = op.averages(at, base, n)
+                    assert got.shape == (n, *at.shape[1:])
+                    assert got.tobytes() == want[:n, cols].tobytes(), (name, kernel, base, n)
 
 
 def _sample_bases(g):
@@ -181,7 +193,8 @@ def _sample_bases(g):
 
 
 @pytest.mark.parametrize("name", REPEAT_GRAPHS)
-def test_blocks_near_the_float_range_keep_every_bit_of_the_stepped_loop(name, seeded_cubic):
+def test_blocks_near_the_float_range_keep_every_bit_of_the_stepped_loop(name, seeded_cubic,
+                                                                        monkeypatch):
     # the block of raw steps shrinks as the centred values near the float range:
     # to 16, 4-8, 1 and 1 steps for these sizes on graphs of fan-out 2-4; a block
     # too long for the size would overflow a moment and show here as inf or nan
@@ -193,30 +206,39 @@ def test_blocks_near_the_float_range_keep_every_bit_of_the_stepped_loop(name, se
         for base in _sample_bases(g):
             want = reference_float_averages(op, np.column_stack([one, three]) * size, base, 1000)
             assert np.isfinite(want).all()
-            for n in (1, 15, 16, 17, 33, 1000):
-                for at, cols in ((one, 0), (three, slice(1, 4))):
-                    got = op.averages(at * size, base, n)
-                    assert got.tobytes() == want[:n, cols].tobytes(), (name, size, base, n)
+            for kernel, threshold in KERNELS.items():
+                monkeypatch.setattr(cover, "_GATHER_MIN", threshold)
+                # the kernels share the block bookkeeping, so the gather takes a
+                # one-row series, one a row past a block, and a long one
+                for n in (1, 15, 16, 17, 33, 1000) if kernel == "bincount" else (1, 17, 1000):
+                    for at, cols in ((one, 0), (three, slice(1, 4))):
+                        got = op.averages(at * size, base, n)
+                        assert got.tobytes() == want[:n, cols].tobytes(), \
+                            (name, kernel, size, base, n)
 
 
-def test_shorter_blocks_still_see_repeats_of_period_2_and_4(k33):
+def test_shorter_blocks_still_see_repeats_of_period_2_and_4(k33, monkeypatch):
     # at 1e300 the blocks are 8 steps on K(3,3) (period 2) and 4 on K(2,5)
-    # (period 4), so both still stop early
+    # (period 4), so both still stop early, under either kernel
     k25 = graph_core.generate("complete_bipartite", 2, 5)
     for g in (k33, k25):
         op = cover.transfer_operator(g)
         at = random_field(g, VERTICES, 41).values[op.heads] * 1e300
-        assert _steps_of(lambda: op.averages(at, 0, 1000)) < 160
+        for kernel, threshold in KERNELS.items():
+            monkeypatch.setattr(cover, "_GATHER_MIN", threshold)
+            steps = _kernel_steps(lambda: op.averages(at, 0, 1000))
+            assert steps.keys() == {kernel} and 0 < steps[kernel] < 160, (kernel, steps)
 
 
 @pytest.mark.parametrize("name", REPEAT_GRAPHS)
-def test_subnormal_field_matches_big_integer_reference(name, seeded_cubic):
+def test_subnormal_field_matches_big_integer_reference(name, seeded_cubic, monkeypatch):
     # the one range where bits can move: a raw block's larger distribution rounds
     # fewer products into subnormals than the stepped loop, so it is checked
     # against exact counts instead, relative to the field's size: the 1e-12
     # absolute of the other checks would hold for any result here, and the
     # worst error seen at every base is 2.3e-12 of the size (3.3e-12 for the
-    # stepped loop), as subnormals carry fewer digits
+    # stepped loop), as subnormals carry fewer digits; the two kernels add the
+    # same terms in the same order, so they agree bit for bit here too
     g = _graphs(seeded_cubic)[name]
     op = cover.transfer_operator(g)
     size = 1e-310
@@ -224,11 +246,45 @@ def test_subnormal_field_matches_big_integer_reference(name, seeded_cubic):
     worst = 0.0
     for base in _sample_bases(g):
         ref = reference_counts(g, base, AVERAGE_RADIUS)
-        got = op.averages(at, base, AVERAGE_RADIUS + 1)
+        runs = []
+        for threshold in KERNELS.values():
+            monkeypatch.setattr(cover, "_GATHER_MIN", threshold)
+            runs.append(op.averages(at, base, AVERAGE_RADIUS + 1))
+        got = runs[0]
+        assert all(run.tobytes() == got.tobytes() for run in runs), (name, base)
         for counts, average in zip(ref, got):
             if any(counts):
                 worst = max(worst, abs(average - reference_average(counts, at)))
     assert worst <= 1e-11 * size
+
+
+def test_large_graphs_step_with_the_gather_and_keep_every_bit(seeded_cubic):
+    # 3,000 half-edges: past _GATHER_MIN, so the default kernel is the gather,
+    # and the rescaled distribution repeats in time for the loop to stop early
+    g = seeded_cubic(1000, 1000)
+    op = cover.transfer_operator(g)
+    at = random_field(g, VERTICES, 41).values[op.heads]
+    for base in (0, 1501, 2999):
+        want = reference_float_averages(op, at, base, 400)
+        got = []
+        steps = _kernel_steps(lambda: got.append(op.averages(at, base, 400)))
+        assert steps.keys() == {"add"} and steps["add"] < 160, (base, steps)
+        assert got[0].tobytes() == want.tobytes(), base
+
+
+def test_a_hub_keeps_no_predecessor_table_and_steps_with_bincount():
+    # a 300-cycle with a hub on every fifth vertex: the hub's 60 half-edges have
+    # 59 predecessors each, so a padded table would hold 42,480 entries for
+    # 4,380 pairs; past _GATHER_MIN the operator still takes np.bincount
+    g = graph_core.build_graph(301, [(i, (i + 1) % 300) for i in range(300)]
+                               + [(300, i) for i in range(0, 300, 5)])
+    op = cover.transfer_operator(g)
+    assert op.preds is None and op.size >= cover._GATHER_MIN
+    at = random_field(g, VERTICES, 41).values[op.heads]
+    got = []
+    steps = _kernel_steps(lambda: got.append(op.averages(at, 0, 60)))
+    assert steps == Counter({"bincount": 59})
+    assert got[0].tobytes() == reference_float_averages(op, at, 0, 60).tobytes()
 
 
 def test_repeat_exit_stops_petersen_early_and_k34_never(petersen, k34):
