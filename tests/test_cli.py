@@ -338,6 +338,25 @@ def test_average_missing_base(tmp_path, petersen_file):
                  "--set", "arc", "--base", "0", "7", "--radius", "8"]) == 2
 
 
+@pytest.mark.parametrize("options,message", [
+    (["--set", "arc"], "arc runs need --base u v [k]"),
+    (["--set", "sphere"], "sphere runs need --root"),
+    (["--set", "edge-sphere"], "edge-sphere runs need --root"),
+    (["--set", "tube"], "tube runs need --tube FILE"),
+    (["--set", "horocycle"], "horocycle runs need --geodesic FILE"),
+    (["--set", "sphere", "--root", "99"], "root vertex 99 out of range"),
+    (["--set", "edge-sphere", "--root", "-1"], "root vertex -1 out of range"),
+    (["--set", "arc", "--base", "0", "1", "--radius", "1"], "need --radius >= 2"),
+])
+def test_average_anchor_errors_exit_2(tmp_path, petersen_file, capsys, options, message):
+    g = graph_core.load_graph(petersen_file)
+    field = _write_field(tmp_path, g, VERTICES, 9)
+    radius = [] if "--radius" in options else ["--radius", "8"]
+    assert main(["average", "--graph", petersen_file, "--field", field,
+                 *options, *radius]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_average_sphere_json(tmp_path, petersen_file):
     g = graph_core.load_graph(petersen_file)
     field = _write_field(tmp_path, g, VERTICES, 9)
