@@ -45,7 +45,10 @@ _FIT_WINDOW = 3     # points in the running max that smooths deviations for the 
 _CHECK_TOL = 1e-9   # spectral-gap, Ramanujan and vanishing-star tolerance
 _DOOB_RADIUS = 10   # the vanishing-star check follows arc averages to this radius
 
-SET_KINDS = ("arc", "sphere", "edge-sphere", "tube", "horocycle")
+# the deviation_series keyword that anchors each set kind
+SET_ANCHORS = {"arc": "base", "sphere": "root", "edge-sphere": "root", "tube": "subtree",
+               "horocycle": "geodesic"}
+SET_KINDS = tuple(SET_ANCHORS)
 
 
 @dataclass
@@ -90,13 +93,14 @@ def _check_counts(sizes, first, cap, what, empty):
 
 
 @dataclass(frozen=True)
-class _Union:
-    """A set family as a disjoint union of arcs on ``support``: at radius r, the
-    arcs of radius r + ``shift`` at the bases ``pieces[r % len(pieces)]``, a base
-    once per tree edge over it.  ``zero`` lists the radius-0 elements (vertex or
-    edge ids) where the family replaces radius 0; ``what`` and ``empty`` name the
-    set in budget and empty-set errors."""
+class SetFamily:
+    """A set family of ``kind`` at a validated anchor as a disjoint union of arcs
+    on ``support``: at radius r, the arcs of radius r + ``shift`` at the bases
+    ``pieces[r % len(pieces)]``, a base once per tree edge over it.  ``zero`` lists
+    the radius-0 elements (vertex or edge ids) where the family replaces radius 0;
+    ``what`` and ``empty`` name the set in budget and empty-set errors."""
 
+    kind: str
     support: str
     pieces: tuple
     shift: int = 0
@@ -121,8 +125,8 @@ def _fractions(counts, totals):
     return np.array(weights)
 
 
-def _union_series(g, values, union, radius, cap):
-    """Per-radius (sizes, averages) over ``union`` of the field value columns
+def _union_series(g, values, family, radius, cap):
+    """Per-radius (sizes, averages) over ``family`` of the field value columns
     ``values``, an (n, m) array.  The distinct bases are counted in lockstep
     chunks of radii, so a huge radius fails at the first radius over the cap,
     and a dead end at its first empty radius, before any averaging.  Then one
@@ -131,11 +135,11 @@ def _union_series(g, values, union, radius, cap):
     size fractions, centred on the first non-empty piece's, so the union's size
     never has to fit a float and equal averages give exactly that average.
     """
-    if not all(union.pieces):  # radius 0 is the caller's; with no arc, every later radius is empty
+    if not all(family.pieces):  # radius 0 is the caller's; with no arc, every later radius is empty
         raise EmptySetError("set at radius 1 is empty")
-    index = {h: i for i, h in enumerate(dict.fromkeys(itertools.chain(*union.pieces)))}
-    bases, pieces = list(index), [[index[h] for h in piece] for piece in union.pieces]
-    period, shift, support = len(pieces), union.shift, union.support
+    index = {h: i for i, h in enumerate(dict.fromkeys(itertools.chain(*family.pieces)))}
+    bases, pieces = list(index), [[index[h] for h in piece] for piece in family.pieces]
+    period, shift, support = len(pieces), family.shift, family.support
     counters = [cover.arc_counts(g, h, support, radius + shift) for h in bases]
     counted = [list(itertools.islice(c, shift)) for c in counters]
     sizes = []
@@ -152,7 +156,7 @@ def _union_series(g, values, union, radius, cap):
         # arc radius 0 is not capped: it has one element per piece, a half-edge
         # leaving the root or the subtree, and spheres and tubes replace it
         skip = 0 if start or shift else 1
-        _check_counts(part[1:] if skip else part, start + skip, cap, union.what, union.empty)
+        _check_counts(part[1:] if skip else part, start + skip, cap, family.what, family.empty)
         if keep:
             for sizes_b, n in zip(counted, chunk):
                 sizes_b += n
@@ -177,50 +181,46 @@ def _union_series(g, values, union, radius, cap):
         terms = (weights[..., None] * (means - centre)).transpose(1, 2, 0).reshape(-1, len(piece))
         averages[c::period] = centre + np.reshape(list(map(math.fsum, terms.tolist())),
                                                   centre.shape)
-    if union.zero is not None:
-        sizes[0], averages[0] = len(union.zero), cover.part_average(values, union.zero)
+    if family.zero is not None:
+        sizes[0], averages[0] = len(family.zero), cover.part_average(values, family.zero)
     return sizes, averages
 
 
-def _tube(g, members, support):
-    """The tube around a validated subtree as a _Union: the arcs behind the tree
-    edges leaving it, a half-edge once per such edge over it, and at radius 0 the
-    subtree, with its internal edges on edges."""
-    seen, top = cover.validate_subtree(g, members)
+def set_family(g, kind, anchor, support):
+    """The one SetFamily of ``kind`` (in SET_KINDS) at ``anchor``: a base half-edge,
+    which arc_counts checks, a root vertex, a subtree (a list of CoverVertex) or a
+    GeodesicSpec.  Arcs and tubes take the field's ``support``.  A tube is the arcs
+    behind the tree edges leaving the subtree, and at radius 0 the subtree itself."""
+    if kind == "arc":
+        return SetFamily(kind, support, ((anchor,),))
+    if kind in ("sphere", "edge-sphere"):  # g.out would wrap a negative root
+        cover.check_id("root vertex", anchor, g.vertex_count)
+    if kind == "sphere":  # radius 0 is the root, which every arc shares
+        return SetFamily(kind, cover.VERTICES, (tuple(g.out(anchor)),), zero=(anchor,),
+                         what="sphere")
+    if kind == "edge-sphere":
+        return SetFamily(kind, cover.EDGES, (tuple(g.out(anchor)),), what="edge sphere")
+    if kind == "horocycle":
+        # the radius-r piece is the arc of radius r + 1 behind the (r+1)-th geodesic half-edge
+        anchor.validate(g)
+        return SetFamily(kind, cover.VERTICES, tuple((g.twin(h),) for h in anchor.half_edges),
+                         shift=1, what="horocycle", empty="horocycle")
+    seen, top = cover.validate_subtree(g, anchor)
     paths = {cv.path for cv in seen}
     boundary, internal = [], []
     for cv in seen:  # set order: the boundary order picks a union's centre arc
-        steps = g.continuations(cv.path[-1]) if cv.path else g.out(cv.root)
-        boundary += [h for h in steps if cv.path + (h,) not in paths]
+        boundary += [c.path[-1] for c in cover.cover_children(g, cv) if c.path not in paths]
         if cv != top:
             internal.append(cv.path[-1])
         elif cv.path:
             boundary.append(g.twin(cv.path[-1]))  # upward direction at the top vertex
     vertices = support == cover.VERTICES
     zero = [cv.vertex for cv in seen] if vertices else list(map(g.edge_of, boundary + internal))
-    return _Union(support, (tuple(boundary),), zero=tuple(zero),
-                  what="tube" if vertices else "edge tube")
+    return SetFamily(kind, support, (tuple(boundary),), zero=tuple(zero),
+                     what="tube" if vertices else "edge tube")
 
 
-def _describe(g, set_kind, support, anchor):
-    """The set family at ``anchor`` as a _Union, the one per-family case split."""
-    if set_kind == "arc":  # arc_counts checks the base
-        return _Union(support, ((anchor,),))
-    if set_kind in ("sphere", "edge-sphere"):  # g.out would wrap a negative root
-        cover.check_id("root vertex", anchor, g.vertex_count)
-    if set_kind == "sphere":  # radius 0 is the root, which every arc shares
-        return _Union(cover.VERTICES, (tuple(g.out(anchor)),), zero=(anchor,), what="sphere")
-    if set_kind == "edge-sphere":
-        return _Union(cover.EDGES, (tuple(g.out(anchor)),), what="edge sphere")
-    if set_kind == "tube":
-        return _tube(g, anchor, support)
-    # the radius-r piece is the arc of radius r + 1 behind the (r+1)-th geodesic half-edge
-    anchor.validate(g)
-    return _Union(cover.VERTICES, tuple((g.twin(h),) for h in anchor.half_edges), shift=1,
-                  what="horocycle", empty="horocycle")
-
-
-def _report(g, f, cls, set_kind, union, sizes, averages):
+def _report(g, f, cls, family, sizes, averages):
     """The series of one field with its targets: the graph average, but for a
     vertex field on a regular bipartite graph the average of the part that holds
     every element of radius r, if one part does.  A piece's elements at arc
@@ -229,12 +229,12 @@ def _report(g, f, cls, set_kind, union, sizes, averages):
     if f.support == cover.VERTICES and cls.kind == graph_core.REGULAR_BIPARTITE:
         means = [cover.part_average(f, cls.part_p), cover.part_average(f, cls.part_q)]
         for r, target in enumerate(targets):
-            sides = {(g.tail(h) in cls.part_q) ^ (r + union.shift) % 2
-                     for h in union.pieces[r % len(union.pieces)]}
-            if r == 0 and union.zero is not None:
-                sides = {v in cls.part_q for v in union.zero}
+            sides = {(g.tail(h) in cls.part_q) ^ (r + family.shift) % 2
+                     for h in family.pieces[r % len(family.pieces)]}
+            if r == 0 and family.zero is not None:
+                sides = {v in cls.part_q for v in family.zero}
             targets[r] = means[sides.pop()] if len(sides) == 1 else target
-    return ConvergenceReport(set_kind, list(range(len(sizes))), list(sizes), averages, targets,
+    return ConvergenceReport(family.kind, list(range(len(sizes))), list(sizes), averages, targets,
                              list(map(abs, map(operator.sub, averages, targets))))
 
 
@@ -245,30 +245,30 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
 
     ``base`` is a half-edge id (arc), ``root`` a vertex id (spheres),
     ``subtree`` a list of CoverVertex (tube) and ``geodesic`` a GeodesicSpec
-    (horocycle).  Sizes are exact and averages come from the transfer
-    operator, which reproduces brute-force enumeration.
+    (horocycle), as SET_ANCHORS says.  Sizes are exact and averages come from
+    the transfer operator, which reproduces brute-force enumeration.
     """
     if set_kind not in SET_KINDS:
         raise ValueError(f"set kind must be one of {SET_KINDS}")
     if radius < 2:
         raise ValueError("need radius >= 2 for a deviation series")
-    anchor = {"arc": base, "sphere": root, "edge-sphere": root,
-              "tube": subtree, "horocycle": geodesic}[set_kind]
+    anchor = {"base": base, "root": root, "subtree": subtree, "geodesic": geodesic}[
+        SET_ANCHORS[set_kind]]
     if anchor is None:
         raise ValueError(f"{set_kind} series needs its anchor argument")
     cap = enumeration_budget(budget)
     cls = graph_core.classify(g)
-    union = _describe(g, set_kind, f.support, anchor)
-    cover.check_field(g, f, union.support)
-    sizes, averages = _union_series(g, f.values[:, None], union, radius, cap)
-    return _report(g, f, cls, set_kind, union, sizes, averages[:, 0].tolist())
+    family = set_family(g, set_kind, anchor, f.support)
+    cover.check_field(g, f, family.support)
+    sizes, averages = _union_series(g, f.values[:, None], family, radius, cap)
+    return _report(g, f, cls, family, sizes, averages[:, 0].tolist())
 
 
 def arc_deviations(g, values, support, base, radius):
     """Arc averages and their deviations, two (radius + 1, m) arrays, of the field
     value columns ``values`` on ``support``, where the graph average is the target."""
-    _, averages = _union_series(g, values, _Union(support, ((base,),)), radius,
-                                enumeration_budget())
+    family = set_family(g, "arc", base, support)
+    _, averages = _union_series(g, values, family, radius, enumeration_budget())
     targets = cover._column_means(values)  # graph_average's bits
     return averages, np.abs(averages - targets)
 

@@ -157,6 +157,19 @@ def _load_tube(g, path):
                                    2, "member", member_parser)[1]
 
 
+def _check_root(g, root):
+    if not 0 <= root < g.vertex_count:
+        raise _UsageError(f"root vertex {root} out of range")
+    return root
+
+
+# anchor keyword of analysis.SET_ANCHORS -> (average option, its usage, its reader)
+_ANCHOR_OPTIONS = {"base": ("base", "--base u v [k]", _resolve_base),
+                   "root": ("root", "--root", _check_root),
+                   "subtree": ("tube", "--tube FILE", _load_tube),
+                   "geodesic": ("geodesic", "--geodesic FILE", cover.load_geodesic)}
+
+
 def checks_to_json(checks):
     """``json.dumps({"checks": checks}, indent=2)`` byte for byte, from a fixed
     template with the strings through json's C encoder."""
@@ -218,29 +231,15 @@ def _cmd_spectrum(args):
 def _cmd_average(args):
     g = graph_core.load_graph(args.graph)
     f = cover.load_field(args.field)
-    kwargs = {}
-    kind = args.set_kind
-    if kind == "arc":
-        if args.base is None:
-            raise _UsageError("arc runs need --base u v [k]")
-        kwargs["base"] = _resolve_base(g, args.base)
-    elif kind in ("sphere", "edge-sphere"):
-        if args.root is None:
-            raise _UsageError(f"{kind} runs need --root")
-        if not (0 <= args.root < g.vertex_count):
-            raise _UsageError(f"root vertex {args.root} out of range")
-        kwargs["root"] = args.root
-    elif kind == "tube":
-        if args.tube is None:
-            raise _UsageError("tube runs need --tube FILE")
-        kwargs["subtree"] = _load_tube(g, args.tube)
-    else:
-        if args.geodesic is None:
-            raise _UsageError("horocycle runs need --geodesic FILE")
-        kwargs["geodesic"] = cover.load_geodesic(g, args.geodesic)
+    keyword = analysis.SET_ANCHORS[args.set_kind]
+    option, usage, read = _ANCHOR_OPTIONS[keyword]
+    if getattr(args, option) is None:
+        raise _UsageError(f"{args.set_kind} runs need {usage}")
+    anchor = read(g, getattr(args, option))
     if args.radius < 2:
         raise _UsageError("need --radius >= 2")
-    report = analysis.deviation_series(g, f, set_kind=kind, radius=args.radius, **kwargs)
+    report = analysis.deviation_series(g, f, set_kind=args.set_kind, radius=args.radius,
+                                       **{keyword: anchor})
     text = analysis.report_to_csv(report) if args.format == "csv" else analysis.report_to_json(report)
     _emit(text, args.output)
     return EXIT_OK

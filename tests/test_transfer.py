@@ -422,7 +422,8 @@ def test_union_series_runs_one_arc_series_per_base(petersen, k4, monkeypatch, ki
     # the pieces of each radius, in order: a horocycle's radius-r piece is the arc of
     # radius r + 1 behind the (r+1)-th geodesic half-edge
     if kind == "tube":
-        pieces, shift = [analysis._tube(g, anchors[anchor]["subtree"], support).pieces[0]], 0
+        family = analysis.set_family(g, "tube", anchors[anchor]["subtree"], support)
+        pieces, shift = [family.pieces[0]], 0
     elif kind == "horocycle":
         pieces, shift = [[g.twin(h)] for h in geo.half_edges], 1
     else:
@@ -445,7 +446,7 @@ def _assert_matches_enumeration(g, f, kind, layer, radius, **anchor):
 
 def test_triangle_tube_with_a_repeated_boundary_matches_enumeration(k4):
     members = _triangle_tube(k4)
-    boundary = analysis._tube(k4, members, VERTICES).pieces[0]
+    boundary = analysis.set_family(k4, "tube", members, VERTICES).pieces[0]
     assert sorted(boundary) == [0, 2, 4, 4, 8, 10]  # both ends of the walk leave 0 by 0 -> 3
     for seed in (1, 2, 3):
         fv, fe = random_field(k4, VERTICES, seed), random_field(k4, EDGES, seed)
