@@ -136,15 +136,15 @@ class _ArcTable:
     __slots__ = ("padded", "fanout", "uniform", "heads", "edges")
 
     def __init__(self, g):
-        steps = [g.continuations(h) for h in range(g.half_edge_count)]
-        self.fanout = np.array(list(map(len, steps)), dtype=np.intp)
+        steps = list(map(g.continuations, range(g.half_edge_count)))
+        self.fanout = np.fromiter(map(len, steps), np.intp, len(steps))
         width = int(self.fanout.max(initial=0))
         self.padded = np.full((len(steps), width), -1, dtype=np.intp)
-        for h, row in enumerate(steps):
-            self.padded[h, :len(row)] = row
+        self.padded[np.arange(width) < self.fanout[:, None]] = np.fromiter(
+            itertools.chain.from_iterable(steps), np.intp)
         self.uniform = width if (self.fanout == width).all() else None
         self.heads = np.array(g.heads, dtype=np.intp)
-        self.edges = np.array([g.edge_of(h) for h in range(g.half_edge_count)], dtype=np.intp)
+        self.edges = np.fromiter(map(g.edge_of, range(len(steps))), np.intp, len(steps))
 
     def extend(self, last):
         """The level below paths ending in ``last``, each parent's continuations in
