@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -108,6 +109,28 @@ def test_tube_reads_the_projection_from_the_path(petersen):
         assert layer == reference
         assert [cv.vertex for cv in layer] == [cv.vertex for cv in reference]
         assert cover.set_average(f, layer) == cover.set_average(f, reference)
+
+
+def test_set_family_reads_every_kind_as_a_union_of_arcs(petersen):
+    out, root = tuple(petersen.out(0)), cover.cover_root(petersen, 0)
+    star = [root] + cover.cover_children(petersen, root)
+    geo = cover.GeodesicSpec(tuple(petersen.half_edge(i, (i + 1) % 5) for i in range(5)))
+    behind = tuple((petersen.twin(h),) for h in geo.half_edges)
+    # (support, pieces, shift, zero, what, empty); spheres and horocycles fix their support
+    for kind, anchor, support, want in [
+            ("arc", 3, EDGES, (EDGES, ((3,),), 0, None, "arc", "set")),
+            ("sphere", 0, EDGES, (VERTICES, (out,), 0, (0,), "sphere", "set")),
+            ("edge-sphere", 0, VERTICES, (EDGES, (out,), 0, None, "edge sphere", "set")),
+            ("horocycle", geo, EDGES, (VERTICES, behind, 1, None, "horocycle", "horocycle"))]:
+        family = analysis.set_family(petersen, kind, anchor, support)
+        assert dataclasses.astuple(family) == (kind, *want)
+    tube = analysis.set_family(petersen, "tube", star, EDGES)
+    boundary = [h for cv in star[1:] for h in petersen.continuations(cv.path[-1])]
+    assert sorted(tube.pieces[0]) == sorted(boundary)
+    assert (tube.kind, tube.support, tube.shift, tube.what) == ("tube", EDGES, 0, "edge tube")
+    assert sorted(tube.zero) == sorted(map(petersen.edge_of, boundary + list(out)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tube.shift = 1
 
 
 def test_k23_sign_field_never_converges(k23):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertree import cover, graph_core, spectral
-from covertree.cli import checks_to_json, generic_field, main, random_field
+from covertree import analysis, cover, graph_core, spectral
+from covertree.cli import _ANCHOR_OPTIONS, checks_to_json, generic_field, main, random_field
 from covertree.cover import EDGES, VERTICES
 from covertree.errors import SizeOutOfRangeError
 
@@ -355,6 +355,10 @@ def test_average_anchor_errors_exit_2(tmp_path, petersen_file, capsys, options, 
     assert main(["average", "--graph", petersen_file, "--field", field,
                  *options, *radius]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_every_anchor_keyword_has_an_average_option():
+    assert set(_ANCHOR_OPTIONS) == set(analysis.SET_ANCHORS.values())
 
 
 def test_average_sphere_json(tmp_path, petersen_file):
