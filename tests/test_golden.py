@@ -3,7 +3,7 @@
 The goldens pin every check name, verdict and recursion residual of
 ``verify --radius 12`` and every row of the ``spectrum`` CSV for the three
 regimes, both orientations of the semiregular base included, and every row
-of one deep ``average`` CSV.  The seeded cubic-60 and cubic-400 graphs are
+of two deep ``average`` CSVs.  The seeded cubic-60 and cubic-400 graphs are
 committed files, so their goldens need no generator.
 """
 
@@ -78,3 +78,13 @@ def test_deep_sphere_average_matches_golden(tmp_path, monkeypatch):
     assert main(["average", "--graph", str(graph), "--field", str(GOLDEN / "cubic400.fld"),
                  "--set", "sphere", "--root", "0", "--radius", "400", "-o", str(dest)]) == 0
     assert dest.read_bytes() == (GOLDEN / "cubic400-sphere.average.csv").read_bytes()
+
+
+def test_deep_semiregular_arc_average_matches_golden(graph_file, tmp_path, monkeypatch):
+    # two half-edge classes, whose sizes are running products of 2 and 3: near
+    # 2**905 at radius 700
+    monkeypatch.setenv("COVERTREE_BUDGET", str(10 ** 300))
+    dest = tmp_path / "arc.csv"
+    assert main(["average", "--graph", graph_file("k34"), "--field", str(GOLDEN / "k34e.fld"),
+                 "--set", "arc", "--base", "0", "3", "--radius", "700", "-o", str(dest)]) == 0
+    assert dest.read_bytes() == (GOLDEN / "k34-arc.average.csv").read_bytes()
