@@ -16,7 +16,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,14 +78,14 @@ def enumeration_budget(budget=None):
 
 
 def _check_counts(sizes, first, cap, what, empty):
-    """Raise at the first of ``sizes``, radii ``first``, .., over the cap or zero,
-    then if they reach radius cap + 1: every radius from 1 holds an element, so
-    the series to it holds more than the cap."""
-    if max(sizes) > cap or 0 in sizes:
+    """Raise at the first of ``sizes``, radii ``first``, .., over the cap or zero
+    (unless ``empty`` is None), then if they reach radius cap + 1: every radius
+    from 1 holds an element, so the series to it holds more than the cap."""
+    if max(sizes, default=0) > cap or 0 in sizes:
         for r, n in enumerate(sizes, first):
             if n > cap:
                 raise BudgetExceededError(f"{what} at radius {r} has {n} elements (cap {cap})")
-            if not n:
+            if not n and empty is not None:
                 raise EmptySetError(f"{empty} at radius {r} is empty")
     if first + len(sizes) > cap + 1:
         raise BudgetExceededError(
@@ -125,18 +125,11 @@ def _fractions(counts, totals):
     return np.array(weights)
 
 
-def _union_series(g, values, family, radius, cap):
-    """Per-radius (sizes, averages) over ``family`` of the field value columns
-    ``values``, an (n, m) array.  The distinct bases are counted in lockstep
-    chunks of radii, so a huge radius fails at the first radius over the cap,
-    and a dead end at its first empty radius, before any averaging.  Then one
-    arc series per distinct base gives every radius: a radius with one piece
-    takes its average, and one with more weighs the pieces' averages by exact
-    size fractions, centred on the first non-empty piece's, so the union's size
-    never has to fit a float and equal averages give exactly that average.
-    """
-    if not all(family.pieces):  # radius 0 is the caller's; with no arc, every later radius is empty
-        raise EmptySetError("set at radius 1 is empty")
+def _count_union(g, family, radius, cap):
+    """The distinct bases of ``family``, its pieces as indices into them, its sizes
+    and each base's arc sizes and images, counted in lockstep chunks of radii: a
+    huge radius fails at the first radius over the cap and a dead end at its first
+    empty radius, before any averaging, and only a passing series keeps its counts."""
     index = {h: i for i, h in enumerate(dict.fromkeys(itertools.chain(*family.pieces)))}
     bases, pieces = list(index), [[index[h] for h in piece] for piece in family.pieces]
     period, shift, support = len(pieces), family.shift, family.support
@@ -158,25 +151,37 @@ def _union_series(g, values, family, radius, cap):
         skip = 0 if start or shift else 1
         _check_counts(part[1:] if skip else part, start + skip, cap, family.what, family.empty)
         if keep:
-            for sizes_b, n in zip(counted, chunk):
-                sizes_b += n
+            for counts, n in zip(counted, chunk):
+                counts += n
             sizes += part
+    op = cover.transfer_operator(g)
+    return bases, pieces, sizes, [op.sizes(h, support, radius + shift, n)
+                                  for h, n in zip(bases, counted)]
+
+
+def _union_series(g, values, family, radius, cap):
+    """Per-radius (sizes, averages) over ``family`` of the (n, m) value columns
+    ``values``: one arc series per distinct base gives every radius.  A radius with
+    one piece takes its average, and one with more weighs the pieces' averages by
+    exact size fractions, centred on the first non-empty piece's, so the union's
+    size never has to fit a float and equal averages give exactly that average."""
+    if not all(family.pieces):  # radius 0 is the caller's; with no arc, every later radius is empty
+        raise EmptySetError("set at radius 1 is empty")
+    bases, pieces, sizes, arcs = _count_union(g, family, radius, cap)
+    period, shift, support = len(pieces), family.shift, family.support
     sums_of = cover.arc_vertex_sums if support == cover.VERTICES else cover.arc_edge_sums
-    series = [sums_of(g, values, h, radius + shift, sizes_b)[1]
-              for h, sizes_b in zip(bases, counted)]
+    series = [sums_of(g, values, h, radius + shift)[1] for h in bases]
     averages = np.empty((radius + 1, values.shape[1]))
     for c, piece in enumerate(pieces):
         rs = slice(shift + c, None, period)  # the arc radii of radii c, c + period, ..
-        counts = [counted[i][rs] for i in piece]
-        scale = np.array(counts, dtype=float)  # each fits: its sums did
-        if len(piece) == 1:  # one arc: nothing to weigh
-            averages[c::period] = series[piece[0]][rs] / scale[0, :, None] + 0.0
+        if len(piece) == 1:  # one arc: nothing to weigh; each size fits, as its sums did
+            averages[c::period] = series[piece[0]][rs] / arcs[piece[0]][1][rs, None] + 0.0
             continue
+        scale = np.array([arcs[i][1][rs] for i in piece])
         means = np.array([series[i][rs] for i in piece]) / np.maximum(scale, 1.0)[..., None]
         first = (scale > 0).argmax(axis=0)
         centre = means[first, np.arange(len(first))]
-        totals = sizes[c::period]
-        weights = _fractions(counts, totals)
+        weights = _fractions([arcs[i][0][rs] for i in piece], sizes[c::period])
         weights[first, np.arange(len(first))] = 0.0  # the centre's own arc
         terms = (weights[..., None] * (means - centre)).transpose(1, 2, 0).reshape(-1, len(piece))
         averages[c::period] = centre + np.reshape(list(map(math.fsum, terms.tolist())),
@@ -221,21 +226,21 @@ def set_family(g, kind, anchor, support):
 
 
 def _report(g, f, cls, family, sizes, averages):
-    """The series of one field with its targets: the graph average, but for a
-    vertex field on a regular bipartite graph the average of the part that holds
-    every element of radius r, if one part does.  A piece's elements at arc
-    radius k lie in its tail's part, flipped k times."""
-    targets = [cover.graph_average(f)] * len(sizes)
+    """The series of one field, an array of ``averages``, with its targets: the
+    graph average, but for a vertex field on a regular bipartite graph the
+    average of the part that holds every element of radius r, if one part does.
+    A piece's elements at arc radius k lie in its tail's part, flipped k times."""
+    targets = np.full(len(sizes), cover.graph_average(f))
     if f.support == cover.VERTICES and cls.kind == graph_core.REGULAR_BIPARTITE:
         means = [cover.part_average(f, cls.part_p), cover.part_average(f, cls.part_q)]
-        for r, target in enumerate(targets):
+        for r in range(len(targets)):
             sides = {(g.tail(h) in cls.part_q) ^ (r + family.shift) % 2
                      for h in family.pieces[r % len(family.pieces)]}
             if r == 0 and family.zero is not None:
                 sides = {v in cls.part_q for v in family.zero}
-            targets[r] = means[sides.pop()] if len(sides) == 1 else target
-    return ConvergenceReport(family.kind, list(range(len(sizes))), list(sizes), averages, targets,
-                             list(map(abs, map(operator.sub, averages, targets))))
+            targets[r] = means[sides.pop()] if len(sides) == 1 else targets[r]
+    return ConvergenceReport(family.kind, list(range(len(sizes))), list(sizes), averages.tolist(),
+                             targets.tolist(), np.abs(averages - targets).tolist())
 
 
 def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
@@ -261,7 +266,7 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
     family = set_family(g, set_kind, anchor, f.support)
     cover.check_field(g, f, family.support)
     sizes, averages = _union_series(g, f.values[:, None], family, radius, cap)
-    return _report(g, f, cls, family, sizes, averages[:, 0].tolist())
+    return _report(g, f, cls, family, sizes, averages[:, 0])
 
 
 def arc_deviations(g, values, support, base, radius):
@@ -518,16 +523,13 @@ def check_sphere_decomposition(g, v0, f, radius):
     the enumeration budget raises BudgetExceededError before anything is enumerated.
     """
     cover.check_field(g, f, cover.VERTICES)
-    cover.check_id("root vertex", v0, g.vertex_count)
-    cap, width = enumeration_budget(), g.half_edge_count
+    family = replace(set_family(g, "sphere", v0, cover.VERTICES), empty=None)
+    bases, cap, width = family.pieces[0], enumeration_budget(), g.half_edge_count
     if radius > cap:
         raise BudgetExceededError(f"sphere radius {radius} is over the cap {cap}")
-    counters = [cover.arc_counts(g, h, cover.VERTICES, radius) for h in g.out(v0)]
-    for r, n in enumerate(map(sum, zip(*counters))):
-        if r and n > cap:
-            raise BudgetExceededError(f"sphere at radius {r} has {n} elements (cap {cap})")
+    counts = [n for n, _ in _count_union(g, family, radius, cap)[3]]  # empty spheres: rows only
     spheres = cover.sphere_vertex_layers(g, v0, radius)  # built apart from the arcs
-    layer_iters = [cover.arc_vertex_layers(g, h, radius) for h in g.out(v0)]
+    layer_iters = [cover.arc_vertex_layers(g, h, radius) for h in bases]
     for it in [spheres, *layer_iters]:
         next(it)  # radius 0 is the shared root, not part of the decomposition
     memo, tol = {}, 1e-12 * np.abs(f.values).max()
@@ -538,7 +540,7 @@ def check_sphere_decomposition(g, v0, f, radius):
                 or not (arcs[1:] != arcs[:-1]).any(axis=1).all()  # pairwise disjoint
                 or not np.array_equal(arcs, _sorted_keys(sphere.parts, r, width, memo))):
             return False
-        sizes = [len(layer) for layer in layers]
+        sizes = [n[r] for n in counts]
         if not sum(sizes):
             continue
         arc_mean = math.fsum(n * cover.set_average(f, layer)
@@ -622,8 +624,8 @@ def check_doob_condition(g, decomp):
         return False
     for base in (0, g.half_edge_count - 1):  # every eigenvector from one transfer per base
         reg = _edge_regime(g, base)
-        sizes, sums = cover.arc_edge_sums(g, vecs, base, _DOOB_RADIUS)
-        averages = sums / np.array(sizes, dtype=float)[:, None]
+        images = cover.transfer_operator(g).sizes(base, cover.EDGES, _DOOB_RADIUS)[1][:, None]
+        averages = cover.arc_edge_sums(g, vecs, base, _DOOB_RADIUS)[1] / images
         steps = np.where(np.arange(_DOOB_RADIUS) % 2, -1.0 / reg.p, -1.0 / reg.q)
         expected = averages[0] * np.cumprod([1.0, *steps])[:, None]
         if np.any(np.abs(averages - expected) > _CHECK_TOL):

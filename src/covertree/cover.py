@@ -721,9 +721,11 @@ class TransferOperator:
     and, unless one half-edge has far more predecessors than most, as a table
     ``preds`` of every half-edge's predecessors, with the class of every
     half-edge in the coarsest equitable partition and the integer quotient
-    matrix as sparse rows of (class, count) pairs."""
+    matrix as sparse rows of (class, count) pairs.  Arc sizes depend only on the
+    base's class, so they are counted once per class and kept (see sizes)."""
 
-    __slots__ = ("size", "src", "dst", "preds", "heads", "edges", "shift", "classes", "quotient")
+    __slots__ = ("size", "src", "dst", "preds", "heads", "edges", "shift", "classes", "quotient",
+                 "rows", "floats")
 
     def __init__(self, g):
         self.size = size = g.half_edge_count
@@ -748,12 +750,29 @@ class TransferOperator:
         self.heads = np.array(g.heads, dtype=np.intp)
         self.edges = np.fromiter(map(g.edge_of, range(size)), np.intp, size)
         self.classes, self.quotient = _equitable_partition(g)
+        self.rows, self.floats = {}, {}
 
-    def counts(self, base, n):
-        """Iterate over the exact numbers of paths of 1 .. n half-edges
-        starting with ``base``: (Q^k 1)[class(base)] for k = 0 .. n-1, since
-        B P = P Q for the class indicator matrix P."""
-        row = self.classes[base]
+    def sizes(self, base, support, max_radius, counted=()):
+        """The sizes of the vertex or edge arcs at ``base``, radius 0 .. max_radius,
+        as a new list, and their float images (float(n), or inf past the float
+        range) as a read-only array, from the ``rows`` and ``floats`` kept for
+        base's class.  A shorter row is extended from ``counted``, the same sizes
+        from arc_counts, or counted again from the start, so no counting state is
+        kept; a budgeted series passes its counts only once its check passes, so no
+        row is longer than the longest series that passed."""
+        c, first = self.classes[base], support == EDGES  # A'_r: paths of r + 1 half-edges
+        row, hi = self.rows.setdefault(c, [1]), max_radius + 1 + first
+        if len(row) < hi:
+            row += counted[len(row) - first:] or itertools.islice(self._past(c, len(row)),
+                                                                   hi - len(row))
+        if len(self.floats.get(c, ())) < len(row):
+            self.floats[c] = _images(row)
+            self.floats[c].setflags(write=False)
+        return row[first:hi], self.floats[c][first:hi]
+
+    def _past(self, row, n):
+        """Iterate over the numbers of paths of n >= 1, n + 1, .. half-edges from class
+        ``row``: (Q^(k-1) 1)[row] for k, since B P = P Q for the class indicator P."""
         if all(len(terms) == 1 for terms in self.quotient):
             # every class continues into one class (regular and semiregular graphs),
             # so (Q^k 1)[row] is the product of the counts along the first k classes
@@ -765,8 +784,10 @@ class TransferOperator:
                 factors.append(c)
             start = first[row]
             chain = itertools.chain(factors[:start], itertools.cycle(factors[start:]))
-            return itertools.islice(itertools.accumulate(chain, operator.mul, initial=1), n)
-        return itertools.islice(self._stepped_counts(row), n)
+            counts = itertools.accumulate(chain, operator.mul, initial=1)
+        else:
+            counts = self._stepped_counts(row)
+        return itertools.islice(counts, n - 1, None)
 
     def _stepped_counts(self, row):
         vec = [1] * len(self.quotient)
@@ -918,21 +939,23 @@ def transfer_operator(g):
 _FLOAT_MAX = int(sys.float_info.max)
 
 
-def _sums(sizes, averages):
-    """Per-radius sums (size times average) of an arc series.
+def _images(sizes):
+    """The array of float(n) for every size, or inf past the float range."""
+    if max(sizes, default=0) > _FLOAT_MAX:
+        sizes = [n if n <= _FLOAT_MAX else math.inf for n in sizes]
+    return np.array(sizes, dtype=float)
+
+
+def _sums(sizes, images, averages):
+    """Per-radius sums (size times average) of an arc series, from float images.
 
     The operator yields averages; they are multiplied back into sums only to
     keep the (sizes, sums) results of the arc_*_sums functions, and callers
     divide again.  This is the one place a size meets a float: a sum past the
     float range raises SizeOutOfRangeError naming the radius.
     """
-    top = max(sizes)
-    if top < _FLOAT_MAX and float(top) * float(np.abs(averages).max()) < sys.float_info.max:
-        # no product can pass the float range; the array rounds as float(n) does
-        return np.array(sizes, dtype=float)[:, None] * averages
-    scale = np.array([float(n) if n <= _FLOAT_MAX else math.inf for n in sizes])
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the radius
-        sums = scale[:, None] * averages
+        sums = images[:, None] * averages
     if not np.isfinite(sums).all():
         r = np.flatnonzero(~np.isfinite(sums).all(axis=1))[0]
         raise SizeOutOfRangeError(
@@ -952,13 +975,14 @@ def arc_edge_count(g, base, r):
 
 
 def arc_counts(g, base, support, max_radius):
-    """Iterate over the exact sizes of the vertex or edge arcs at ``base``,
-    radius 0 .. max_radius; A'_r has the paths of r + 1 half-edges."""
+    """Iterate over the exact sizes of the vertex or edge arcs at ``base``, radius
+    0 .. max_radius (kept, then counted): A_r has the paths of r half-edges, A'_r of r + 1."""
     check_id("half-edge", base, g.half_edge_count)
     _check_radius(max_radius)
-    counts = transfer_operator(g).counts(base, max_radius + (support == EDGES))
-    # A_0 is the tail alone; A_r has the paths of r half-edges
-    return itertools.chain([1], counts) if support == VERTICES else counts
+    op, first = transfer_operator(g), support == EDGES
+    row = op.rows.get(op.classes[base], [1])  # the paths of 0 .. len(row) - 1 half-edges
+    counts = itertools.chain(row[:], op._past(op.classes[base], len(row)))
+    return itertools.islice(counts, first, max_radius + 1 + first)
 
 
 def _arc_sums(g, f, base, max_radius, sizes, support):
@@ -971,21 +995,25 @@ def _arc_sums(g, f, base, max_radius, sizes, support):
     else:
         check_field(g, f, support)
         values = f.values[:, None]
-    sizes = list(arc_counts(g, base, support, max_radius)) if sizes is None else sizes
+    check_id("half-edge", base, g.half_edge_count)
+    _check_radius(max_radius)
     op = transfer_operator(g)
+    sizes, images = (op.sizes(base, support, max_radius) if sizes is None
+                     else (sizes, _images(sizes)))
     if support == VERTICES:
         averages = np.concatenate([values[g.tail(base)][None],
                                    op.averages(values[op.heads], base, max_radius)])
     else:
         averages = op.averages(values[op.edges], base, max_radius + 1)
-    sums = _sums(sizes, averages)
+    sums = _sums(sizes, images, averages)
     return sizes, (sums if values is f else sums[:, 0].tolist())
 
 
 def arc_vertex_sums(g, f, base, max_radius, sizes=None):
     """Per-radius (size, sum of lifted values) over vertex arcs A_0 .. A_R of a field;
-    an (n, m) array of field values gives an (R+1, m) array of sums; ``sizes``
-    from arc_counts are not recounted."""
+    an (n, m) array of field values gives an (R+1, m) array of sums.  The sizes
+    come from the row kept for base's class (TransferOperator.sizes); ``sizes``
+    only passes sizes from elsewhere."""
     return _arc_sums(g, f, base, max_radius, sizes, VERTICES)
 
 

@@ -370,6 +370,129 @@ def test_operator_and_classification_are_built_once_and_kept_on_the_graph():
     assert cover.transfer_operator(g) is op and graph_core.classify(g) is cls
 
 
+# --- arc sizes kept once per equitable class ---
+
+ROW_GRAPHS = ("k4", "petersen", "k34", "k25", "chords", "loops", "path")
+
+
+def _fresh_sizes(g, base, radius):
+    """Numbers of paths of 0 .. radius + 1 half-edges starting with ``base``, read
+    from g.continuations alone: A_r has those of r half-edges, A'_r of r + 1."""
+    return [1] + [sum(c) for c in reference_counts(g, base, radius)]
+
+
+def _kept(g):
+    op = cover.transfer_operator(g)
+    return ({c: list(row) for c, row in op.rows.items()},
+            {c: x.tobytes() for c, x in op.floats.items()})
+
+
+@pytest.mark.parametrize("name", ROW_GRAPHS)
+def test_kept_rows_equal_fresh_counts_asked_for_in_any_order(name, seeded_cubic):
+    # short, long, short again and longer, on both supports: a row read, cut
+    # or extended at the wrong place shows against counts that ignore the rows
+    g = _graphs(seeded_cubic)[name]
+    fields = {VERTICES: random_field(g, VERTICES, 7), EDGES: random_field(g, EDGES, 8)}
+    sums_of = {VERTICES: cover.arc_vertex_sums, EDGES: cover.arc_edge_sums}
+    fresh = [_fresh_sizes(g, base, 41) for base in range(g.half_edge_count)]
+    for radius in (3, 25, 2, 40, 10):
+        for support in (VERTICES, EDGES):
+            first = support == EDGES
+            for base in range(g.half_edge_count):
+                expected = fresh[base][first:radius + 1 + first]
+                sizes, images = cover.transfer_operator(g).sizes(base, support, radius)
+                assert sizes == expected
+                assert images.tolist() == [float(n) for n in expected]
+                assert sums_of[support](g, fields[support], base, radius)[0] == expected
+                assert list(cover.arc_counts(g, base, support, radius)) == expected
+                if 0 not in expected and radius >= 2:
+                    report = analysis.deviation_series(g, fields[support], set_kind="arc",
+                                                       radius=radius, base=base, budget=10 ** 40)
+                    assert report.sizes == expected
+
+
+def test_the_rows_are_not_aliased_by_any_returned_size_list():
+    # _union_series extends lists in place and writes sizes[0]; a kept row handed
+    # out as one of them would change every later series on its class
+    g = graph_core.generate("complete_bipartite", 3, 4)
+    fv, fe = random_field(g, VERTICES, 9), random_field(g, EDGES, 10)
+    tube, op = _star(g, 0), cover.transfer_operator(g)
+    expected = {h: _fresh_sizes(g, h, 13) for h in range(g.half_edge_count)}
+    returned = [analysis.deviation_series(g, fv, set_kind="arc", radius=12, base=0).sizes,
+                analysis.deviation_series(g, fe, set_kind="tube", radius=12, subtree=tube).sizes,
+                cover.arc_vertex_sums(g, fv, 3, 12)[0], cover.arc_edge_sums(g, fe, 3, 12)[0],
+                list(cover.arc_counts(g, 5, VERTICES, 12)), op.sizes(5, EDGES, 12)[0]]
+    for sizes in returned:
+        sizes[:3] = [-1, -2, -3]
+        sizes.append(-4)
+    for h in range(g.half_edge_count):
+        assert analysis.deviation_series(g, fv, set_kind="arc", radius=12,
+                                         base=h).sizes == expected[h][:13]
+        assert cover.arc_edge_sums(g, fe, h, 12)[0] == expected[h][1:14]
+    with pytest.raises(ValueError, match="read-only"):
+        op.sizes(0, VERTICES, 12)[1][0] = -1.0
+    # a row that grows while arc_counts is read does not change what it yields
+    counts = cover.arc_counts(g, 0, VERTICES, 40)
+    assert [next(counts) for _ in range(5)] == expected[0][:5]
+    op.sizes(0, VERTICES, 30)
+    assert list(counts) == _fresh_sizes(g, 0, 40)[5:41]
+
+
+def test_a_row_is_never_longer_than_the_longest_series_that_passed(petersen):
+    # a series refused by the budget, however far it counted, keeps nothing
+    g = graph_core.generate("petersen")
+    f = random_field(g, VERTICES, 11)
+    geo = cover.GeodesicSpec(tuple(g.half_edge(i, (i + 1) % 5) for i in range(5)))
+    with pytest.raises(BudgetExceededError, match="horocycle at radius 7 has 128 elements"):
+        analysis.deviation_series(g, f, set_kind="horocycle", radius=10 ** 8, geodesic=geo,
+                                  budget=100)
+    assert _kept(g) == ({}, {})
+    analysis.deviation_series(g, f, set_kind="horocycle", radius=5, geodesic=geo, budget=100)
+    kept = _kept(g)
+    assert [len(row) for row in kept[0].values()] == [7]  # one class: paths of 0 .. 6 half-edges
+    with pytest.raises(BudgetExceededError, match="horocycle at radius 7 has 128 elements"):
+        analysis.deviation_series(g, f, set_kind="horocycle", radius=10 ** 8, geodesic=geo,
+                                  budget=100)
+    assert _kept(g) == kept
+    # every sphere of the 6-cycle has two elements, so only the series' length is refused
+    cycle = graph_core.generate("cycle_with_chords", 6)
+    f = random_field(cycle, VERTICES, 12)
+    analysis.deviation_series(cycle, f, set_kind="sphere", radius=10, root=0, budget=10)
+    kept = _kept(cycle)
+    assert [len(row) for row in kept[0].values()] == [11]
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            "sphere series to radius 11 has more than 10 elements (cap 10)")):
+        analysis.deviation_series(cycle, f, set_kind="sphere", radius=11, root=0, budget=10)
+    assert _kept(cycle) == kept
+    # a dead end is refused at its first empty radius
+    path = graph_core.build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    with pytest.raises(EmptySetError, match="set at radius 5 is empty"):
+        analysis.deviation_series(path, random_field(path, VERTICES, 13), set_kind="arc",
+                                  radius=10, base=path.half_edge(0, 1))
+    assert _kept(path) == ({}, {})
+    # and so is one refused in a later chunk of counted radii than the first
+    path = graph_core.build_graph(101, [(i, i + 1) for i in range(100)])
+    with pytest.raises(EmptySetError, match="set at radius 101 is empty"):
+        analysis.deviation_series(path, random_field(path, VERTICES, 13), set_kind="arc",
+                                  radius=150, base=path.half_edge(0, 1))
+    assert _kept(path) == ({}, {})
+
+
+def test_irregular_graphs_keep_one_list_of_counts_per_class_and_no_vector(seeded_cubic):
+    # counting there steps a vector over every class; it is stepped again when a
+    # row grows, not kept beside the row
+    g = _graphs(seeded_cubic)["chords"]
+    op = cover.transfer_operator(g)
+    assert not all(len(terms) == 1 for terms in op.quotient)  # the stepped branch
+    f = random_field(g, VERTICES, 14)
+    for base in range(g.half_edge_count):
+        analysis.deviation_series(g, f, set_kind="arc", radius=30, base=base)
+    assert set(op.rows) == set(op.classes) and len(op.rows) > 2
+    assert all(len(row) == 31 and all(type(n) is int for n in row) for row in op.rows.values())
+    assert all(op.floats[c].shape == (31,) for c in op.rows)
+    assert not hasattr(op, "__dict__")  # nothing else is kept on the operator
+
+
 def test_constant_field_averages_exactly_on_every_set_family():
     for g in (graph_core.generate("complete", 4), graph_core.generate("petersen")):
         f = cover.constant_field(g, VERTICES, 1.7)
