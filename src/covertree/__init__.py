@@ -59,9 +59,6 @@ from .spectral import (
     RatePrediction,
     Regime,
     SpectralDecomposition,
-    decay_rate_regular_edge,
-    decay_rate_regular_vertex,
-    decay_rate_semiregular_edge,
     edge_laplacian,
     eig_sym,
     fourier_coefficients,

@@ -390,10 +390,9 @@ def _profile_envelope(f0, f1, mus, reg, radius):
     real arithmetic as two terms in F(0) and F(1), and s F(j), complex where
     the roots are, is added last.
     """
-    (a0, b0, d0), (a1, b1, d1) = reg.steps()
-    c0, c1 = mus * a0 - b0, mus * a1 - b1
-    t_plus, t_minus, d = spectral.double_step_roots(c0, c1, d0, d1)
-    c0, c1 = c0[:, None], c1[:, None]
+    (_, _, d0), (_, _, d1) = reg.steps()
+    c0, c1 = (c[:, None] for c in reg.coefficients(mus))
+    t_plus, t_minus, d = reg.roots(mus)
     m = c0 * c1 + d1 - d0
     k = np.arange(radius // 2 + 1)
     rep = np.abs(d) <= spectral.DISCRIMINANT_TOL
@@ -595,11 +594,14 @@ def check_bipartite_split(g, f, base, radius, calibration_radius=4):
     report = deviation_series(g, f, set_kind="arc", radius=radius, base=base)
     decomp = spectral.eig_sym(spectral.vertex_laplacian(g))
     _, norms = spectral.fourier_coefficients(f, decomp)
-    rates = [spectral.decay_rate_regular_vertex(mu, cls.q) for k, mu in enumerate(decomp.distinct)
-             if abs(abs(mu) - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL
-             and norms[k] > spectral.ACTIVITY_TOL]
-    report.predicted_beta, report.predicted_kind = max(
-        rates, key=lambda rate: rate[0], default=(0.0, spectral.EXACT_GEOMETRIC))
+    mus = np.array(decomp.distinct)
+    keep = ((np.abs(np.abs(mus) - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL)
+            & (norms > spectral.ACTIVITY_TOL))
+    # theorem 1's gate rejects bipartite graphs, so the vertex regime is built here
+    betas, kinds = spectral.Regime(1, cls, cover.VERTICES, cls.q, cls.q).rates(mus[keep])
+    report.predicted_beta, report.predicted_kind = max(zip(betas.tolist(), kinds.tolist()),
+                                                       key=lambda rate: rate[0],
+                                                       default=(0.0, spectral.EXACT_GEOMETRIC))
     _, passed = bound_check(report, calibration_radius=calibration_radius)
     return report, passed
 

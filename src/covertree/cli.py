@@ -17,6 +17,7 @@ from . import analysis, cover, graph_core, spectral
 from .cover import ScalarField
 from .errors import (
     ClassificationMismatchError,
+    CoverError,
     CovertreeError,
     GraphError,
     GraphFileError,
@@ -158,8 +159,10 @@ def _load_tube(g, path):
 
 
 def _check_root(g, root):
-    if not 0 <= root < g.vertex_count:
-        raise _UsageError(f"root vertex {root} out of range")
+    try:
+        cover.check_id("root vertex", root, g.vertex_count)
+    except CoverError as exc:
+        raise _UsageError(str(exc)) from exc
     return root
 
 

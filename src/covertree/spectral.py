@@ -1,12 +1,12 @@
 """Vertex and edge Laplacians, dense symmetric eigendecomposition, Fourier
-activity of fields, per-eigenvalue radial decay rates, and the three regimes.
+activity of fields, and the three regimes with their decay rates.
 
-The decay-rate functions return the per-radius factor rho such that arc
-averages of an eigenfunction's lift deviate from the graph average by at most
-C * rho**r, together with the qualitative kind of that bound.  A ``Regime``,
-built by ``regime(g, theorem, base)``, bundles what one theorem needs: the
-classification gate, the field support, the tree degrees at the base, the
-rate, the characteristic roots and the radial recursion.
+A ``Regime``, built by ``regime(g, theorem, base)``, bundles what one theorem
+needs: the classification gate, the field support, the tree degrees at the
+base, the characteristic roots, the radial recursion and the rates.  A rate
+is the per-radius factor rho such that arc averages of an eigenfunction's
+lift deviate from the graph average by at most C * rho**r, together with the
+qualitative kind of that bound.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     NotRegularError,
     NotSimpleError,
     OnlyConstantSpectrumError,
+    SpectralError,
     SupportMismatchError,
     UnsupportedDegreeStructureError,
 )
@@ -145,7 +146,8 @@ def fourier_coefficients(f, decomp):
     """Coefficients of the field in the eigenbasis, plus per-eigenspace norms.
 
     Coefficients use the plain sum inner product; an eigenspace with norm
-    below the activity threshold is inactive for this field.
+    below the activity threshold is inactive for this field.  A norm past
+    the float range raises ``SpectralError``.
     """
     if f.support != decomp.support:
         raise SupportMismatchError(
@@ -153,56 +155,15 @@ def fourier_coefficients(f, decomp):
         )
     if len(f.values) != decomp.basis.shape[0]:
         raise SupportMismatchError("field length does not match the eigenbasis")
-    coeffs = decomp.basis.T @ f.values
-    return coeffs, np.sqrt(_by_group(coeffs ** 2, decomp.group_slices, np.sum))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = decomp.basis.T @ f.values
+        norms = np.sqrt(_by_group(coeffs ** 2, decomp.group_slices, np.sum))
+    if not np.isfinite(norms).all():
+        raise SpectralError("field values too large: a Fourier projection norm overflows")
+    return coeffs, norms
 
 
-# --- per-eigenvalue decay rates ---
-
-def decay_rate_regular_vertex(mu, q):
-    """Per-radius decay rate for a vertex-Laplacian eigenvalue of a regular graph.
-
-    The three discriminant cases give q**-1/2 (complex pair), q**-1/2 with a
-    polynomial factor (repeated root), or the larger root modulus (real pair).
-    """
-    if abs(mu - 1.0) <= TRIVIAL_EIGENVALUE_TOL:
-        return 0.0, ONE_STEP
-    if abs(mu + 1.0) <= TRIVIAL_EIGENVALUE_TOL:
-        raise BipartiteEigenvalueError(
-            "eigenvalue -1 needs the even/odd bipartite treatment"
-        )
-    if abs(mu) > 1.0:
-        raise EigenvalueOutOfRangeError(f"vertex eigenvalue {mu} outside [-1, 1]")
-    d = (q + 1) ** 2 * mu * mu - 4 * q
-    if abs(d) <= DISCRIMINANT_TOL:
-        return q ** -0.5, POLYNOMIAL_FACTOR
-    if d < 0:
-        return q ** -0.5, EXACT_GEOMETRIC
-    return ((q + 1) * abs(mu) + math.sqrt(d)) / (2 * q), EXACT_GEOMETRIC
-
-
-def decay_rate_regular_edge(mu, q):
-    """Per-radius decay rate for an edge-Laplacian eigenvalue of a regular graph.
-
-    At mu = -1/q one characteristic root has modulus one, but eigenfunctions
-    there satisfy the vanishing-star condition, which kills that component and
-    leaves the exact rate 1/q.
-    """
-    if abs(mu - 1.0) <= TRIVIAL_EIGENVALUE_TOL:
-        return 0.0, ONE_STEP
-    if mu > 1.0 or mu < -1.0 / q - TRIVIAL_EIGENVALUE_TOL:
-        raise EigenvalueOutOfRangeError(f"edge eigenvalue {mu} outside [-1/{q}, 1]")
-    if abs(mu + 1.0 / q) <= TRIVIAL_EIGENVALUE_TOL:
-        return 1.0 / q, EXACT_GEOMETRIC
-    b = q - 1 - 2 * mu * q
-    d = b * b - 4 * q
-    if abs(d) <= DISCRIMINANT_TOL:
-        return q ** -0.5, POLYNOMIAL_FACTOR
-    if d < 0:
-        return q ** -0.5, EXACT_GEOMETRIC
-    # the larger root modulus of  mu - (q-1)/(2q) +- sqrt(d)/(2q)
-    return abs(mu - (q - 1) / (2 * q)) + math.sqrt(d) / (2 * q), EXACT_GEOMETRIC
-
+# --- the semiregular double step in closed form ---
 
 class DiscriminantRoots(NamedTuple):
     """The four eigenvalues where the two-step discriminant vanishes, ascending:
@@ -262,34 +223,6 @@ def forbidden_gap(p, q):
     return (lo - 1) / (p + q), (hi - 1) / (p + q)
 
 
-def decay_rate_semiregular_edge(mu, p, q):
-    """Per-radius decay rate for an edge-Laplacian eigenvalue of a semiregular
-    graph, converted from the double-step rates: rho with |F(n)| <= C rho**n.
-
-    Eigenvalues strictly inside the forbidden gap cannot occur and are
-    rejected.  At mu = -2/(p+q) the vanishing-star condition gives the exact
-    alternating rate (pq)**-1/2.
-    """
-    lo = -2.0 / (p + q)
-    if abs(mu - 1.0) <= TRIVIAL_EIGENVALUE_TOL:
-        return 0.0, ONE_STEP
-    if mu > 1.0 or mu < lo - TRIVIAL_EIGENVALUE_TOL:
-        raise EigenvalueOutOfRangeError(f"edge eigenvalue {mu} outside [{lo}, 1]")
-    if abs(mu - lo) <= TRIVIAL_EIGENVALUE_TOL:
-        return (p * q) ** -0.5, EXACT_GEOMETRIC
-    gap_lo, gap_hi = forbidden_gap(p, q)
-    if gap_lo + TRIVIAL_EIGENVALUE_TOL < mu < gap_hi - TRIVIAL_EIGENVALUE_TOL:
-        raise ForbiddenGapEigenvalueError(
-            f"eigenvalue {mu} lies in the forbidden gap ({gap_lo}, {gap_hi})"
-        )
-    t_plus, t_minus, d = transfer_eigenvalues(mu, p, q)
-    if abs(d) <= DISCRIMINANT_TOL:
-        return (p * q) ** -0.25, POLYNOMIAL_FACTOR
-    if d < 0:
-        return (p * q) ** -0.25, EXACT_GEOMETRIC
-    return math.sqrt(max(abs(t_plus), abs(t_minus))), EXACT_GEOMETRIC
-
-
 # --- the three regimes ---
 
 @dataclass(frozen=True)
@@ -311,25 +244,61 @@ class Regime:
     p: int
     q: int
 
-    def rate(self, mu):
-        """Per-radius decay rate and its kind for the eigenvalue ``mu``."""
-        if self.support == cover.VERTICES:
-            return decay_rate_regular_vertex(mu, self.q)
-        if self.p == self.q:
-            return decay_rate_regular_edge(mu, self.q)
-        return decay_rate_semiregular_edge(mu, self.cls.p, self.cls.q)
+    def rates(self, mus):
+        """Per-radius decay rates and their kinds at every eigenvalue of the
+        array ``mus``, from the double step's roots: sqrt(max |t+-|) for a real
+        pair, else (D0 D1)**-1/4, with a polynomial factor at a repeated root
+        unless T is scalar (c0 = c1 = 0 within sqrt(DISCRIMINANT_TOL), which
+        equal halves allow at mu = 0 in regime 1 and (q-1)/(2q) in regime 2).
+        The trivial eigenvalue takes one step.  At the low end of the range, -1
+        on vertices needs the bipartite treatment, and the vanishing-star
+        condition gives -2/(p+q) on edges the exact rate (D0 D1)**-1/2.  The
+        first eigenvalue outside the range or inside the forbidden gap raises."""
+        mus = np.asarray(mus, dtype=float)
+        vertex = self.support == cover.VERTICES
+        lo = -1.0 if vertex else -2.0 / (self.p + self.q)
+        gap_lo, gap_hi = forbidden_gap(self.p, self.q)
+        one, low = (np.abs(mus - end) <= TRIVIAL_EIGENVALUE_TOL for end in (1.0, lo))
+        outside = ~one & ~low & ((mus > 1.0) | (mus < lo))
+        gap = (gap_lo + TRIVIAL_EIGENVALUE_TOL < mus) & (mus < gap_hi - TRIVIAL_EIGENVALUE_TOL)
+        bad = np.flatnonzero(outside | gap | (low & vertex))
+        if bad.size:
+            i = bad[0]
+            if outside[i]:
+                raise EigenvalueOutOfRangeError(f"eigenvalue {mus[i]} outside [{lo}, 1]")
+            if gap[i]:
+                raise ForbiddenGapEigenvalueError(
+                    f"eigenvalue {mus[i]} lies in the forbidden gap ({gap_lo}, {gap_hi})")
+            raise BipartiteEigenvalueError("eigenvalue -1 needs the even/odd bipartite treatment")
+        c0, c1 = self.coefficients(mus)
+        t_plus, t_minus, d = self.roots(mus)
+        pq = self.p * self.q   # = D0 D1 in every regime
+        betas = np.where(d > DISCRIMINANT_TOL,
+                         np.sqrt(np.maximum(np.abs(t_plus), np.abs(t_minus))), pq ** -0.25)
+        betas[low], betas[one] = pq ** -0.5, 0.0
+        factor = (np.abs(d) <= DISCRIMINANT_TOL) & (
+            np.maximum(np.abs(c0), np.abs(c1)) > math.sqrt(DISCRIMINANT_TOL))
+        return betas, np.where(one, ONE_STEP, np.where(factor, POLYNOMIAL_FACTOR, EXACT_GEOMETRIC))
 
     def roots(self, mus):
         """Complex roots (t_plus, t_minus) and discriminant of the double step
-        T = M_odd M_even at every eigenvalue of the array ``mus``: with
-        c_i = mu A_i - B_i, T has trace (c0 c1 - D0 - D1) / (D0 D1) and
-        determinant 1 / (D0 D1), and each parity of a radial profile, F(0),
-        F(2), .. and F(1), F(3), .., is a two-term sequence with these roots.
-        The discriminant, in units of (D0 D1)**-2, is summed as
-        c0 c1 (c0 c1 - 2 D0 - 2 D1) + (D0 - D1)**2, which in regimes 1 and 2 is
-        c**2 times the one-step one: no cancellation where T is nearly scalar."""
-        (a0, b0, d0), (a1, b1, d1) = self.steps()
-        return double_step_roots(mus * a0 - b0, mus * a1 - b1, d0, d1)
+        T = M_odd M_even at every eigenvalue of the array ``mus``: T has trace
+        (c0 c1 - D0 - D1) / (D0 D1) and determinant 1 / (D0 D1), and each
+        parity of a radial profile, F(0), F(2), .. and F(1), F(3), .., is a
+        two-term sequence with these roots.  The discriminant, in units of
+        (D0 D1)**-2, is summed as c0 c1 (c0 c1 - 2 D0 - 2 D1) + (D0 - D1)**2,
+        which in regimes 1 and 2 is c**2 times the one-step one: no
+        cancellation where T is nearly scalar."""
+        (_, _, d0), (_, _, d1) = self.steps()
+        cc = np.multiply(*self.coefficients(mus))
+        d = cc * (cc - 2 * (d0 + d1)) + (d0 - d1) ** 2
+        num, s = cc - (d0 + d1), np.sqrt(np.asarray(d, dtype=complex))
+        return (num + s) / (2 * d0 * d1), (num - s) / (2 * d0 * d1), d
+
+    def coefficients(self, mus):
+        """Step coefficients (c0, c1), c_i = mu A_i - B_i, at every eigenvalue of ``mus``."""
+        (a0, b0, _), (a1, b1, _) = self.steps()
+        return mus * a0 - b0, mus * a1 - b1
 
     def steps(self):
         """Coefficients (A, B, D) of  F(n) = ((mu A - B) F(n-1) - F(n-2)) / D
@@ -338,14 +307,6 @@ class Regime:
             return ((self.q + 1, 0, self.q),) * 2
         s = self.p + self.q
         return (s, self.q - 1, self.p), (s, self.p - 1, self.q)
-
-
-def double_step_roots(c0, c1, d0, d1):
-    """Regime.roots from the step coefficients c_i = mu A_i - B_i and D_i."""
-    cc = c0 * c1
-    d = cc * (cc - 2 * (d0 + d1)) + (d0 - d1) ** 2
-    num, s = cc - (d0 + d1), np.sqrt(np.asarray(d, dtype=complex))
-    return (num + s) / (2 * d0 * d1), (num - s) / (2 * d0 * d1), d
 
 
 def regime(g, theorem, base=0):
@@ -435,9 +396,11 @@ def rate_prediction(g, theorem, f=None, decomp=None):
         decomp = eig_sym(theorem_laplacian(g, theorem)[0])
     norms = (fourier_coefficients(f, decomp)[1].tolist() if f is not None
              else [None] * len(decomp.distinct))
-    rows = [EigenvalueRate(mu, decomp.multiplicity(k), *reg.rate(mu),
+    betas, kinds = reg.rates(np.array(decomp.distinct))
+    rows = [EigenvalueRate(mu, decomp.multiplicity(k), beta, kind,
                            norm is None or norm > ACTIVITY_TOL, norm)
-            for k, (mu, norm) in enumerate(zip(decomp.distinct, norms))]
+            for k, (mu, beta, kind, norm) in enumerate(
+                zip(decomp.distinct, betas.tolist(), kinds.tolist(), norms))]
     candidates = [r for r in rows
                   if r.active and abs(r.mu - 1.0) > TRIVIAL_EIGENVALUE_TOL]
     if not candidates:

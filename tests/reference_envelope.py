@@ -9,11 +9,64 @@ the nilpotent part, and takes radii 0 and 1 as the initial values themselves.
 The library instead runs every regime through the double step on each parity.
 These closed forms use nothing of the library's envelope, only
 ``transfer_matrix`` and ``transfer_eigenvalues``.
+
+``reference_rate`` gives the per-radius decay rate and its kind at 50
+digits in stdlib ``decimal``, from the double step's matrix product.
 """
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from covertree import cover, spectral
+from covertree.errors import (
+    BipartiteEigenvalueError,
+    EigenvalueOutOfRangeError,
+    ForbiddenGapEigenvalueError,
+)
+
+
+def reference_rate(mu, support, p, q):
+    """Rate, kind and the double step's discriminant in units of (D0 D1)**-2
+    at the float ``mu``, taken exactly, in 50-digit decimal arithmetic.
+
+    T is the product of the two one-step companion matrices
+    [[c_i / D_i, -1 / D_i], [1, 0]], and its roots come from its trace and
+    determinant.  The special eigenvalues and the tolerances are those of
+    ``spectral.Regime.rates``, which raises the same errors.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        mu, tol = Decimal(mu), Decimal(spectral.TRIVIAL_EIGENVALUE_TOL)
+        vertex = support == cover.VERTICES
+        steps = [(q + 1, 0, q)] * 2 if vertex else [(p + q, q - 1, p), (p + q, p - 1, q)]
+        c0, c1 = (mu * a - b for a, b, _ in steps)
+        m0, m1 = ([[c / d, Decimal(-1) / d], [Decimal(1), Decimal(0)]]
+                  for c, (_, _, d) in zip((c0, c1), steps))
+        t = [[m1[i][0] * m0[0][j] + m1[i][1] * m0[1][j] for j in (0, 1)] for i in (0, 1)]
+        trace, det = t[0][0] + t[1][1], t[0][0] * t[1][1] - t[0][1] * t[1][0]
+        disc = trace * trace - 4 * det
+        units = disc * (steps[0][2] * steps[1][2]) ** 2
+        lo = Decimal(-1) if vertex else Decimal(-2) / (p + q)
+        if abs(mu - 1) <= tol:
+            return Decimal(0), spectral.ONE_STEP, units
+        if abs(mu - lo) <= tol:
+            if vertex:
+                raise BipartiteEigenvalueError("eigenvalue -1")
+            return det.sqrt(), spectral.EXACT_GEOMETRIC, units
+        if mu > 1 or mu < lo:
+            raise EigenvalueOutOfRangeError(f"eigenvalue {mu}")
+        gap_lo, gap_hi = (Decimal(min(p, q) - 1) / (p + q), Decimal(max(p, q) - 1) / (p + q))
+        if gap_lo + tol < mu < gap_hi - tol:
+            raise ForbiddenGapEigenvalueError(f"eigenvalue {mu}")
+        if abs(units) <= Decimal(spectral.DISCRIMINANT_TOL):
+            scalar = max(abs(c0), abs(c1)) <= Decimal(spectral.DISCRIMINANT_TOL).sqrt()
+            kind = spectral.EXACT_GEOMETRIC if scalar else spectral.POLYNOMIAL_FACTOR
+            return det.sqrt().sqrt(), kind, units
+        if disc < 0:
+            return det.sqrt().sqrt(), spectral.EXACT_GEOMETRIC, units
+        s = disc.sqrt()
+        return (max(abs(trace + s), abs(trace - s)) / 2).sqrt(), spectral.EXACT_GEOMETRIC, units
 
 
 def one_step_roots(mu, support, q):

@@ -207,12 +207,13 @@ def _fuzz_argvs(files, kind, bad):
     files = dict(files, **{kind: bad})
     average = ["average", "--graph", str(files["graph"]), "--field", str(files["field"]),
                "--radius", "3"]
+    spectrum = ["spectrum", "--graph", str(files["graph"]), "--theorem", "1"]
     if kind == "graph":
         return [["classify", "--graph", str(bad)],
-                average + ["--set", "arc", "--base", "0", "1"]]
+                average + ["--set", "arc", "--base", "0", "1"], spectrum]
     if kind == "field":
         return [average + ["--set", "arc", "--base", "0", "1"],
-                average + ["--set", "edge-sphere", "--root", "0"]]
+                average + ["--set", "edge-sphere", "--root", "0"], spectrum + ["--field", str(bad)]]
     if kind == "geodesic":
         return [average + ["--set", "horocycle", "--geodesic", str(bad)]]
     return [average + ["--set", "tube", "--tube", str(bad)]]
@@ -344,8 +345,8 @@ def test_average_missing_base(tmp_path, petersen_file):
     (["--set", "edge-sphere"], "edge-sphere runs need --root"),
     (["--set", "tube"], "tube runs need --tube FILE"),
     (["--set", "horocycle"], "horocycle runs need --geodesic FILE"),
-    (["--set", "sphere", "--root", "99"], "root vertex 99 out of range"),
-    (["--set", "edge-sphere", "--root", "-1"], "root vertex -1 out of range"),
+    (["--set", "sphere", "--root", "99"], "root vertex 99 out of range 0 .. 9"),
+    (["--set", "edge-sphere", "--root", "-1"], "root vertex -1 out of range 0 .. 9"),
     (["--set", "arc", "--base", "0", "1", "--radius", "1"], "need --radius >= 2"),
 ])
 def test_average_anchor_errors_exit_2(tmp_path, petersen_file, capsys, options, message):
@@ -553,22 +554,22 @@ def test_verify_eigensolves_once(generator, theorem, tmp_path, monkeypatch):
 
 
 def test_verify_takes_each_eigenvalue_rate_once(k34, tmp_path, monkeypatch, capsys):
-    # the rates come from the random field's prediction, one Regime.rate call per
-    # distinct eigenvalue; K(3,4)'s rates do not depend on the base's orientation
+    # the rates come from the random field's prediction, one Regime.rates call
+    # over the distinct eigenvalues; K(3,4)'s rates do not depend on the base's orientation
     path = tmp_path / "k34.g"
     graph_core.save_graph(k34, path)
-    distinct = len(spectral.eig_sym(spectral.theorem_laplacian(k34, 3)[0]).distinct)
-    real_rate, calls, rates = spectral.Regime.rate, [], []
+    distinct = spectral.eig_sym(spectral.theorem_laplacian(k34, 3)[0]).distinct
+    real_rates, calls, rates = spectral.Regime.rates, [], []
 
-    def counting_rate(self, mu):
-        calls.append(mu)
-        return real_rate(self, mu)
+    def counting_rates(self, mus):
+        calls.append(mus.tolist())
+        return real_rates(self, mus)
 
-    monkeypatch.setattr(spectral.Regime, "rate", counting_rate)
+    monkeypatch.setattr(spectral.Regime, "rates", counting_rates)
     for base in (("0", "3"), ("3", "0")):
         calls.clear()
         assert main(["verify", "--graph", str(path), "--theorem", "3", "--base", *base]) == 0
-        assert len(calls) == len(set(calls)) == distinct
+        assert calls == [list(distinct)]
         rates.append(re.findall(r"envelope (mu=\S+ \[\d+\]): rate (\S+),", capsys.readouterr().out))
     assert rates[0] == rates[1] and len(rates[0]) == k34.edge_count - 1
 

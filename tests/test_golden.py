@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from covertree import cover, graph_core
+from covertree import cover, graph_core, spectral
 from covertree.cli import main
+
+import reference_envelope
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -66,6 +68,17 @@ def test_spectrum_matches_golden(stem, name, theorem, graph_file, tmp_path):
     assert main(["spectrum", "--graph", graph_file(name), "--theorem", str(theorem),
                  "-o", str(dest)]) == 0
     assert dest.read_bytes() == (GOLDEN / f"{stem}.spectrum.csv").read_bytes()
+
+
+def test_k34_spectrum_gap_boundary_row_is_correctly_rounded():
+    # the eigenvalue 0.19999999999999996 sits just below the gap boundary 1/5,
+    # where the rate is 0.70710678118654744590..., so ...547 at 15 digits
+    g = graph_core.generate(*GRAPHS["k34"])
+    mu = spectral.eig_sym(spectral.theorem_laplacian(g, 3)[0]).distinct[1]
+    row = (GOLDEN / "k34-t3.spectrum.csv").read_text().splitlines()[2].split(",")
+    reference = reference_envelope.reference_rate(mu, cover.EDGES, 2, 3)[0]
+    assert row[0] == f"{mu:.15g}" == "0.2" and mu < 0.2
+    assert row[2] == f"{reference:.15g}" == "0.707106781186547"
 
 
 def test_deep_sphere_average_matches_golden(tmp_path, monkeypatch):

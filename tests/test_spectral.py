@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from covertree.errors import (
     NotRegularError,
     NotSimpleError,
     OnlyConstantSpectrumError,
+    SpectralError,
     SupportMismatchError,
     UnsupportedDegreeStructureError,
 )
@@ -24,9 +26,6 @@ from covertree.spectral import (
     ONE_STEP,
     POLYNOMIAL_FACTOR,
     critical_point,
-    decay_rate_regular_edge,
-    decay_rate_regular_vertex,
-    decay_rate_semiregular_edge,
     discriminant_roots,
     edge_laplacian,
     eig_sym,
@@ -40,6 +39,8 @@ from covertree.spectral import (
     vertex_laplacian,
     write_spectrum_csv,
 )
+
+import reference_envelope
 
 PQ_GRID = [(p, q) for p in (2, 3, 4, 5) for q in (2, 3, 4, 5)]
 
@@ -245,6 +246,12 @@ def test_fourier_indicator_projection_norm(k4):
     assert by_mu[round(-1 / 3, 9)] ** 2 == pytest.approx(0.75, abs=1e-12)
 
 
+def test_fourier_norm_past_the_float_range_raises(k4):
+    decomp = eig_sym(vertex_laplacian(k4))
+    with pytest.raises(SpectralError, match="Fourier projection norm overflows"):
+        fourier_coefficients(ScalarField(VERTICES, [1e308, 0.0, 0.0, 0.0]), decomp)
+
+
 def test_fourier_support_mismatch(k4):
     decomp = eig_sym(vertex_laplacian(k4))
     with pytest.raises(SupportMismatchError):
@@ -253,20 +260,29 @@ def test_fourier_support_mismatch(k4):
 
 # --- decay rates: regular vertex ---
 
-def test_vertex_rate_cases():
-    beta, kind = decay_rate_regular_vertex(-1 / 3, 2)
-    assert (beta, kind) == (2 ** -0.5, EXACT_GEOMETRIC)
-    # repeated-root threshold |mu| = 2 sqrt(q) / (q+1)
-    beta, kind = decay_rate_regular_vertex(2 * math.sqrt(2) / 3, 2)
-    assert beta == pytest.approx(2 ** -0.5) and kind == POLYNOMIAL_FACTOR
-    beta, kind = decay_rate_regular_vertex(0.99, 2)
-    assert beta == pytest.approx((3 * 0.99 + math.sqrt(9 * 0.99 ** 2 - 8)) / 4)
-    assert kind == EXACT_GEOMETRIC
-    assert decay_rate_regular_vertex(1.0, 2) == (0.0, ONE_STEP)
+def _rates(reg, mus):
+    """``Regime.rates`` as a list of (rate, kind) pairs of Python scalars."""
+    betas, kinds = reg.rates(mus)
+    return list(zip(betas.tolist(), kinds.tolist()))
+
+
+def test_vertex_rate_cases(k4):
+    reg = regime(k4, 1)   # q = 2
+    # a complex pair, the repeated root at |mu| = 2 sqrt(q) / (q+1), a real
+    # pair, the trivial eigenvalue and the scalar double step at mu = 0, in one call
+    complex_pair, repeated, real, trivial, scalar = _rates(
+        reg, [-1 / 3, 2 * math.sqrt(2) / 3, 0.99, 1.0, 0.0])
+    assert complex_pair == (2 ** -0.5, EXACT_GEOMETRIC)
+    assert repeated[0] == pytest.approx(2 ** -0.5) and repeated[1] == POLYNOMIAL_FACTOR
+    assert real[0] == pytest.approx((3 * 0.99 + math.sqrt(9 * 0.99 ** 2 - 8)) / 4, abs=1e-15)
+    assert real[1] == EXACT_GEOMETRIC
+    assert trivial == (0.0, ONE_STEP)
+    assert scalar == (2 ** -0.5, EXACT_GEOMETRIC)
     with pytest.raises(BipartiteEigenvalueError):
-        decay_rate_regular_vertex(-1.0, 2)
-    with pytest.raises(EigenvalueOutOfRangeError):
-        decay_rate_regular_vertex(1.5, 2)
+        reg.rates([0.5, -1.0])
+    with pytest.raises(EigenvalueOutOfRangeError, match="eigenvalue 1.5 outside"):
+        reg.rates([0.5, 1.5, -1.0])   # the first offending eigenvalue raises
+    assert _rates(reg, []) == []
 
 
 def _one_step_squares(reg, mu):
@@ -314,13 +330,17 @@ def test_regime_root_product_is_one_over_d0_d1(mu, q, theorem):
 
 # --- decay rates: regular edge ---
 
-def test_edge_rate_cases():
-    assert decay_rate_regular_edge(-0.5, 2) == (0.5, EXACT_GEOMETRIC)
-    beta, kind = decay_rate_regular_edge(0.0, 2)
-    assert (beta, kind) == (2 ** -0.5, EXACT_GEOMETRIC)
-    assert decay_rate_regular_edge(1.0, 2) == (0.0, ONE_STEP)
+def test_edge_rate_cases(k4):
+    reg = regime(k4, 2)   # q = 2
+    doob, scalar, trivial = _rates(reg, [-0.5, 0.25, 1.0])
+    assert doob == (0.5, EXACT_GEOMETRIC)    # the vanishing-star eigenvalue -1/q
+    assert scalar == (2 ** -0.5, EXACT_GEOMETRIC)   # T is scalar at (q-1)/(2q)
+    assert trivial == (0.0, ONE_STEP)
+    # mu = 0.99: real one-step roots, the larger modulus |mu - 1/4| + sqrt(d) / 4
+    beta = _rates(reg, [0.99])[0][0]
+    assert beta == pytest.approx(0.74 + math.sqrt(2.96 ** 2 - 8) / 4, abs=1e-15)
     with pytest.raises(EigenvalueOutOfRangeError):
-        decay_rate_regular_edge(-0.75, 2)
+        reg.rates([-0.75])
 
 
 def test_edge_root_at_doob_eigenvalue_has_modulus_one():
@@ -414,25 +434,24 @@ def test_transfer_moduli_monotone_regions(p, q):
             assert max(vals) <= cap + 1e-12
 
 
-def test_semiregular_rate_cases():
+def test_semiregular_rate_cases(k34):
     p, q = 2, 3
-    beta, kind = decay_rate_semiregular_edge(-2 / (p + q), p, q)
-    assert (beta, kind) == (6 ** -0.5, EXACT_GEOMETRIC)
-    # mu = 1/5 sits on the gap boundary: transfer moduli are {1/2, 1/3},
-    # per-radius rate is the square root of the larger one
-    beta, kind = decay_rate_semiregular_edge(0.2, p, q)
-    assert beta == pytest.approx(math.sqrt(0.5), abs=1e-12)
-    assert kind == EXACT_GEOMETRIC
-    beta, kind = decay_rate_semiregular_edge(0.4, p, q)
-    assert beta == pytest.approx(math.sqrt(0.5), abs=1e-12)
-    # negative-discriminant eigenvalue
-    beta, kind = decay_rate_semiregular_edge(0.0, p, q)
-    assert (beta, kind) == (6 ** -0.25, EXACT_GEOMETRIC)
-    assert decay_rate_semiregular_edge(1.0, p, q) == (0.0, ONE_STEP)
-    with pytest.raises(ForbiddenGapEigenvalueError):
-        decay_rate_semiregular_edge(critical_point(p, q), p, q)
-    with pytest.raises(EigenvalueOutOfRangeError):
-        decay_rate_semiregular_edge(-0.5, p, q)
+    for base in (k34.half_edge(0, 3), k34.half_edge(3, 0)):
+        reg = regime(k34, 3, base)
+        doob, boundary, real, complex_pair, trivial = _rates(
+            reg, [-2 / (p + q), 0.2, 0.4, 0.0, 1.0])
+        assert doob == (6 ** -0.5, EXACT_GEOMETRIC)
+        # mu = 1/5 sits on the gap boundary: transfer moduli are {1/2, 1/3},
+        # per-radius rate is the square root of the larger one
+        assert boundary[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert boundary[1] == EXACT_GEOMETRIC
+        assert real[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert complex_pair == (6 ** -0.25, EXACT_GEOMETRIC)   # negative discriminant
+        assert trivial == (0.0, ONE_STEP)
+        with pytest.raises(ForbiddenGapEigenvalueError):
+            reg.rates([critical_point(p, q)])
+        with pytest.raises(EigenvalueOutOfRangeError):
+            reg.rates([-0.5])
 
 
 # --- radial recursion ---
@@ -588,16 +607,64 @@ def test_regime_gate_messages(k33, k23, k4):
         regime(k4, 4)
 
 
+@pytest.mark.parametrize("graph,theorem,base", [
+    (("complete", 4), 1, None), (("complete", 5), 1, None), (("complete", 7), 1, None),
+    (("complete", 4), 2, None), (("complete", 5), 2, None), (("complete", 6), 2, None),
+    (("complete_bipartite", 3, 4), 3, (0, 3)), (("complete_bipartite", 3, 4), 3, (3, 0)),
+    (("complete_bipartite", 3, 5), 3, (0, 3)), (("complete_bipartite", 4, 6), 3, (4, 0)),
+])
+def test_regime_rates_match_the_decimal_reference(graph, theorem, base):
+    # a grid past both ends of the range; the critical point and both scalar
+    # double-step points, mu = 0 on vertices and (q-1)/(2q) on edges; the ends
+    # of the range and of the gap with their neighbours just outside the
+    # tolerance band; and the repeated roots with neighbours 1e-5 and 1e-4
+    # away, where d is about 1e-3 and 1e-2.  Near a repeated root the rate's
+    # relative error grows like 1 / sqrt(|d|) from the rounding of c alone
+    # (5e-13 at |d| = 2e-6 on K7, where the earlier closed form was off by
+    # 7e-13), so values are compared where |d| > 1e-6, and no nearer
+    # neighbours are drawn.
+    g = graph_core.generate(*graph)
+    reg = regime(g, theorem, g.half_edge(*base) if base else 0)
+    p, q = reg.p, reg.q
+    ends = np.array([1.0, -1.0, -2 / (p + q), *forbidden_gap(p, q)])
+    repeated = np.array([2 * math.sqrt(q) / (q + 1), -2 * math.sqrt(q) / (q + 1),
+                         *discriminant_roots(p, q)])
+    mus = np.concatenate([np.linspace(-1.05, 1.05, 2001), ends, ends - 2e-9, ends + 2e-9,
+                          [0.0, (q - 1) / (2 * q), critical_point(p, q)], repeated,
+                          *(repeated + step for step in (-1e-4, -1e-5, 1e-5, 1e-4))])
+    accepted, expected = [], []
+    for mu in mus.tolist():
+        try:
+            expected.append(reference_envelope.reference_rate(mu, reg.support, p, q))
+            accepted.append(mu)
+        except SpectralError as exc:
+            with pytest.raises(type(exc)):
+                reg.rates([mu])
+    betas, kinds = reg.rates(np.array(accepted))
+    assert len(accepted) > 500
+    for mu, beta, kind, (ref, ref_kind, d) in zip(accepted, betas.tolist(), kinds.tolist(),
+                                                 expected):
+        assert kind == ref_kind, mu
+        if abs(d) > Decimal("1e-6"):
+            assert abs(Decimal(beta) - ref) <= Decimal("1e-13") * ref, mu
+    if p == q:   # the scalar double step has no polynomial factor
+        scalar = 0.0 if theorem == 1 else (q - 1) / (2 * q)
+        assert reg.rates([scalar])[1][0] == EXACT_GEOMETRIC
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_regime_edge_rates_stay_regular_at_the_semiregular_repeated_root(n):
-    # at mu = (q-1)/(2q) the regular-edge formula has a complex pair, while the
-    # semiregular formula with p = q sees a repeated double-step root
+    # at mu = (q-1)/(2q) the one-step roots are a complex pair with the rate
+    # q**-1/2, while the double step sees a repeated root
     g = graph_core.generate("complete", n)
     q = n - 2
     mu = (q - 1) / (2 * q)
-    assert regime(g, 2).rate(mu) == decay_rate_regular_edge(mu, q)
-    assert regime(g, 2).rate(mu)[1] == EXACT_GEOMETRIC
-    assert decay_rate_semiregular_edge(mu, q, q)[1] == POLYNOMIAL_FACTOR
+    reg = regime(g, 2)
+    assert _rates(reg, [mu]) == [(q ** -0.5, EXACT_GEOMETRIC)]
+    # the double step's discriminant vanishes there, yet T is scalar, with no
+    # polynomial factor
+    assert abs(reg.roots(np.array([mu]))[2][0]) <= 1e-30
+    assert max(abs(c[0]) for c in reg.coefficients(np.array([mu]))) <= 1e-15
 
 
 def test_regime_roots_match_the_scalar_roots(k4, petersen, k34):
