@@ -16,7 +16,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import (
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "COVERTREE_BUDGET"
-_COUNT_CHUNK = 64   # radii counted per step of the lockstep budget check
 
 # Deviations below this floor are treated as exact zeros: they are float dust
 # around quantities that vanish in exact arithmetic.
@@ -72,24 +71,11 @@ class ConvergenceReport:
 
 
 def enumeration_budget(budget=None):
+    """``budget``, else COVERTREE_BUDGET, else DEFAULT_BUDGET: the cap on a transfer
+    series' radius, and on the spheres that check_sphere_decomposition enumerates."""
     if budget is not None:
         return int(budget)
     return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
-
-
-def _check_counts(sizes, first, cap, what, empty):
-    """Raise at the first of ``sizes``, radii ``first``, .., over the cap or zero
-    (unless ``empty`` is None), then if they reach radius cap + 1: every radius
-    from 1 holds an element, so the series to it holds more than the cap."""
-    if max(sizes, default=0) > cap or 0 in sizes:
-        for r, n in enumerate(sizes, first):
-            if n > cap:
-                raise BudgetExceededError(f"{what} at radius {r} has {n} elements (cap {cap})")
-            if not n and empty is not None:
-                raise EmptySetError(f"{empty} at radius {r} is empty")
-    if first + len(sizes) > cap + 1:
-        raise BudgetExceededError(
-            f"{what} series to radius {cap + 1} has more than {cap} elements (cap {cap})")
 
 
 @dataclass(frozen=True)
@@ -98,7 +84,7 @@ class SetFamily:
     on ``support``: at radius r, the arcs of radius r + ``shift`` at the bases
     ``pieces[r % len(pieces)]``, a base once per tree edge over it.  ``zero`` lists
     the radius-0 elements (vertex or edge ids) where the family replaces radius 0;
-    ``what`` and ``empty`` name the set in budget and empty-set errors."""
+    ``what`` and ``empty`` name the set in radius-cap and empty-set errors."""
 
     kind: str
     support: str
@@ -127,36 +113,23 @@ def _fractions(counts, totals):
 
 def _count_union(g, family, radius, cap):
     """The distinct bases of ``family``, its pieces as indices into them, its sizes
-    and each base's arc sizes and images, counted in lockstep chunks of radii: a
-    huge radius fails at the first radius over the cap and a dead end at its first
-    empty radius, before any averaging, and only a passing series keeps its counts."""
+    and each base's arc sizes and images.  A radius over the cap fails before
+    anything is counted, and a dead end at its first empty radius before any
+    averaging: a path of H + 1 of the H half-edges repeats one and can go on for
+    ever, so an empty radius, if any, shows by radius H + period, counted first."""
+    if radius > cap:
+        raise BudgetExceededError(f"{family.what} radius {radius} is over the cap {cap}")
     index = {h: i for i, h in enumerate(dict.fromkeys(itertools.chain(*family.pieces)))}
     bases, pieces = list(index), [[index[h] for h in piece] for piece in family.pieces]
-    period, shift, support = len(pieces), family.shift, family.support
-    counters = [cover.arc_counts(g, h, support, radius + shift) for h in bases]
-    counted = [list(itertools.islice(c, shift)) for c in counters]
-    sizes = []
-    keep = radius <= cap  # a longer series fails by radius cap + 1; its sizes are not kept
-    for start in range(0, radius + 1, _COUNT_CHUNK):
-        chunk = [list(itertools.islice(c, _COUNT_CHUNK)) for c in counters]
-        if period == 1:  # the same pieces at every radius
-            part = _summed([chunk[i] for i in pieces[0]])
-        else:  # radius start + k has the pieces (start + k) mod period
-            part = [0] * len(chunk[0])
-            for c, piece in enumerate(pieces):
-                k = (c - start) % period
-                part[k::period] = _summed([chunk[i][k::period] for i in piece])
-        # arc radius 0 is not capped: it has one element per piece, a half-edge
-        # leaving the root or the subtree, and spheres and tubes replace it
-        skip = 0 if start or shift else 1
-        _check_counts(part[1:] if skip else part, start + skip, cap, family.what, family.empty)
-        if keep:
-            for counts, n in zip(counted, chunk):
-                counts += n
-            sizes += part
-    op = cover.transfer_operator(g)
-    return bases, pieces, sizes, [op.sizes(h, support, radius + shift, n)
-                                  for h, n in zip(bases, counted)]
+    period, shift, op = len(pieces), family.shift, cover.transfer_operator(g)
+    for top in sorted({min(radius, op.size + period), radius}):
+        arcs = [op.sizes(h, family.support, top + shift) for h in bases]
+        sizes = [0] * (top + 1)
+        for c, piece in enumerate(pieces):  # radius r has the pieces r mod period
+            sizes[c::period] = _summed([arcs[i][0][shift + c::period] for i in piece])
+        if 0 in sizes:
+            raise EmptySetError(f"{family.empty} at radius {sizes.index(0)} is empty")
+    return bases, pieces, sizes, arcs
 
 
 def _union_series(g, values, family, radius, cap):
@@ -193,10 +166,11 @@ def _union_series(g, values, family, radius, cap):
 
 def set_family(g, kind, anchor, support):
     """The one SetFamily of ``kind`` (in SET_KINDS) at ``anchor``: a base half-edge,
-    which arc_counts checks, a root vertex, a subtree (a list of CoverVertex) or a
-    GeodesicSpec.  Arcs and tubes take the field's ``support``.  A tube is the arcs
+    a root vertex, a subtree (a list of CoverVertex) or a GeodesicSpec, each
+    checked here.  Arcs and tubes take the field's ``support``.  A tube is the arcs
     behind the tree edges leaving the subtree, and at radius 0 the subtree itself."""
     if kind == "arc":
+        cover.check_id("half-edge", anchor, g.half_edge_count)
         return SetFamily(kind, support, ((anchor,),))
     if kind in ("sphere", "edge-sphere"):  # g.out would wrap a negative root
         cover.check_id("root vertex", anchor, g.vertex_count)
@@ -391,8 +365,8 @@ def _profile_envelope(f0, f1, mus, reg, radius):
     the roots are, is added last.
     """
     (_, _, d0), (_, _, d1) = reg.steps()
-    c0, c1 = (c[:, None] for c in reg.coefficients(mus))
-    t_plus, t_minus, d = reg.roots(mus)
+    c0, c1 = reg.coefficients(mus[:, None])   # one row per eigenspace
+    t_plus, t_minus, d = reg.roots(c0[:, 0], c1[:, 0])
     m = c0 * c1 + d1 - d0
     k = np.arange(radius // 2 + 1)
     rep = np.abs(d) <= spectral.DISCRIMINANT_TOL
@@ -522,11 +496,15 @@ def check_sphere_decomposition(g, v0, f, radius):
     the enumeration budget raises BudgetExceededError before anything is enumerated.
     """
     cover.check_field(g, f, cover.VERTICES)
-    family = replace(set_family(g, "sphere", v0, cover.VERTICES), empty=None)
-    bases, cap, width = family.pieces[0], enumeration_budget(), g.half_edge_count
+    bases, = set_family(g, "sphere", v0, cover.VERTICES).pieces
+    cap, width = enumeration_budget(), g.half_edge_count
     if radius > cap:
         raise BudgetExceededError(f"sphere radius {radius} is over the cap {cap}")
-    counts = [n for n, _ in _count_union(g, family, radius, cap)[3]]  # empty spheres: rows only
+    counters, counts = [cover.arc_counts(g, h, cover.VERTICES, radius) for h in bases], []
+    for r in range(radius + 1):  # the arcs' sizes by radius; empty spheres: rows only
+        counts.append([next(c) for c in counters])
+        if r and (n := sum(counts[r])) > cap:
+            raise BudgetExceededError(f"sphere at radius {r} has {n} elements (cap {cap})")
     spheres = cover.sphere_vertex_layers(g, v0, radius)  # built apart from the arcs
     layer_iters = [cover.arc_vertex_layers(g, h, radius) for h in bases]
     for it in [spheres, *layer_iters]:
@@ -539,7 +517,7 @@ def check_sphere_decomposition(g, v0, f, radius):
                 or not (arcs[1:] != arcs[:-1]).any(axis=1).all()  # pairwise disjoint
                 or not np.array_equal(arcs, _sorted_keys(sphere.parts, r, width, memo))):
             return False
-        sizes = [n[r] for n in counts]
+        sizes = counts[r]
         if not sum(sizes):
             continue
         arc_mean = math.fsum(n * cover.set_average(f, layer)

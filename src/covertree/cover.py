@@ -752,21 +752,22 @@ class TransferOperator:
         self.classes, self.quotient = _equitable_partition(g)
         self.rows, self.floats = {}, {}
 
-    def sizes(self, base, support, max_radius, counted=()):
+    def sizes(self, base, support, max_radius):
         """The sizes of the vertex or edge arcs at ``base``, radius 0 .. max_radius,
-        as a new list, and their float images (float(n), or inf past the float
-        range) as a read-only array, from the ``rows`` and ``floats`` kept for
-        base's class.  A shorter row is extended from ``counted``, the same sizes
-        from arc_counts, or counted again from the start, so no counting state is
-        kept; a budgeted series passes its counts only once its check passes, so no
-        row is longer than the longest series that passed."""
+        as a new list, and their float images as a read-only array, from the
+        ``rows`` and ``floats`` kept for base's class.  A shorter row is extended by
+        counting again from the start, so no counting state is kept, up to the first
+        size past the float range, which raises SizeOutOfRangeError: an arc of that
+        size has no float sum, and no kept row holds a size over 1,024 bits."""
         c, first = self.classes[base], support == EDGES  # A'_r: paths of r + 1 half-edges
         row, hi = self.rows.setdefault(c, [1]), max_radius + 1 + first
         if len(row) < hi:
-            row += counted[len(row) - first:] or itertools.islice(self._past(c, len(row)),
-                                                                   hi - len(row))
+            past = itertools.islice(self._past(c, len(row)), hi - len(row))
+            row += itertools.takewhile(_FLOAT_MAX.__ge__, past)
+            if len(row) < hi:
+                raise _float_range_error(len(row) - first, next(self._past(c, len(row))))
         if len(self.floats.get(c, ())) < len(row):
-            self.floats[c] = _images(row)
+            self.floats[c] = np.array(row, dtype=float)
             self.floats[c].setflags(write=False)
         return row[first:hi], self.floats[c][first:hi]
 
@@ -939,11 +940,11 @@ def transfer_operator(g):
 _FLOAT_MAX = int(sys.float_info.max)
 
 
-def _images(sizes):
-    """The array of float(n) for every size, or inf past the float range."""
-    if max(sizes, default=0) > _FLOAT_MAX:
-        sizes = [n if n <= _FLOAT_MAX else math.inf for n in sizes]
-    return np.array(sizes, dtype=float)
+def _float_range_error(r, n):
+    """The error for an arc of radius ``r`` with ``n`` elements, too many for a float sum."""
+    return SizeOutOfRangeError(
+        f"arc at radius {r} has about 2**{n.bit_length() - 1} elements; "
+        "their sum is past the float range")
 
 
 def _sums(sizes, images, averages):
@@ -958,9 +959,7 @@ def _sums(sizes, images, averages):
         sums = images[:, None] * averages
     if not np.isfinite(sums).all():
         r = np.flatnonzero(~np.isfinite(sums).all(axis=1))[0]
-        raise SizeOutOfRangeError(
-            f"arc at radius {r} has about 2**{sizes[r].bit_length() - 1} elements; "
-            "their sum is past the float range")
+        raise _float_range_error(r, sizes[r])
     return sums
 
 
@@ -985,7 +984,7 @@ def arc_counts(g, base, support, max_radius):
     return itertools.islice(counts, first, max_radius + 1 + first)
 
 
-def _arc_sums(g, f, base, max_radius, sizes, support):
+def _arc_sums(g, f, base, max_radius, support):
     if isinstance(f, np.ndarray):  # value columns, checked whole
         if not np.isfinite(f).all():
             raise ValueError("field values must be finite")
@@ -998,8 +997,7 @@ def _arc_sums(g, f, base, max_radius, sizes, support):
     check_id("half-edge", base, g.half_edge_count)
     _check_radius(max_radius)
     op = transfer_operator(g)
-    sizes, images = (op.sizes(base, support, max_radius) if sizes is None
-                     else (sizes, _images(sizes)))
+    sizes, images = op.sizes(base, support, max_radius)
     if support == VERTICES:
         averages = np.concatenate([values[g.tail(base)][None],
                                    op.averages(values[op.heads], base, max_radius)])
@@ -1009,17 +1007,15 @@ def _arc_sums(g, f, base, max_radius, sizes, support):
     return sizes, (sums if values is f else sums[:, 0].tolist())
 
 
-def arc_vertex_sums(g, f, base, max_radius, sizes=None):
+def arc_vertex_sums(g, f, base, max_radius):
     """Per-radius (size, sum of lifted values) over vertex arcs A_0 .. A_R of a field;
-    an (n, m) array of field values gives an (R+1, m) array of sums.  The sizes
-    come from the row kept for base's class (TransferOperator.sizes); ``sizes``
-    only passes sizes from elsewhere."""
-    return _arc_sums(g, f, base, max_radius, sizes, VERTICES)
+    an (n, m) array of field values gives an (R+1, m) array of sums."""
+    return _arc_sums(g, f, base, max_radius, VERTICES)
 
 
-def arc_edge_sums(g, f, base, max_radius, sizes=None):
+def arc_edge_sums(g, f, base, max_radius):
     """Per-radius (size, sum of lifted values) over edge arcs A'_0 .. A'_R, as arc_vertex_sums."""
-    return _arc_sums(g, f, base, max_radius, sizes, EDGES)
+    return _arc_sums(g, f, base, max_radius, EDGES)
 
 
 def arc_average_transfer(g, f, base, r):

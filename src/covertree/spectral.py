@@ -271,7 +271,7 @@ class Regime:
                     f"eigenvalue {mus[i]} lies in the forbidden gap ({gap_lo}, {gap_hi})")
             raise BipartiteEigenvalueError("eigenvalue -1 needs the even/odd bipartite treatment")
         c0, c1 = self.coefficients(mus)
-        t_plus, t_minus, d = self.roots(mus)
+        t_plus, t_minus, d = self.roots(c0, c1)
         pq = self.p * self.q   # = D0 D1 in every regime
         betas = np.where(d > DISCRIMINANT_TOL,
                          np.sqrt(np.maximum(np.abs(t_plus), np.abs(t_minus))), pq ** -0.25)
@@ -280,17 +280,17 @@ class Regime:
             np.maximum(np.abs(c0), np.abs(c1)) > math.sqrt(DISCRIMINANT_TOL))
         return betas, np.where(one, ONE_STEP, np.where(factor, POLYNOMIAL_FACTOR, EXACT_GEOMETRIC))
 
-    def roots(self, mus):
+    def roots(self, c0, c1):
         """Complex roots (t_plus, t_minus) and discriminant of the double step
-        T = M_odd M_even at every eigenvalue of the array ``mus``: T has trace
-        (c0 c1 - D0 - D1) / (D0 D1) and determinant 1 / (D0 D1), and each
-        parity of a radial profile, F(0), F(2), .. and F(1), F(3), .., is a
-        two-term sequence with these roots.  The discriminant, in units of
-        (D0 D1)**-2, is summed as c0 c1 (c0 c1 - 2 D0 - 2 D1) + (D0 - D1)**2,
-        which in regimes 1 and 2 is c**2 times the one-step one: no
-        cancellation where T is nearly scalar."""
+        T = M_odd M_even at the step coefficients ``c0``, ``c1`` of an array of
+        eigenvalues (see coefficients): T has trace (c0 c1 - D0 - D1) / (D0 D1)
+        and determinant 1 / (D0 D1), and each parity of a radial profile, F(0),
+        F(2), .. and F(1), F(3), .., is a two-term sequence with these roots.
+        The discriminant, in units of (D0 D1)**-2, is summed as
+        c0 c1 (c0 c1 - 2 D0 - 2 D1) + (D0 - D1)**2, which in regimes 1 and 2 is
+        c**2 times the one-step one: no cancellation where T is nearly scalar."""
         (_, _, d0), (_, _, d1) = self.steps()
-        cc = np.multiply(*self.coefficients(mus))
+        cc = c0 * c1
         d = cc * (cc - 2 * (d0 + d1)) + (d0 - d1) ** 2
         num, s = cc - (d0 + d1), np.sqrt(np.asarray(d, dtype=complex))
         return (num + s) / (2 * d0 * d1), (num - s) / (2 * d0 * d1), d

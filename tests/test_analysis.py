@@ -184,16 +184,22 @@ def test_eigenfield_deviations_equal_radial_profile(petersen):
 
 
 def test_budget_cap(petersen):
+    # the cap bounds the radius: 12 runs at cap 12, with 1024 elements at radius 12
     f = random_field(petersen, VERTICES, 1)
-    with pytest.raises(BudgetExceededError):
-        deviation_series(petersen, f, set_kind="arc", radius=12, base=0, budget=100)
+    assert deviation_series(petersen, f, set_kind="arc", radius=12, base=0,
+                            budget=12).sizes[-1] == 2 ** 11
+    with pytest.raises(BudgetExceededError, match="^arc radius 12 is over the cap 11$"):
+        deviation_series(petersen, f, set_kind="arc", radius=12, base=0, budget=11)
 
 
 def test_budget_env_override(petersen, monkeypatch):
-    monkeypatch.setenv(analysis.BUDGET_ENV_VAR, "100")
     f = random_field(petersen, VERTICES, 1)
-    with pytest.raises(BudgetExceededError):
+    monkeypatch.setenv(analysis.BUDGET_ENV_VAR, "11")
+    with pytest.raises(BudgetExceededError, match="^arc radius 12 is over the cap 11$"):
         deviation_series(petersen, f, set_kind="arc", radius=12, base=0)
+    # an explicit budget wins over the environment
+    assert len(deviation_series(petersen, f, set_kind="arc", radius=12, base=0,
+                                budget=12).sizes) == 13
 
 
 def test_series_rejects_support_mismatch(k4):
@@ -535,8 +541,8 @@ def test_envelope_at_repeated_roots_is_no_larger_than_the_previous_forms(k4, pet
     for reg in (spectral.regime(k4, 1), spectral.regime(petersen, 2),
                 spectral.regime(k34, 3, k34.half_edge(0, 3)),
                 spectral.regime(k34, 3, k34.half_edge(3, 0))):
-        mus = [mu for mu in _special_mus(reg)
-               if abs(reg.roots(np.array([mu]))[2][0]) <= spectral.DISCRIMINANT_TOL]
+        d = reg.roots(*reg.coefficients(np.array(_special_mus(reg))))[2]
+        mus = [mu for mu, dj in zip(_special_mus(reg), d) if abs(dj) <= spectral.DISCRIMINANT_TOL]
         assert len(mus) >= 2
         for mu in mus:
             f0, f1 = np.meshgrid(values, values)
@@ -571,7 +577,8 @@ def test_envelope_matches_the_previous_closed_forms(name, theorem, request, seed
     lap, _ = spectral.theorem_laplacian(g, theorem)
     decomp = spectral.eig_sym(lap)
     for base in (0, 1, g.half_edge_count // 2, g.half_edge_count - 1):
-        d = spectral.regime(g, theorem, base).roots(np.array(decomp.distinct))[2]
+        reg = spectral.regime(g, theorem, base)
+        d = reg.roots(*reg.coefficients(np.array(decomp.distinct)))[2]
         repeated = (np.abs(d) <= spectral.DISCRIMINANT_TOL).any()
         for seed in (11, 12, 13):
             f = random_field(g, lap.support, seed)

@@ -1,15 +1,18 @@
-"""Transfer series bookkeeping against the lockstep reference, bit for bit.
+"""Transfer series bookkeeping against an independent reference, bit for bit.
 
 The reference below is ``analysis._arc_union`` and the horocycle branch of
 ``analysis.deviation_series`` as they were before the sizes were counted in
-chunks of radii: they sum, cap-check and append the sizes one radius at a
-time, turn every size into a float on its own, and weigh every arc of a union,
-even a single one.  The library must give the same sizes, the same average and
-deviation bits, and the same error type and message, on every set family.
+chunks of radii, with the radius cap that replaced the element cap: they
+refuse a radius over the cap, count each arc's sizes on their own up to the
+first past the float range, turn every size into a float on its own, and
+weigh every arc of a union, even a single one.  The library must give the
+same sizes, the same average and deviation bits, and the same error type and
+message, on every set family.
 """
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -25,18 +28,26 @@ from covertree.errors import (
 )
 
 
+def reference_sizes(g, base, support, radius):
+    """The exact arc sizes at ``base`` to ``radius``; a size past the float range raises."""
+    sizes = []
+    for r, n in enumerate(cover.arc_counts(g, base, support, radius)):
+        if n > sys.float_info.max:
+            raise SizeOutOfRangeError(f"arc at radius {r} has about 2**{n.bit_length() - 1} "
+                                      "elements; their sum is past the float range")
+        sizes.append(n)
+    return sizes
+
+
 def reference_arc_union(g, fields, support, bases, radius, cap, what):
     if not bases:
         raise EmptySetError("set at radius 1 is empty")
-    counted, sizes = [[] for _ in bases], []
-    for r, column in enumerate(zip(*[cover.arc_counts(g, h, support, radius) for h in bases])):
-        sizes.append(sum(column))
-        if r and sizes[-1] > cap:
-            raise BudgetExceededError(f"{what} at radius {r} has {sizes[-1]} elements (cap {cap})")
-        for sizes_b, n in zip(counted, column):
-            sizes_b.append(n)
+    if radius > cap:
+        raise BudgetExceededError(f"{what} radius {radius} is over the cap {cap}")
+    counted = [reference_sizes(g, h, support, radius) for h in bases]
+    sizes = [sum(column) for column in zip(*counted)]
     sums_of = cover.arc_vertex_sums if support == cover.VERTICES else cover.arc_edge_sums
-    series = [sums_of(g, fields, h, radius, sizes_b)[1] for h, sizes_b in zip(bases, counted)]
+    series = [sums_of(g, fields, h, radius)[1] for h in bases]
     if 0 in sizes:
         raise EmptySetError(f"set at radius {sizes.index(0)} is empty")
     means = np.array([sums_b / np.array([float(n) or 1.0 for n in sizes_b])[:, None]
@@ -52,19 +63,14 @@ def reference_arc_union(g, fields, support, bases, radius, cap, what):
 
 
 def reference_horocycle(g, values, geodesic, radius, cap):
+    if radius > cap:
+        raise BudgetExceededError(f"horocycle radius {radius} is over the cap {cap}")
     bases = [g.twin(h) for h in geodesic.half_edges]
-    counters = {h: cover.arc_counts(g, h, VERTICES, radius + 1) for h in bases}
-    counted = {h: [next(c)] for h, c in counters.items()}
+    counted = {h: reference_sizes(g, h, VERTICES, radius + 1) for h in bases}
     for r in range(radius + 1):
-        for h, c in counters.items():
-            counted[h].append(next(c))
-        n = counted[bases[r % len(bases)]][r + 1]
-        if n > cap:
-            raise BudgetExceededError(f"horocycle at radius {r} has {n} elements (cap {cap})")
-        if n == 0:
+        if counted[bases[r % len(bases)]][r + 1] == 0:
             raise EmptySetError(f"horocycle at radius {r} is empty")
-    series = {h: cover.arc_vertex_sums(g, values, h, radius + 1, sizes_h)[1]
-              for h, sizes_h in counted.items()}
+    series = {h: cover.arc_vertex_sums(g, values, h, radius + 1)[1] for h in counted}
     pieces = [bases[r % len(bases)] for r in range(radius + 1)]
     sizes = [counted[h][r + 1] for r, h in enumerate(pieces)]
     averages = (np.array([series[h][r + 1] for r, h in enumerate(pieces)])
@@ -122,7 +128,7 @@ GRAPHS = {
     "loops": lambda: graph_core.build_graph(3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)],
                                             allows_loops=True, allows_multi=True),
 }
-# around the 64-radius chunks, and as deep as the benchmark's series
+# around the 64-radius chunks that counting once took, and as deep as the benchmark's series
 RADII = (2, 3, 63, 64, 65, 129, 900)
 DEEP = 10 ** 300
 
@@ -175,14 +181,17 @@ def test_deep_series_average_and_dead_ends_fail_alike(monkeypatch, petersen):
 
 
 BUDGETS = [
-    # (kind, anchor, cap, radius, message)
-    ("arc", {"base": 0}, 0, 50, "arc at radius 1 has 1 elements (cap 0)"),
-    ("sphere", {"root": 0}, 2, 50, "sphere at radius 1 has 3 elements (cap 2)"),
-    # |A_r| = 2**(r - 1) on Petersen: the first size over 10**18 is inside the first chunk
-    ("arc", {"base": 0}, 10 ** 18, 900, f"arc at radius 61 has {2 ** 60} elements"),
-    ("tube", {"subtree": None}, 10 ** 18, 900, f"tube at radius 59 has {6 * 2 ** 58} elements"),
-    ("arc", {"base": 0}, DEEP, 10 ** 8, f"arc at radius 998 has {2 ** 997} elements"),
-    ("sphere", {"root": 0}, DEEP, 10 ** 8, f"sphere at radius 996 has {3 * 2 ** 995} elements"),
+    # (kind, anchor, cap, radius, message, or None where the series runs)
+    ("arc", {"base": 0}, 0, 50, "arc radius 50 is over the cap 0"),
+    ("sphere", {"root": 0}, 2, 50, "sphere radius 50 is over the cap 2"),
+    # |A_r| = 2**(r - 1) on Petersen: the cap bounds the radius, not the sizes
+    ("arc", {"base": 0}, 10 ** 18, 900, None),
+    ("tube", {"subtree": None}, 10 ** 18, 900, None),
+    # under a cap that allows any radius, counting stops past the float range
+    ("arc", {"base": 0}, DEEP, 10 ** 8,
+     "arc at radius 1025 has about 2**1024 elements; their sum is past the float range"),
+    ("sphere", {"root": 0}, DEEP, 10 ** 8,
+     "arc at radius 1025 has about 2**1024 elements; their sum is past the float range"),
 ]
 
 
@@ -193,13 +202,16 @@ def test_budgets_fail_as_the_reference_does(petersen, monkeypatch, kind, anchor,
     f = random_field(petersen, VERTICES, 19)
     got = _assert_same_as_reference(monkeypatch, petersen, f, set_kind=kind, radius=radius,
                                     budget=cap, **anchor)
-    assert got[0] == "BudgetExceededError" and got[1].startswith(message)
+    if message is None:
+        assert isinstance(got, list) and got[0][0][-1] > cap
+    else:
+        assert got[1] == message
 
 
 @pytest.mark.parametrize("radius", (2, 63, 64, 65, 300))
 @pytest.mark.parametrize("cap", (1, 100, 10 ** 40, DEEP))
 def test_horocycles_match_the_reference(k4, petersen, radius, cap):
-    # periods 3, 5 and 9, none dividing the 64-radius chunks; on the irregular
+    # periods 3, 5 and 9, none dividing 64 (an old counting chunk); on the irregular
     # 9-cycle with two chords the pieces' sizes differ from base to base
     chords = graph_core.generate("cycle_with_chords", 9, 0, 4, 2, 7)
     cases = [(k4, (0, 1, 2, 0), (20,)), (petersen, (0, 1, 2, 3, 4, 0), (21, 22)),
@@ -224,19 +236,25 @@ def test_horocycles_match_the_reference(k4, petersen, radius, cap):
             assert np.array(rep.averages).tobytes() == want[1][:, j].tobytes()
 
 
-def test_horocycle_budget_at_a_huge_radius_matches_the_reference(petersen):
+def test_horocycle_budget_at_a_huge_radius_matches_the_reference(petersen, monkeypatch):
+    # radius 10**8 is over the default cap; under a cap that allows it, the
+    # arcs' sizes pass the float range at arc radius 1025
+    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
     geo = cover.GeodesicSpec(tuple(petersen.half_edge(i, (i + 1) % 5) for i in range(5)))
     f = random_field(petersen, VERTICES, 23)
-    with pytest.raises(BudgetExceededError) as want:
-        reference_horocycle(petersen, f.values[:, None], geo, 10 ** 8, DEEP)
-    with pytest.raises(BudgetExceededError, match=re.escape(str(want.value))):
-        analysis.deviation_series(petersen, f, set_kind="horocycle", radius=10 ** 8,
-                                  geodesic=geo, budget=DEEP)
+    for cap, error in ((None, BudgetExceededError), (DEEP, SizeOutOfRangeError)):
+        with pytest.raises(error) as want:
+            reference_horocycle(petersen, f.values[:, None], geo, 10 ** 8,
+                                analysis.enumeration_budget(cap))
+        with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
+            analysis.deviation_series(petersen, f, set_kind="horocycle", radius=10 ** 8,
+                                      geodesic=geo, budget=cap)
 
 
 # --- empty sets are found before any transfer ---
 
 def test_dead_end_fails_before_any_transfer(monkeypatch):
+    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
     path = GRAPHS["path"]()
 
     def no_transfer(*args, **kwargs):
@@ -247,6 +265,9 @@ def test_dead_end_fails_before_any_transfer(monkeypatch):
     for kind, f in (("sphere", random_field(path, VERTICES, 1)),
                     ("edge-sphere", random_field(path, EDGES, 1))):
         with pytest.raises(EmptySetError, match="set at radius [45] is empty"):
+            analysis.deviation_series(path, f, set_kind=kind, radius=10 ** 6, root=0)
+        # a radius over the cap is refused before the dead end is counted
+        with pytest.raises(BudgetExceededError, match="radius 100000000 is over the cap"):
             analysis.deviation_series(path, f, set_kind=kind, radius=10 ** 8, root=0)
     # the field spans past the float range, which the transfer would report;
     # the empty set is found first
@@ -260,6 +281,12 @@ def test_sizes_past_the_float_range_match_the_reference(petersen, monkeypatch):
     got = _assert_same_as_reference(monkeypatch, petersen, f, set_kind="arc", radius=1100,
                                     base=0, budget=10 ** 400)
     assert got[0] == "SizeOutOfRangeError" and "radius 1025" in got[1]
+    # an edge arc of radius r has the paths of r + 1 half-edges: 2**1024 at r = 1024
+    fe = random_field(petersen, EDGES, 25)
+    got = _assert_same_as_reference(monkeypatch, petersen, fe, set_kind="edge-sphere",
+                                    radius=1100, root=0, budget=10 ** 400)
+    assert got == ("SizeOutOfRangeError", "arc at radius 1024 has about 2**1024 elements; "
+                   "their sum is past the float range")
     got = _assert_same_as_reference(monkeypatch, petersen, f, set_kind="sphere", radius=1024,
                                     root=0, budget=10 ** 400)
     assert got[0][0][-1] == 3 * 2 ** 1023

@@ -307,7 +307,7 @@ def test_vertex_roots_satisfy_characteristic_polynomial(k4):
     # the double-step roots of a one-step regime square the one-step roots
     reg = regime(k4, 1)
     for mu in (0.99, -0.99, 0.5, 0.0):
-        plus, minus, d = reg.roots(np.array([mu]))
+        plus, minus, d = reg.roots(*reg.coefficients(np.array([mu])))
         assert (d[0] > 0) == (abs(mu) > 2 * math.sqrt(2) / 3) and (d[0] == 0) == (mu == 0.0)
         for t in (plus[0], minus[0]):
             assert _one_step_residual(reg, mu, t) <= 1e-12
@@ -324,7 +324,7 @@ def test_regime_root_product_is_one_over_d0_d1(mu, q, theorem):
     for base in (0, 1):
         reg = regime(g, theorem + 1, base)
         (_, _, d0), (_, _, d1) = reg.steps()
-        plus, minus, _ = reg.roots(np.array([mu]))
+        plus, minus, _ = reg.roots(*reg.coefficients(np.array([mu])))
         assert abs(plus[0] * minus[0] * d0 * d1 - 1) <= 1e-12
 
 
@@ -352,7 +352,8 @@ def test_edge_root_at_doob_eigenvalue_has_modulus_one():
     for g, theorem in cases:
         for base in (0, 1):
             reg = regime(g, theorem, base)
-            plus, minus, d = reg.roots(np.array([-2 / (reg.p + reg.q)]))
+            mu = np.array([-2 / (reg.p + reg.q)])
+            plus, minus, d = reg.roots(*reg.coefficients(mu))
             assert d[0] > 0
             assert abs(plus[0]) == pytest.approx(1.0, abs=1e-12)
             assert abs(minus[0]) == pytest.approx(1 / (reg.p * reg.q), abs=1e-12)
@@ -363,7 +364,7 @@ def test_edge_root_at_doob_eigenvalue_has_modulus_one():
 def test_edge_roots_satisfy_characteristic_polynomial(t, q):
     mu = -1 / q + t * (1 + 1 / q)  # inside [-1/q, 1]
     reg = regime(graph_core.generate("complete", q + 2), 2)
-    plus, minus, _ = reg.roots(np.array([mu]))
+    plus, minus, _ = reg.roots(*reg.coefficients(np.array([mu])))
     for root in (plus[0], minus[0]):
         assert _one_step_residual(reg, mu, root) <= 1e-10
     assert abs(plus[0] * minus[0] - 1 / q ** 2) <= 1e-10
@@ -663,7 +664,7 @@ def test_regime_edge_rates_stay_regular_at_the_semiregular_repeated_root(n):
     assert _rates(reg, [mu]) == [(q ** -0.5, EXACT_GEOMETRIC)]
     # the double step's discriminant vanishes there, yet T is scalar, with no
     # polynomial factor
-    assert abs(reg.roots(np.array([mu]))[2][0]) <= 1e-30
+    assert abs(reg.roots(*reg.coefficients(np.array([mu])))[2][0]) <= 1e-30
     assert max(abs(c[0]) for c in reg.coefficients(np.array([mu]))) <= 1e-15
 
 
@@ -672,7 +673,7 @@ def test_regime_roots_match_the_scalar_roots(k4, petersen, k34):
     # and the edge repeated roots the square roots are well conditioned
     mus = np.linspace(-0.5, 0.99, 41)
     for reg in (regime(k4, 1), regime(petersen, 2)):
-        plus, minus, _ = reg.roots(mus)
+        plus, minus, _ = reg.roots(*reg.coefficients(mus))
         for i, mu in enumerate(mus.tolist()):
             ref = _one_step_squares(reg, mu)
             assert abs(plus[i] - ref[0]) <= 1e-15 and abs(minus[i] - ref[1]) <= 1e-15
@@ -681,8 +682,9 @@ def test_regime_roots_match_the_scalar_roots(k4, petersen, k34):
     for base in (k34.half_edge(0, 3), k34.half_edge(3, 0)):
         reg = regime(k34, 3, base)
         special = np.array(discriminant_roots(reg.p, reg.q))
-        plus, minus, d = reg.roots(np.concatenate([np.linspace(-0.4, 1.0, 57), special]))
-        for i, mu in enumerate(np.concatenate([np.linspace(-0.4, 1.0, 57), special]).tolist()):
+        mus = np.concatenate([np.linspace(-0.4, 1.0, 57), special])
+        plus, minus, d = reg.roots(*reg.coefficients(mus))
+        for i, mu in enumerate(mus.tolist()):
             t_plus, t_minus, ref = transfer_eigenvalues(mu, reg.p, reg.q)
             assert abs(d[i] - ref) <= 1e-14 * max(1.0, abs(ref))
             if abs(ref) > 1e-6:

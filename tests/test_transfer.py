@@ -439,43 +439,50 @@ def test_the_rows_are_not_aliased_by_any_returned_size_list():
 
 
 def test_a_row_is_never_longer_than_the_longest_series_that_passed(petersen):
-    # a series refused by the budget, however far it counted, keeps nothing
+    # a radius over the cap is refused before anything is counted, and counting
+    # stops at the first size past the float range, so no kept row holds one
     g = graph_core.generate("petersen")
     f = random_field(g, VERTICES, 11)
     geo = cover.GeodesicSpec(tuple(g.half_edge(i, (i + 1) % 5) for i in range(5)))
-    with pytest.raises(BudgetExceededError, match="horocycle at radius 7 has 128 elements"):
-        analysis.deviation_series(g, f, set_kind="horocycle", radius=10 ** 8, geodesic=geo,
+    with pytest.raises(BudgetExceededError, match="^horocycle radius 101 is over the cap 100$"):
+        analysis.deviation_series(g, f, set_kind="horocycle", radius=101, geodesic=geo,
                                   budget=100)
     assert _kept(g) == ({}, {})
     analysis.deviation_series(g, f, set_kind="horocycle", radius=5, geodesic=geo, budget=100)
     kept = _kept(g)
     assert [len(row) for row in kept[0].values()] == [7]  # one class: paths of 0 .. 6 half-edges
-    with pytest.raises(BudgetExceededError, match="horocycle at radius 7 has 128 elements"):
-        analysis.deviation_series(g, f, set_kind="horocycle", radius=10 ** 8, geodesic=geo,
+    with pytest.raises(BudgetExceededError, match="^horocycle radius 101 is over the cap 100$"):
+        analysis.deviation_series(g, f, set_kind="horocycle", radius=101, geodesic=geo,
                                   budget=100)
     assert _kept(g) == kept
-    # every sphere of the 6-cycle has two elements, so only the series' length is refused
+    for _ in range(2):  # the second time from the kept row
+        with pytest.raises(SizeOutOfRangeError, match=re.escape(
+                "arc at radius 1025 has about 2**1024 elements; their sum is past")):
+            analysis.deviation_series(g, f, set_kind="horocycle", radius=2000, geodesic=geo)
+        (row,) = _kept(g)[0].values()
+        assert row == [1] + [2 ** k for k in range(1024)]  # 2**1023 <= the largest float
+    # the 6-cycle's spheres never grow: only the radius is refused
     cycle = graph_core.generate("cycle_with_chords", 6)
     f = random_field(cycle, VERTICES, 12)
     analysis.deviation_series(cycle, f, set_kind="sphere", radius=10, root=0, budget=10)
     kept = _kept(cycle)
     assert [len(row) for row in kept[0].values()] == [11]
-    with pytest.raises(BudgetExceededError, match=re.escape(
-            "sphere series to radius 11 has more than 10 elements (cap 10)")):
+    with pytest.raises(BudgetExceededError, match="^sphere radius 11 is over the cap 10$"):
         analysis.deviation_series(cycle, f, set_kind="sphere", radius=11, root=0, budget=10)
     assert _kept(cycle) == kept
-    # a dead end is refused at its first empty radius
-    path = graph_core.build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    with pytest.raises(EmptySetError, match="set at radius 5 is empty"):
-        analysis.deviation_series(path, random_field(path, VERTICES, 13), set_kind="arc",
-                                  radius=10, base=path.half_edge(0, 1))
-    assert _kept(path) == ({}, {})
-    # and so is one refused in a later chunk of counted radii than the first
-    path = graph_core.build_graph(101, [(i, i + 1) for i in range(100)])
-    with pytest.raises(EmptySetError, match="set at radius 101 is empty"):
-        analysis.deviation_series(path, random_field(path, VERTICES, 13), set_kind="arc",
-                                  radius=150, base=path.half_edge(0, 1))
-    assert _kept(path) == ({}, {})
+    # a dead end is refused at its first empty radius, after its sizes were
+    # counted exactly, zeros included; at a huge radius, counting stops at
+    # radius H + 1 (H half-edges, one piece), where every arc that ends has ended
+    for n in (5, 101):
+        path = graph_core.build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        base = path.half_edge(0, 1)
+        f = random_field(path, VERTICES, 13)
+        op = cover.transfer_operator(path)
+        start = time.perf_counter()
+        with pytest.raises(EmptySetError, match=f"set at radius {n} is empty"):
+            analysis.deviation_series(path, f, set_kind="arc", radius=10 ** 7, base=base)
+        assert time.perf_counter() - start < 0.1
+        assert op.rows[op.classes[base]] == _fresh_sizes(path, base, 2 * n)[:2 * n]
 
 
 def test_irregular_graphs_keep_one_list_of_counts_per_class_and_no_vector(seeded_cubic):
@@ -533,9 +540,9 @@ def test_union_series_runs_one_arc_series_per_base(petersen, k4, monkeypatch, ki
     calls = []
     original = getattr(cover, name)
 
-    def counting(g, fields, base, max_radius, sizes=None):
+    def counting(g, fields, base, max_radius):
         calls.append(base)
-        return original(g, fields, base, max_radius, sizes)
+        return original(g, fields, base, max_radius)
 
     monkeypatch.setattr(cover, name, counting)
     geo = cover.GeodesicSpec(tuple(petersen.half_edge(i, (i + 1) % 5) for i in range(5)))
@@ -633,9 +640,9 @@ def test_horocycle_runs_one_series_per_distinct_base(petersen, monkeypatch):
     calls = []
     original = cover.arc_vertex_sums
 
-    def counting(g, f, base, max_radius, sizes=None):
+    def counting(g, f, base, max_radius):
         calls.append((base, max_radius))
-        return original(g, f, base, max_radius, sizes)
+        return original(g, f, base, max_radius)
 
     monkeypatch.setattr(cover, "arc_vertex_sums", counting)
     report = analysis.deviation_series(petersen, f, set_kind="horocycle", radius=radius,
@@ -646,20 +653,31 @@ def test_horocycle_runs_one_series_per_distinct_base(petersen, monkeypatch):
 
 
 def test_horocycle_budget_names_the_first_radius_over_the_cap(petersen):
+    # the cap bounds the radius, whatever the sizes: radius cap runs, cap + 1 does not
     f = random_field(petersen, VERTICES, 23)
     geo = cover.GeodesicSpec(tuple(petersen.half_edge(i, (i + 1) % 5) for i in range(5)))
-    with pytest.raises(BudgetExceededError, match="horocycle at radius 7 has 128 elements"):
-        analysis.deviation_series(petersen, f, set_kind="horocycle", radius=2000,
+    report = analysis.deviation_series(petersen, f, set_kind="horocycle", radius=100,
+                                       geodesic=geo, budget=100)
+    assert report.sizes[-1] == 2 ** 100
+    with pytest.raises(BudgetExceededError, match="^horocycle radius 101 is over the cap 100$"):
+        analysis.deviation_series(petersen, f, set_kind="horocycle", radius=101,
                                   geodesic=geo, budget=100)
 
 
-def test_horocycle_budget_stops_before_counting_a_huge_radius(petersen):
-    # the budget is checked while counting, so counting stops at radius 7
+def test_horocycle_budget_stops_before_counting_a_huge_radius(petersen, monkeypatch):
+    # the radius is checked before anything is counted
     f = random_field(petersen, VERTICES, 23)
     geo = cover.GeodesicSpec(tuple(petersen.half_edge(i, (i + 1) % 5) for i in range(5)))
-    with pytest.raises(BudgetExceededError, match="horocycle at radius 7 has 128 elements"):
+
+    def no_count(*args):
+        raise AssertionError("counted")
+
+    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
+    monkeypatch.setattr(cover.TransferOperator, "_past", no_count)
+    with pytest.raises(BudgetExceededError,
+                       match="^horocycle radius 100000000 is over the cap 10000000$"):
         analysis.deviation_series(petersen, f, set_kind="horocycle", radius=10 ** 8,
-                                  geodesic=geo, budget=100)
+                                  geodesic=geo)
 
 
 def _star(g, v):
@@ -667,37 +685,51 @@ def _star(g, v):
     return [root] + cover.cover_children(g, root)
 
 
-# On Petersen |A_r| = 2**(r - 1) and |A'_r| = 2**r; the star of a vertex has
-# four members and six boundary arcs.
+# Every set kind on Petersen; the star of a vertex has four members and six
+# boundary arcs.
 BUDGET_CASES = [
-    ("arc", VERTICES, "base", "arc at radius 8 has 128 elements (cap 100)"),
-    ("sphere", VERTICES, "root", "sphere at radius 7 has 192 elements (cap 100)"),
-    ("edge-sphere", EDGES, "root", "edge sphere at radius 6 has 192 elements (cap 100)"),
-    ("tube", VERTICES, "subtree", "tube at radius 6 has 192 elements (cap 100)"),
+    ("arc", VERTICES, "base", "arc radius 100000000 is over the cap 100"),
+    ("sphere", VERTICES, "root", "sphere radius 100000000 is over the cap 100"),
+    ("edge-sphere", EDGES, "root", "edge sphere radius 100000000 is over the cap 100"),
+    ("tube", VERTICES, "subtree", "tube radius 100000000 is over the cap 100"),
+    ("tube", EDGES, "subtree", "edge tube radius 100000000 is over the cap 100"),
+    ("horocycle", VERTICES, "geodesic", "horocycle radius 100000000 is over the cap 100"),
 ]
 
 
 @pytest.mark.parametrize("kind,support,anchor,message", BUDGET_CASES)
 def test_budget_stops_at_the_first_radius_over_the_cap(petersen, kind, support, anchor, message):
-    # the arcs are counted in lockstep, so a huge radius fails after a few steps
+    # a huge radius is refused before anything is counted: fast, and no row is kept
     f = random_field(petersen, support, 23)
-    anchors = {"base": 0, "root": 0, "subtree": _star(petersen, 0)}
+    geo = cover.GeodesicSpec(tuple(petersen.half_edge(i, (i + 1) % 5) for i in range(5)))
+    anchors = {"base": 0, "root": 0, "subtree": _star(petersen, 0), "geodesic": geo}
+    kept = _kept(petersen)
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError, match=re.escape(message)):
+    with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
         analysis.deviation_series(petersen, f, set_kind=kind, radius=10 ** 8, budget=100,
                                   **{anchor: anchors[anchor]})
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 0.1
+    assert _kept(petersen) == kept
 
 
-def test_budget_counts_spheres_from_radius_1(petersen):
-    # S_0 is the root alone, not the three arcs' shared tail
+def test_budget_counts_spheres_from_radius_1(petersen, monkeypatch):
+    # a transfer series caps its radius alone, so its spheres may hold more
+    # elements than the cap; the enumerating sphere check caps every sphere from
+    # radius 1, as S_0 is the root alone, not the three arcs' shared tail
     f = random_field(petersen, VERTICES, 1)
+    report = analysis.deviation_series(petersen, f, set_kind="sphere", radius=2, root=0, budget=2)
+    assert report.sizes == [1, 3, 6]
+    monkeypatch.setenv(analysis.BUDGET_ENV_VAR, "2")
     with pytest.raises(BudgetExceededError, match=re.escape("sphere at radius 1 has 3 elements")):
-        analysis.deviation_series(petersen, f, set_kind="sphere", radius=5, root=0, budget=2)
+        analysis.check_sphere_decomposition(petersen, 0, f, 2)
+    monkeypatch.setenv(analysis.BUDGET_ENV_VAR, "0")
+    assert analysis.check_sphere_decomposition(petersen, 0, f, 0)
 
 
 @pytest.mark.parametrize("kind", ["arc", "sphere", "edge-sphere", "tube"])
-def test_average_huge_radius_exits_3_naming_the_radius(kind, tmp_path, capsys, petersen):
+def test_average_huge_radius_exits_3_naming_the_radius(kind, tmp_path, capsys, monkeypatch,
+                                                       petersen):
+    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
     graph = tmp_path / "pet.g"
     graph_core.save_graph(petersen, graph)
     field = tmp_path / "f.fld"
@@ -711,16 +743,14 @@ def test_average_huge_radius_exits_3_naming_the_radius(kind, tmp_path, capsys, p
     rc = main(["average", "--graph", str(graph), "--field", str(field), "--set", kind,
                "--radius", "100000000", *anchor])
     assert time.perf_counter() - start < 1.0
-    err = capsys.readouterr().err
-    # the default cap is 10**7 elements
-    first = {"arc": 25, "sphere": 23, "edge-sphere": 22, "tube": 22}[kind]
+    # the default cap is radius 10**7
     assert rc == 3
-    assert err.startswith(f"error: {kind.replace('-', ' ')} at radius {first} has ")
-    assert err.endswith("elements (cap 10000000)\n")
+    assert capsys.readouterr().err == (
+        f"error: {kind.replace('-', ' ')} radius 100000000 is over the cap 10000000\n")
 
 
 def test_verify_huge_radius_exits_3_naming_the_radius(tmp_path, capsys, monkeypatch, petersen):
-    # the budget is checked before the first transfer, so nothing is printed
+    # the cap is checked before the first transfer, so nothing is printed
     monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
     graph = tmp_path / "pet.g"
     graph_core.save_graph(petersen, graph)
@@ -730,48 +760,63 @@ def test_verify_huge_radius_exits_3_naming_the_radius(tmp_path, capsys, monkeypa
     assert rc == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: arc at radius 25 has 16777216 elements (cap 10000000)\n"
+    assert err == "error: arc radius 100000000 is over the cap 10000000\n"
 
 
 def test_budget_bounds_the_radius_of_a_set_that_never_grows(tmp_path, capsys, monkeypatch):
-    # every arc of the 6-cycle has one element, so no radius passes the cap; the
-    # series to radius cap + 1 has more than cap elements, and counting stops there
+    # every arc of the 6-cycle has one element and every sphere two: at the
+    # default cap, radius 10**8 is refused at once, before anything is counted
     monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
     g = graph_core.generate("cycle_with_chords", 6)
     f = random_field(g, VERTICES, 1)
+    geo = cover.GeodesicSpec(tuple(g.half_edge(i, (i + 1) % 6) for i in range(6)))
+    for kind, anchor in (("arc", {"base": 0}), ("sphere", {"root": 0}),
+                         ("horocycle", {"geodesic": geo})):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=re.escape(
+                f"{kind} radius 100000000 is over the cap 10000000")):
+            analysis.deviation_series(g, f, set_kind=kind, radius=10 ** 8, **anchor)
+        assert time.perf_counter() - start < 0.1
+        assert _kept(g) == ({}, {})
     graph, field = tmp_path / "cycle.g", tmp_path / "f.fld"
     graph_core.save_graph(g, graph)
     cover.save_field(f, field)
-    start = time.perf_counter()
     rc = main(["average", "--graph", str(graph), "--field", str(field), "--set", "arc",
                "--base", "0", "1", "--radius", "100000000"])
-    assert time.perf_counter() - start < 2.0
     assert rc == 3
-    assert capsys.readouterr().err == (
-        "error: arc series to radius 10000001 has more than 10000000 elements (cap 10000000)\n")
-    geo = cover.GeodesicSpec(tuple(g.half_edge(i, (i + 1) % 6) for i in range(6)))
-    with pytest.raises(BudgetExceededError, match=re.escape(
-            "horocycle series to radius 6 has more than 5 elements (cap 5)")):
-        analysis.deviation_series(g, f, set_kind="horocycle", radius=10 ** 8, geodesic=geo,
-                                  budget=5)
+    assert capsys.readouterr().err == "error: arc radius 100000000 is over the cap 10000000\n"
 
 
-def test_budget_bounds_the_radius_only_past_the_cap():
-    # on a 12-cycle with one chord, the arc at base 0 has at most 3 elements up
-    # to radius 12 and 4 at radius 13: a series to radius cap runs, and a set
-    # that grows still fails at its first radius over the cap, also when that
-    # comes after radius cap + 1 in the same chunk of counted radii
+def test_budget_bounds_the_radius_only_past_the_cap(petersen):
+    # radius cap runs, however large its sets; radius cap + 1 is refused, also
+    # on a set that never grows past the cap
+    f = random_field(petersen, VERTICES, 1)
+    report = analysis.deviation_series(petersen, f, set_kind="arc", radius=3, base=0, budget=3)
+    assert report.sizes == [1, 1, 2, 4]  # 4 elements at radius 3, over the cap 3
     g = graph_core.generate("cycle_with_chords", 12, 0, 6)
     f = random_field(g, VERTICES, 1)
     series = lambda radius: analysis.deviation_series(  # noqa: E731
         g, f, set_kind="arc", radius=radius, base=0, budget=3)
     assert series(3).sizes == [1, 1, 1, 1]
-    with pytest.raises(BudgetExceededError, match=re.escape(
-            "arc series to radius 4 has more than 3 elements (cap 3)")):
-        series(12)
-    with pytest.raises(BudgetExceededError, match=re.escape(
-            "arc at radius 13 has 4 elements (cap 3)")):
-        series(10 ** 8)
+    for radius in (4, 10 ** 8):
+        with pytest.raises(BudgetExceededError, match=re.escape(
+                f"arc radius {radius} is over the cap 3")):
+            series(radius)
+
+
+def test_verify_passes_at_the_default_cap_on_dense_regular_graphs(tmp_path, capsys, monkeypatch):
+    # the arcs of K7 hold 5**11 elements at radius 12, more than the 10**7 that
+    # an element cap allowed; the transfer's cost does not depend on them
+    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
+    for args, theorems in ((("complete", 7), (1, 2)), (("complete", 6), (2,)),
+                           (("complete_bipartite", 5, 5), (2,))):
+        graph = tmp_path / "g.g"
+        graph_core.save_graph(graph_core.generate(*args), graph)
+        for theorem in theorems:
+            rc = main(["verify", "--graph", str(graph), "--theorem", str(theorem)])
+            lines = capsys.readouterr().out.splitlines()
+            assert rc == 0, (args, theorem)
+            assert lines and all(line.startswith(("PASS", "INFO")) for line in lines), lines
 
 
 # --- sizes past the float range ---
@@ -785,6 +830,21 @@ def test_arc_past_float_range_names_the_radius(petersen):
     report = analysis.deviation_series(petersen, f, set_kind="arc", radius=1024, base=0,
                                        budget=10 ** 400)
     assert report.sizes[-1] == 2 ** 1023 and np.isfinite(report.averages).all()
+
+
+def test_arc_past_float_range_fails_fast_at_the_default_cap(monkeypatch):
+    # counting stops at the first size past the float range, so a deep series
+    # fails there at once and keeps no size past it
+    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
+    g = graph_core.generate("petersen")
+    f = random_field(g, VERTICES, 1)
+    start = time.perf_counter()
+    with pytest.raises(SizeOutOfRangeError, match=re.escape(
+            "arc at radius 1025 has about 2**1024 elements; their sum is past the float range")):
+        analysis.deviation_series(g, f, set_kind="arc", radius=5000, base=0)
+    assert time.perf_counter() - start < 0.1
+    rows, _ = _kept(g)
+    assert rows and max(max(row) for row in rows.values()) <= cover._FLOAT_MAX
 
 
 def test_arc_sum_past_float_range_names_the_radius(petersen):
