@@ -10,6 +10,7 @@ same sizes, the same average and deviation bits, and the same error type and
 message, on every set family.
 """
 
+import functools
 import math
 import re
 import sys
@@ -29,14 +30,30 @@ from covertree.errors import (
 
 
 def reference_sizes(g, base, support, radius):
-    """The exact arc sizes at ``base`` to ``radius``; a size past the float range raises."""
-    sizes = []
-    for r, n in enumerate(cover.arc_counts(g, base, support, radius)):
+    """The exact arc sizes at ``base`` to ``radius``, counted one half-edge at a time
+    from g.continuations, not from the library's kept rows; a size past the float
+    range raises."""
+    steps = tuple(tuple(g.continuations(h)) for h in range(g.half_edge_count))
+    return list(_counted_sizes(steps, base, support, radius))
+
+
+@functools.lru_cache(maxsize=64)
+def _counted_sizes(steps, base, support, radius):
+    # A_r has the paths of r half-edges from base, A'_r of r + 1
+    sizes, counts = [1] if support == VERTICES else [], {base: 1}
+    while len(sizes) <= radius:
+        n = sum(counts.values())
         if n > sys.float_info.max:
-            raise SizeOutOfRangeError(f"arc at radius {r} has about 2**{n.bit_length() - 1} "
-                                      "elements; their sum is past the float range")
+            raise SizeOutOfRangeError(f"arc at radius {len(sizes)} has about "
+                                      f"2**{n.bit_length() - 1} elements; their sum is past "
+                                      "the float range")
         sizes.append(n)
-    return sizes
+        step = {}
+        for h, c in counts.items():
+            for h2 in steps[h]:
+                step[h2] = step.get(h2, 0) + c
+        counts = step
+    return tuple(sizes)
 
 
 def reference_arc_union(g, fields, support, bases, radius, cap, what):

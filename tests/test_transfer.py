@@ -15,12 +15,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from covertree import analysis, cover, graph_core
 from covertree.cli import main, random_field
 from covertree.cover import EDGES, VERTICES
 from covertree.errors import (
     BudgetExceededError,
+    CovertreeError,
     EmptySetError,
     SizeOutOfRangeError,
     SupportMismatchError,
@@ -498,6 +502,97 @@ def test_irregular_graphs_keep_one_list_of_counts_per_class_and_no_vector(seeded
     assert all(len(row) == 31 and all(type(n) is int for n in row) for row in op.rows.values())
     assert all(op.floats[c].shape == (31,) for c in op.rows)
     assert not hasattr(op, "__dict__")  # nothing else is kept on the operator
+
+
+# --- history independence of the kept rows ---
+
+# a generator call and a closed non-backtracking walk for each graph: regular,
+# semiregular with two half-edge classes, semiregular with a repeat, irregular
+HISTORY_GRAPHS = {
+    "petersen": (("petersen",), (0, 1, 2, 3, 4, 0)),
+    "k34": (("complete_bipartite", 3, 4), (0, 3, 1, 4, 0)),
+    "k25": (("complete_bipartite", 2, 5), (0, 2, 1, 3, 0)),
+    "chords": (("cycle_with_chords", 12, 0, 5, 3, 9), tuple(range(12)) + (0,)),
+}
+SCALES = (1.0, 2.0 ** 500, 2.0 ** -500, 2.0 ** 1000)
+SERIES_KINDS = (("arc", VERTICES), ("arc", EDGES), ("sphere", VERTICES),
+                ("edge-sphere", EDGES), ("tube", VERTICES), ("tube", EDGES),
+                ("horocycle", VERTICES))
+
+
+def _history_answer(g, request):
+    """What a request returns on ``g``, as sizes and bytes, or its error's type and message."""
+    what, support, base, radius, budget, f, walk = request
+    anchor = base % g.half_edge_count
+    try:
+        if what == "sums":
+            sums_of = cover.arc_vertex_sums if support == VERTICES else cover.arc_edge_sums
+            sizes, sums = sums_of(g, f, anchor, radius)
+            return sizes, np.array(sums).tobytes()
+        if what == "counts":
+            return list(cover.arc_counts(g, anchor, support, radius))
+        if what == "sizes":
+            sizes, images = cover.transfer_operator(g).sizes(anchor, support, radius)
+            return sizes, images.tobytes()
+        root = g.tail(anchor)
+        anchors = {"arc": {"base": anchor}, "sphere": {"root": root},
+                   "edge-sphere": {"root": root}, "tube": {"subtree": _star(g, root)},
+                   "horocycle": {"geodesic": cover.GeodesicSpec(tuple(
+                       g.half_edge(u, v) for u, v in zip(walk, walk[1:])))}}
+        report = analysis.deviation_series(g, f, set_kind=what, radius=radius, budget=budget,
+                                           **anchors[what])
+        return report.sizes, np.array([report.averages, report.targets,
+                                       report.deviations]).tobytes()
+    except CovertreeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class KeptRowsAreHistoryIndependent(RuleBasedStateMachine):
+    """Any sequence of requests on the same graphs gives each answer the bits a
+    fresh graph, whose operator has kept nothing, gives; and no kept row ever
+    holds a size past the float range or an image other than float(size)."""
+
+    def __init__(self):
+        super().__init__()
+        self.graphs = {name: graph_core.generate(*args)
+                       for name, (args, _) in HISTORY_GRAPHS.items()}
+        self.fields = {(name, support, scale): cover.ScalarField(
+                           support, random_field(g, support, 31).values * scale)
+                       for name, g in self.graphs.items()
+                       for support in (VERTICES, EDGES) for scale in SCALES}
+
+    def _ask(self, name, request):
+        fresh = graph_core.generate(*HISTORY_GRAPHS[name][0])
+        assert _history_answer(self.graphs[name], request) == _history_answer(fresh, request)
+
+    @rule(name=st.sampled_from(sorted(HISTORY_GRAPHS)),
+          what=st.sampled_from(("sums", "counts", "sizes")),
+          support=st.sampled_from((VERTICES, EDGES)), base=st.integers(0, 59),
+          radius=st.integers(2, 5000), scale=st.sampled_from(SCALES))
+    def arc_request(self, name, what, support, base, radius, scale):
+        self._ask(name, (what, support, base, radius, None, self.fields[name, support, scale],
+                         None))
+
+    @rule(name=st.sampled_from(sorted(HISTORY_GRAPHS)), kind=st.sampled_from(SERIES_KINDS),
+          base=st.integers(0, 59), radius=st.integers(2, 5000),
+          budget=st.sampled_from((None, 5, 50, 10 ** 9)), scale=st.sampled_from(SCALES))
+    def series_request(self, name, kind, base, radius, budget, scale):
+        set_kind, support = kind
+        self._ask(name, (set_kind, support, base, radius, budget,
+                         self.fields[name, support, scale], HISTORY_GRAPHS[name][1]))
+
+    @invariant()
+    def kept_rows_fit_the_float_range(self):
+        for op in (g._transfer for g in self.graphs.values() if g._transfer is not None):
+            assert all(max(row) <= cover._FLOAT_MAX for row in op.rows.values())
+            for c, images in op.floats.items():
+                assert not images.flags.writeable and len(images) <= len(op.rows[c])
+                assert images.tolist() == [float(n) for n in op.rows[c][:len(images)]]
+
+
+TestKeptRowsAreHistoryIndependent = KeptRowsAreHistoryIndependent.TestCase
+TestKeptRowsAreHistoryIndependent.settings = settings(max_examples=20, stateful_step_count=8,
+                                                      deadline=None)
 
 
 def test_constant_field_averages_exactly_on_every_set_family():
