@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import operator
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +29,7 @@ from .errors import (
     SupportMismatchError,
 )
 
-DEFAULT_BUDGET = 10_000_000
-BUDGET_ENV_VAR = "COVERTREE_BUDGET"
+DEFAULT_BUDGET = 10_000_000  # caps a transfer series' radius and an enumerated sphere's size
 
 # Deviations below this floor are treated as exact zeros: they are float dust
 # around quantities that vanish in exact arithmetic.
@@ -43,6 +41,7 @@ _PASS_ATOL = 1e-15
 _FIT_WINDOW = 3     # points in the running max that smooths deviations for the rate fit
 _CHECK_TOL = 1e-9   # spectral-gap, Ramanujan and vanishing-star tolerance
 _DOOB_RADIUS = 10   # the vanishing-star check follows arc averages to this radius
+_CALIBRATION_RADIUS = 4  # bound_check calibrates its constant on radii 0 .. this
 
 # the deviation_series keyword that anchors each set kind
 SET_ANCHORS = {"arc": "base", "sphere": "root", "edge-sphere": "root", "tube": "subtree",
@@ -68,14 +67,6 @@ class ConvergenceReport:
     bounds: list[float | None] | None = None  # bound_check's, None where none was tested
     verdict: str | None = None
     notes: list[str] = field(default_factory=list)
-
-
-def enumeration_budget(budget=None):
-    """``budget``, else COVERTREE_BUDGET, else DEFAULT_BUDGET: the cap on a transfer
-    series' radius, and on the spheres that check_sphere_decomposition enumerates."""
-    if budget is not None:
-        return int(budget)
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
 
 
 @dataclass(frozen=True)
@@ -201,11 +192,11 @@ def set_family(g, kind, anchor, support):
 
 def _report(g, f, cls, family, sizes, averages):
     """The series of one field, an array of ``averages``, with its targets: the
-    graph average, but for a vertex field on a regular bipartite graph the
-    average of the part that holds every element of radius r, if one part does.
-    A piece's elements at arc radius k lie in its tail's part, flipped k times."""
+    graph average, but for a vertex field on a regular bipartite or semiregular
+    graph the average of the part that holds every element of radius r, if one part
+    does.  A piece's elements at arc radius k lie in its tail's part, flipped k times."""
     targets = np.full(len(sizes), cover.graph_average(f))
-    if f.support == cover.VERTICES and cls.kind == graph_core.REGULAR_BIPARTITE:
+    if f.support == cover.VERTICES and cls.p is not None:  # regular bipartite or semiregular
         means = [cover.part_average(f, cls.part_p), cover.part_average(f, cls.part_q)]
         for r in range(len(targets)):
             sides = {(g.tail(h) in cls.part_q) ^ (r + family.shift) % 2
@@ -225,7 +216,8 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
     ``base`` is a half-edge id (arc), ``root`` a vertex id (spheres),
     ``subtree`` a list of CoverVertex (tube) and ``geodesic`` a GeodesicSpec
     (horocycle), as SET_ANCHORS says.  Sizes are exact and averages come from
-    the transfer operator, which reproduces brute-force enumeration.
+    the transfer operator, which reproduces brute-force enumeration.  ``budget``
+    replaces DEFAULT_BUDGET, the cap on ``radius``, for this call.
     """
     if set_kind not in SET_KINDS:
         raise ValueError(f"set kind must be one of {SET_KINDS}")
@@ -235,7 +227,7 @@ def deviation_series(g, f, *, set_kind, radius, base=None, root=None,
         SET_ANCHORS[set_kind]]
     if anchor is None:
         raise ValueError(f"{set_kind} series needs its anchor argument")
-    cap = enumeration_budget(budget)
+    cap = DEFAULT_BUDGET if budget is None else int(budget)
     cls = graph_core.classify(g)
     family = set_family(g, set_kind, anchor, f.support)
     cover.check_field(g, f, family.support)
@@ -247,7 +239,7 @@ def arc_deviations(g, values, support, base, radius):
     """Arc averages and their deviations, two (radius + 1, m) arrays, of the field
     value columns ``values`` on ``support``, where the graph average is the target."""
     family = set_family(g, "arc", base, support)
-    _, averages = _union_series(g, values, family, radius, enumeration_budget())
+    _, averages = _union_series(g, values, family, radius, DEFAULT_BUDGET)
     targets = cover._column_means(values)  # graph_average's bits
     return averages, np.abs(averages - targets)
 
@@ -295,7 +287,7 @@ def _bound_at(c_hat, beta, kind, r):
     return bound
 
 
-def bound_check(report, *, calibration_radius=4):
+def bound_check(report):
     """Calibrate the empirical constant on small radii, then test the bound.
 
     C_hat is the largest deviation-to-bound ratio over the calibration window;
@@ -314,7 +306,7 @@ def bound_check(report, *, calibration_radius=4):
     kind = report.predicted_kind or spectral.EXACT_GEOMETRIC
     c_hat = 0.0
     for r, dev in zip(report.radii, report.deviations):
-        if r > calibration_radius or dev < DEVIATION_FLOOR:
+        if r > _CALIBRATION_RADIUS or dev < DEVIATION_FLOOR:
             continue
         unit = _bound_at(1.0, beta, kind, r)
         ratio = dev / unit if unit else math.inf
@@ -323,7 +315,7 @@ def bound_check(report, *, calibration_radius=4):
         c_hat = max(c_hat, ratio)
     report.c_hat = c_hat
     # no bound is computed where none is tested: beta ** r can pass the float range
-    report.bounds = [None if r <= calibration_radius or dev < DEVIATION_FLOOR
+    report.bounds = [None if r <= _CALIBRATION_RADIUS or dev < DEVIATION_FLOOR
                      else _bound_at(c_hat, beta, kind, r)
                      for r, dev in zip(report.radii, report.deviations)]
     return c_hat, _check_under(report, "bound", report.bounds)
@@ -497,7 +489,7 @@ def check_sphere_decomposition(g, v0, f, radius):
     """
     cover.check_field(g, f, cover.VERTICES)
     bases, = set_family(g, "sphere", v0, cover.VERTICES).pieces
-    cap, width = enumeration_budget(), g.half_edge_count
+    cap, width = DEFAULT_BUDGET, g.half_edge_count
     if radius > cap:
         raise BudgetExceededError(f"sphere radius {radius} is over the cap {cap}")
     counters, counts = [cover.arc_counts(g, h, cover.VERTICES, radius) for h in bases], []
@@ -559,7 +551,7 @@ def check_ramanujan(g):
                if abs(abs(mu) - 1.0) > spectral.TRIVIAL_EIGENVALUE_TOL)
 
 
-def check_bipartite_split(g, f, base, radius, calibration_radius=4):
+def check_bipartite_split(g, f, base, radius):
     """Even-radius arc averages approach the base part's average and odd-radius
     ones the other part's, within the geometric bound from the eigenvalues
     other than +-1.  Returns (report, passed)."""
@@ -580,7 +572,7 @@ def check_bipartite_split(g, f, base, radius, calibration_radius=4):
     report.predicted_beta, report.predicted_kind = max(zip(betas.tolist(), kinds.tolist()),
                                                        key=lambda rate: rate[0],
                                                        default=(0.0, spectral.EXACT_GEOMETRIC))
-    _, passed = bound_check(report, calibration_radius=calibration_radius)
+    _, passed = bound_check(report)
     return report, passed
 
 
@@ -602,10 +594,10 @@ def check_doob_condition(g, decomp):
     star = [g.edge_of(h) for v in range(g.vertex_count) for h in g.out(v)]
     if np.any(np.abs(np.add.reduceat(vecs[star], np.cumsum([0, *g.degrees()[:-1]]))) > _CHECK_TOL):
         return False
+    op = cover.transfer_operator(g)
     for base in (0, g.half_edge_count - 1):  # every eigenvector from one transfer per base
         reg = _edge_regime(g, base)
-        images = cover.transfer_operator(g).sizes(base, cover.EDGES, _DOOB_RADIUS)[1][:, None]
-        averages = cover.arc_edge_sums(g, vecs, base, _DOOB_RADIUS)[1] / images
+        averages = op.averages(vecs[op.edges], base, _DOOB_RADIUS + 1)
         steps = np.where(np.arange(_DOOB_RADIUS) % 2, -1.0 / reg.p, -1.0 / reg.q)
         expected = averages[0] * np.cumprod([1.0, *steps])[:, None]
         if np.any(np.abs(averages - expected) > _CHECK_TOL):

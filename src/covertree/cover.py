@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
 from collections.abc import Set
 from dataclasses import dataclass, field
@@ -755,46 +754,30 @@ class TransferOperator:
     def sizes(self, base, support, max_radius):
         """The sizes of the vertex or edge arcs at ``base``, radius 0 .. max_radius,
         as a new list, and their float images as a read-only array, from the
-        ``rows`` and ``floats`` kept for base's class.  A shorter row is extended by
+        ``rows`` and ``floats`` kept for base's class.  A short row is extended by
         counting again from the start, so no counting state is kept, up to the first
         size past the float range, which raises SizeOutOfRangeError: an arc of that
         size has no float sum, and no kept row holds a size over 1,024 bits."""
         c, first = self.classes[base], support == EDGES  # A'_r: paths of r + 1 half-edges
-        row, hi = self.rows.setdefault(c, [1]), max_radius + 1 + first
-        if len(row) < hi:
-            past = itertools.islice(self._past(c, len(row)), hi - len(row))
-            row += itertools.takewhile(_FLOAT_MAX.__ge__, past)
-            if len(row) < hi:
-                raise _float_range_error(len(row) - first, next(self._past(c, len(row))))
+        row, hi = self.rows.setdefault(c, []), max_radius + 1 + first
+        if len(row) < hi:  # islice steps through the sizes it skips
+            for n in itertools.islice(self._counts(c), len(row), hi):
+                if n > _FLOAT_MAX:
+                    raise _float_range_error(len(row) - first, n)
+                row.append(n)
         if len(self.floats.get(c, ())) < len(row):
             self.floats[c] = np.array(row, dtype=float)
             self.floats[c].setflags(write=False)
         return row[first:hi], self.floats[c][first:hi]
 
-    def _past(self, row, n):
-        """Iterate over the numbers of paths of n >= 1, n + 1, .. half-edges from class
-        ``row``: (Q^(k-1) 1)[row] for k, since B P = P Q for the class indicator P."""
-        if all(len(terms) == 1 for terms in self.quotient):
-            # every class continues into one class (regular and semiregular graphs),
-            # so (Q^k 1)[row] is the product of the counts along the first k classes
-            # visited from row; the visits end in a cycle
-            first, factors = {}, []
-            while row not in first:
-                first[row] = len(factors)
-                (row, c), = self.quotient[row]
-                factors.append(c)
-            start = first[row]
-            chain = itertools.chain(factors[:start], itertools.cycle(factors[start:]))
-            counts = itertools.accumulate(chain, operator.mul, initial=1)
-        else:
-            counts = self._stepped_counts(row)
-        return itertools.islice(counts, n - 1, None)
-
-    def _stepped_counts(self, row):
+    def _counts(self, c):
+        """Iterate over the numbers of paths of 0, 1, 2, .. half-edges from class c:
+        1, then (Q^(k-1) 1)[c] for k >= 1, since B P = P Q for the class indicator P."""
+        yield 1
         vec = [1] * len(self.quotient)
         while True:
-            yield vec[row]
-            vec = [sum(c * vec[j] for j, c in terms) for terms in self.quotient]
+            yield vec[c]
+            vec = [sum(n * vec[j] for j, n in terms) for terms in self.quotient]
 
     def averages(self, at, base, n):
         """Path-weighted averages of the per-half-edge values ``at``, (H,) or
@@ -979,8 +962,9 @@ def arc_counts(g, base, support, max_radius):
     check_id("half-edge", base, g.half_edge_count)
     _check_radius(max_radius)
     op, first = transfer_operator(g), support == EDGES
-    row = op.rows.get(op.classes[base], [1])  # the paths of 0 .. len(row) - 1 half-edges
-    counts = itertools.chain(row[:], op._past(op.classes[base], len(row)))
+    c = op.classes[base]
+    row = op.rows.get(c, [])  # the paths of 0 .. len(row) - 1 half-edges
+    counts = itertools.chain(row[:], itertools.islice(op._counts(c), len(row), None))
     return itertools.islice(counts, first, max_radius + 1 + first)
 
 

@@ -131,7 +131,7 @@ def test_criterion_03_k4_vertex_bound_and_fit():
     fit_ok = fitted is not None and abs(fitted - 2 ** -0.5) <= 0.15 * 2 ** -0.5
     # information only: no calibrated constant holds at every radius here
     # (see the module docstring)
-    _, calibrated_ok = analysis.bound_check(report, calibration_radius=4)
+    _, calibrated_ok = analysis.bound_check(report)
     calibrated = "held" if calibrated_ok else report.notes[0]
     # the closed-form constant: the rigorous envelope has the form
     # C * 2**(-r/2), dominates the deviation and is sharp, at every base
@@ -173,7 +173,7 @@ def test_criterion_04_petersen_ramanujan_rate():
     report = analysis.deviation_series(g, f, set_kind="arc", radius=18, base=0)
     report.predicted_beta = prediction.beta_max
     report.predicted_kind = prediction.beta_max_kind
-    _, bound_ok = analysis.bound_check(report, calibration_radius=4)
+    _, bound_ok = analysis.bound_check(report)
     fitted = analysis.fit_rate(report)
     fit_ok = fitted is not None and abs(fitted - 2 ** -0.5) <= 0.15 * 2 ** -0.5
     ok = rate_ok and bound_ok and fit_ok
@@ -205,7 +205,7 @@ def test_criterion_05_k4_edge_regime():
     report = analysis.deviation_series(g, f0, set_kind="arc", radius=10, base=0)
     report.predicted_beta = 2 ** -0.5
     report.predicted_kind = spectral.EXACT_GEOMETRIC
-    _, bound_ok = analysis.bound_check(report, calibration_radius=4)
+    _, bound_ok = analysis.bound_check(report)
     ok = spec_ok and ratio_ok and bound_ok
     _line(5, "edge regime on the complete graph", ok,
           "spectrum {1, 0, -1/2}; exact (-1/2)^r decay; mu=0 bound")
@@ -243,7 +243,7 @@ def test_criterion_06_k34_semiregular_regime():
     report = analysis.deviation_series(g, f, set_kind="arc", radius=14, base=0)
     report.predicted_beta = prediction.beta_max
     report.predicted_kind = prediction.beta_max_kind
-    _, bound_ok = analysis.bound_check(report, calibration_radius=4)
+    _, bound_ok = analysis.bound_check(report)
     ok = spec_ok and gap_ok and pattern_ok and bound_ok
     _line(6, "semiregular edge regime on K(3,4)", ok,
           f"spectrum ok; gap empty; beta_max {prediction.beta_max:.6f}")
@@ -335,7 +335,7 @@ def test_criterion_10_spheres_tubes_horocycles():
     prediction = spectral.rate_prediction(g, 1, f)
     report.predicted_beta = prediction.beta_max
     report.predicted_kind = prediction.beta_max_kind
-    _, tube_ok = analysis.bound_check(report, calibration_radius=4)
+    _, tube_ok = analysis.bound_check(report)
     assert tube_ok
     # horocycle pieces are shifted arcs and their members sit on the level set
     geo = cover.GeodesicSpec(tuple(g.half_edge(i, (i + 1) % 5) for i in range(5)))
@@ -364,7 +364,7 @@ def test_criterion_11_negative_controls():
     report = analysis.deviation_series(g, f, set_kind="arc", radius=18, base=0)
     report.predicted_beta = 2 ** -0.5 / 2
     report.predicted_kind = spectral.EXACT_GEOMETRIC
-    _, passed = analysis.bound_check(report, calibration_radius=4)
+    _, passed = analysis.bound_check(report)
     bound_control_ok = not passed
     # corrupting one twin pointer must make graph construction fail
     half_edges = [(0, 1, 1), (1, 0, 0), (1, 2, 3), (2, 1, 2), (2, 0, 5), (0, 2, 4)]

@@ -170,6 +170,25 @@ def test_bipartite_tube_targets_follow_the_parts_of_its_elements(k33):
     assert report.deviations[12] < analysis.DEVIATION_FLOOR
 
 
+def test_semiregular_vertex_arcs_approach_their_parts_by_parity(k34):
+    # a semiregular graph is bipartite, and every vertex of a part has one
+    # degree, so a vertex field's arc averages approach the plain part averages;
+    # against the graph average their deviations stayed near 0.2 for ever
+    f = random_field(k34, VERTICES, 4)
+    cls = graph_core.classify(k34)
+    report = deviation_series(k34, f, set_kind="arc", radius=60, base=k34.half_edge(3, 0))
+    assert report.deviations[-1] < analysis.DEVIATION_FLOOR
+    for base in range(k34.half_edge_count):
+        report = deviation_series(k34, f, set_kind="arc", radius=60, base=base)
+        tail = cls.part_p if k34.tail(base) in cls.part_p else cls.part_q
+        head = cls.part_q if tail is cls.part_p else cls.part_p
+        assert report.targets == [cover.part_average(f, head if r % 2 else tail)
+                                  for r in range(61)]
+        # radii in the part of degree 4 converge by 1/2 every two radii
+        assert min(report.deviations[-2:]) < analysis.DEVIATION_FLOOR
+        assert max(report.deviations[-2:]) < 1e-9
+
+
 def test_eigenfield_deviations_equal_radial_profile(petersen):
     decomp = spectral.eig_sym(spectral.vertex_laplacian(petersen))
     for k, mu in enumerate(decomp.distinct):
@@ -190,16 +209,6 @@ def test_budget_cap(petersen):
                             budget=12).sizes[-1] == 2 ** 11
     with pytest.raises(BudgetExceededError, match="^arc radius 12 is over the cap 11$"):
         deviation_series(petersen, f, set_kind="arc", radius=12, base=0, budget=11)
-
-
-def test_budget_env_override(petersen, monkeypatch):
-    f = random_field(petersen, VERTICES, 1)
-    monkeypatch.setenv(analysis.BUDGET_ENV_VAR, "11")
-    with pytest.raises(BudgetExceededError, match="^arc radius 12 is over the cap 11$"):
-        deviation_series(petersen, f, set_kind="arc", radius=12, base=0)
-    # an explicit budget wins over the environment
-    assert len(deviation_series(petersen, f, set_kind="arc", radius=12, base=0,
-                                budget=12).sizes) == 13
 
 
 def test_series_rejects_support_mismatch(k4):
@@ -860,7 +869,6 @@ def test_sphere_decomposition_budget_is_checked_before_enumerating(petersen, mon
     def enumerate_(*args):
         raise AssertionError("enumerated")
 
-    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
     monkeypatch.setattr(cover, "sphere_vertex_layers", enumerate_)
     monkeypatch.setattr(cover, "arc_vertex_layers", enumerate_)
     f = random_field(petersen, VERTICES, 36)
@@ -868,7 +876,7 @@ def test_sphere_decomposition_budget_is_checked_before_enumerating(petersen, mon
     with pytest.raises(BudgetExceededError, match=r"^sphere at radius 23 has 12582912 elements"):
         check_sphere_decomposition(petersen, 0, f, 30)
     assert time.perf_counter() - start < 1.0
-    monkeypatch.setenv(analysis.BUDGET_ENV_VAR, "100")
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 100)
     with pytest.raises(BudgetExceededError, match=r"^sphere at radius 7 has 192 elements \(cap"):
         check_sphere_decomposition(petersen, 0, f, 7)
     edgeless = graph_core.build_graph(1, [])  # no half-edges: every sphere from radius 1 is empty

@@ -81,11 +81,10 @@ def test_k34_spectrum_gap_boundary_row_is_correctly_rounded():
     assert row[2] == f"{reference:.15g}" == "0.707106781186547"
 
 
-def test_deep_sphere_average_matches_golden(tmp_path, monkeypatch):
+def test_deep_sphere_average_matches_golden(tmp_path):
     # 1,200 half-edges, so the transfer steps with its predecessor gather; the
     # sphere's three arcs repeat and copy their rows well before radius 400; the
     # default cap bounds the radius alone, so sets past 10**7 elements run
-    monkeypatch.delenv("COVERTREE_BUDGET", raising=False)
     graph = GOLDEN / "cubic400.g"
     assert graph_core.load_graph(graph).half_edge_count >= cover._GATHER_MIN
     dest = tmp_path / "sphere.csv"
@@ -94,10 +93,9 @@ def test_deep_sphere_average_matches_golden(tmp_path, monkeypatch):
     assert dest.read_bytes() == (GOLDEN / "cubic400-sphere.average.csv").read_bytes()
 
 
-def test_deep_semiregular_arc_average_matches_golden(graph_file, tmp_path, monkeypatch):
-    # two half-edge classes, whose sizes are running products of 2 and 3: near
+def test_deep_semiregular_arc_average_matches_golden(graph_file, tmp_path):
+    # two half-edge classes, whose sizes are products of 2 and 3: near
     # 2**905 at radius 700, at the default cap
-    monkeypatch.delenv("COVERTREE_BUDGET", raising=False)
     dest = tmp_path / "arc.csv"
     assert main(["average", "--graph", graph_file("k34"), "--field", str(GOLDEN / "k34e.fld"),
                  "--set", "arc", "--base", "0", "3", "--radius", "700", "-o", str(dest)]) == 0

@@ -37,7 +37,7 @@ def reference_sizes(g, base, support, radius):
     return list(_counted_sizes(steps, base, support, radius))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64)  # the union tests count each arc for many roots
 def _counted_sizes(steps, base, support, radius):
     # A_r has the paths of r half-edges from base, A'_r of r + 1
     sizes, counts = [1] if support == VERTICES else [], {base: 1}
@@ -253,16 +253,15 @@ def test_horocycles_match_the_reference(k4, petersen, radius, cap):
             assert np.array(rep.averages).tobytes() == want[1][:, j].tobytes()
 
 
-def test_horocycle_budget_at_a_huge_radius_matches_the_reference(petersen, monkeypatch):
+def test_horocycle_budget_at_a_huge_radius_matches_the_reference(petersen):
     # radius 10**8 is over the default cap; under a cap that allows it, the
     # arcs' sizes pass the float range at arc radius 1025
-    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
     geo = cover.GeodesicSpec(tuple(petersen.half_edge(i, (i + 1) % 5) for i in range(5)))
     f = random_field(petersen, VERTICES, 23)
     for cap, error in ((None, BudgetExceededError), (DEEP, SizeOutOfRangeError)):
         with pytest.raises(error) as want:
             reference_horocycle(petersen, f.values[:, None], geo, 10 ** 8,
-                                analysis.enumeration_budget(cap))
+                                analysis.DEFAULT_BUDGET if cap is None else cap)
         with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
             analysis.deviation_series(petersen, f, set_kind="horocycle", radius=10 ** 8,
                                       geodesic=geo, budget=cap)
@@ -271,7 +270,6 @@ def test_horocycle_budget_at_a_huge_radius_matches_the_reference(petersen, monke
 # --- empty sets are found before any transfer ---
 
 def test_dead_end_fails_before_any_transfer(monkeypatch):
-    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
     path = GRAPHS["path"]()
 
     def no_transfer(*args, **kwargs):

@@ -490,11 +490,11 @@ def test_a_row_is_never_longer_than_the_longest_series_that_passed(petersen):
 
 
 def test_irregular_graphs_keep_one_list_of_counts_per_class_and_no_vector(seeded_cubic):
-    # counting there steps a vector over every class; it is stepped again when a
-    # row grows, not kept beside the row
+    # counting steps a vector over every class; it is stepped again when a row
+    # grows, not kept beside the row
     g = _graphs(seeded_cubic)["chords"]
     op = cover.transfer_operator(g)
-    assert not all(len(terms) == 1 for terms in op.quotient)  # the stepped branch
+    assert not all(len(terms) == 1 for terms in op.quotient)  # a class continues into several
     f = random_field(g, VERTICES, 14)
     for base in range(g.half_edge_count):
         analysis.deviation_series(g, f, set_kind="arc", radius=30, base=base)
@@ -584,7 +584,7 @@ class KeptRowsAreHistoryIndependent(RuleBasedStateMachine):
     @invariant()
     def kept_rows_fit_the_float_range(self):
         for op in (g._transfer for g in self.graphs.values() if g._transfer is not None):
-            assert all(max(row) <= cover._FLOAT_MAX for row in op.rows.values())
+            assert all(max(row, default=0) <= cover._FLOAT_MAX for row in op.rows.values())
             for c, images in op.floats.items():
                 assert not images.flags.writeable and len(images) <= len(op.rows[c])
                 assert images.tolist() == [float(n) for n in op.rows[c][:len(images)]]
@@ -767,8 +767,7 @@ def test_horocycle_budget_stops_before_counting_a_huge_radius(petersen, monkeypa
     def no_count(*args):
         raise AssertionError("counted")
 
-    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
-    monkeypatch.setattr(cover.TransferOperator, "_past", no_count)
+    monkeypatch.setattr(cover.TransferOperator, "_counts", no_count)
     with pytest.raises(BudgetExceededError,
                        match="^horocycle radius 100000000 is over the cap 10000000$"):
         analysis.deviation_series(petersen, f, set_kind="horocycle", radius=10 ** 8,
@@ -814,17 +813,15 @@ def test_budget_counts_spheres_from_radius_1(petersen, monkeypatch):
     f = random_field(petersen, VERTICES, 1)
     report = analysis.deviation_series(petersen, f, set_kind="sphere", radius=2, root=0, budget=2)
     assert report.sizes == [1, 3, 6]
-    monkeypatch.setenv(analysis.BUDGET_ENV_VAR, "2")
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 2)
     with pytest.raises(BudgetExceededError, match=re.escape("sphere at radius 1 has 3 elements")):
         analysis.check_sphere_decomposition(petersen, 0, f, 2)
-    monkeypatch.setenv(analysis.BUDGET_ENV_VAR, "0")
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 0)
     assert analysis.check_sphere_decomposition(petersen, 0, f, 0)
 
 
 @pytest.mark.parametrize("kind", ["arc", "sphere", "edge-sphere", "tube"])
-def test_average_huge_radius_exits_3_naming_the_radius(kind, tmp_path, capsys, monkeypatch,
-                                                       petersen):
-    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
+def test_average_huge_radius_exits_3_naming_the_radius(kind, tmp_path, capsys, petersen):
     graph = tmp_path / "pet.g"
     graph_core.save_graph(petersen, graph)
     field = tmp_path / "f.fld"
@@ -844,9 +841,8 @@ def test_average_huge_radius_exits_3_naming_the_radius(kind, tmp_path, capsys, m
         f"error: {kind.replace('-', ' ')} radius 100000000 is over the cap 10000000\n")
 
 
-def test_verify_huge_radius_exits_3_naming_the_radius(tmp_path, capsys, monkeypatch, petersen):
+def test_verify_huge_radius_exits_3_naming_the_radius(tmp_path, capsys, petersen):
     # the cap is checked before the first transfer, so nothing is printed
-    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
     graph = tmp_path / "pet.g"
     graph_core.save_graph(petersen, graph)
     start = time.perf_counter()
@@ -858,10 +854,9 @@ def test_verify_huge_radius_exits_3_naming_the_radius(tmp_path, capsys, monkeypa
     assert err == "error: arc radius 100000000 is over the cap 10000000\n"
 
 
-def test_budget_bounds_the_radius_of_a_set_that_never_grows(tmp_path, capsys, monkeypatch):
+def test_budget_bounds_the_radius_of_a_set_that_never_grows(tmp_path, capsys):
     # every arc of the 6-cycle has one element and every sphere two: at the
     # default cap, radius 10**8 is refused at once, before anything is counted
-    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
     g = graph_core.generate("cycle_with_chords", 6)
     f = random_field(g, VERTICES, 1)
     geo = cover.GeodesicSpec(tuple(g.half_edge(i, (i + 1) % 6) for i in range(6)))
@@ -899,10 +894,9 @@ def test_budget_bounds_the_radius_only_past_the_cap(petersen):
             series(radius)
 
 
-def test_verify_passes_at_the_default_cap_on_dense_regular_graphs(tmp_path, capsys, monkeypatch):
+def test_verify_passes_at_the_default_cap_on_dense_regular_graphs(tmp_path, capsys):
     # the arcs of K7 hold 5**11 elements at radius 12, more than the 10**7 that
     # an element cap allowed; the transfer's cost does not depend on them
-    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
     for args, theorems in ((("complete", 7), (1, 2)), (("complete", 6), (2,)),
                            (("complete_bipartite", 5, 5), (2,))):
         graph = tmp_path / "g.g"
@@ -927,10 +921,9 @@ def test_arc_past_float_range_names_the_radius(petersen):
     assert report.sizes[-1] == 2 ** 1023 and np.isfinite(report.averages).all()
 
 
-def test_arc_past_float_range_fails_fast_at_the_default_cap(monkeypatch):
+def test_arc_past_float_range_fails_fast_at_the_default_cap():
     # counting stops at the first size past the float range, so a deep series
     # fails there at once and keeps no size past it
-    monkeypatch.delenv(analysis.BUDGET_ENV_VAR, raising=False)
     g = graph_core.generate("petersen")
     f = random_field(g, VERTICES, 1)
     start = time.perf_counter()
@@ -1022,7 +1015,7 @@ def test_average_past_float_range_exits_3(tmp_path, capsys, monkeypatch, peterse
     graph_core.save_graph(petersen, graph)
     field = tmp_path / "f.fld"
     cover.save_field(random_field(petersen, VERTICES, 1), field)
-    monkeypatch.setenv(analysis.BUDGET_ENV_VAR, str(10 ** 400))
+    monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 10 ** 400)
     rc = main(["average", "--graph", str(graph), "--field", str(field), "--set", "arc",
                "--base", "0", "1", "--radius", "1100"])
     err = capsys.readouterr().err
