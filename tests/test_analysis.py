@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -511,6 +512,17 @@ def _scalar_mu(reg):
     return (reg.q - 1) / (2 * reg.q) if reg.p == reg.q else None
 
 
+def _exact_radial_series(f0, f1, mu, reg, n_max):
+    """F(0..n_max) of the recursion in exact arithmetic, on the float step
+    coefficients mu A - B that spectral.radial_series and the envelope use."""
+    values = [Fraction(f0), Fraction(f1)]
+    steps = reg.steps()
+    for n in range(2, n_max + 1):
+        a, b, d = steps[n % 2]
+        values.append((Fraction(mu * a - b) * values[-1] - values[-2]) / d)
+    return values
+
+
 # initial values 0 or of size at least 1e-100: a relative bound needs normal floats
 _INITIAL_VALUE = st.floats(-1, 1).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
 
@@ -522,9 +534,13 @@ _INITIAL_VALUE = st.floats(-1, 1).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
 # its float and its exact value passed the envelope before it was rounded outward
 @example(0, 2.2250738585072014e-308, 0.0, 0.5510748779973729)
 @example(2, 2.2250738585072014e-308, 0.0, 0.5510748779973729)
+# the vanishing-star root of K(3,4): the double step's root 1 has no part in this
+# profile, but the float recursion's rounding excites it, and that dust never decays
+@example(4, 0, -1.0, 0.5)
 @settings(max_examples=200, deadline=None)
 def test_envelope_closed_form_dominates_the_radial_series(k4, petersen, k34, which, mu, f0, f1):
-    # independent of the library's envelope: the recursion itself, to radius 60
+    # independent of the library's envelope: the recursion itself, to radius 60, in
+    # exact arithmetic, as the envelope bounds the profile and not its rounding
     regimes = [spectral.regime(k4, 1), spectral.regime(k4, 2), spectral.regime(petersen, 1),
                spectral.regime(petersen, 2), spectral.regime(k34, 3, k34.half_edge(0, 3)),
                spectral.regime(k34, 3, k34.half_edge(3, 0))]
@@ -534,10 +550,12 @@ def test_envelope_closed_form_dominates_the_radial_series(k4, petersen, k34, whi
     mu = special[mu % len(special)] if isinstance(mu, int) else mu
     assume(mu >= lo)
     env = analysis._profile_envelope(np.array([[f0]]), np.array([[f1]]), np.array([mu]), reg, 60)
-    series = np.abs(spectral.radial_series(f0, f1, mu, reg, 60))
-    assert np.all(series <= env[0] * (1 + 1e-12))
+    series = [abs(x) for x in _exact_radial_series(f0, f1, mu, reg, 60)]
+    # compared exactly, but a value that rounds to zero is below the floats' range
+    assert all(x <= Fraction(bound) or float(x) == 0.0
+               for x, bound in zip(series, env[0] * (1 + 1e-12)))
     if mu == _scalar_mu(reg):  # each parity is geometric: the envelope is |F(n)|
-        assert np.allclose(env[0], series, rtol=1e-12, atol=0)
+        assert np.allclose(env[0], [float(x) for x in series], rtol=1e-12, atol=0)
 
 
 def test_envelope_at_repeated_roots_is_no_larger_than_the_previous_forms(k4, petersen, k34):
