@@ -3,7 +3,7 @@
 The goldens pin every check name, verdict and recursion residual of
 ``verify --radius 12`` and every row of the ``spectrum`` CSV for the three
 regimes, both orientations of the semiregular base included, and every row
-of two deep ``average`` CSVs.  The seeded cubic-60 and cubic-400 graphs are
+of four deep ``average`` CSVs.  The seeded cubic-60 and cubic-400 graphs are
 committed files, so their goldens need no generator.
 """
 
@@ -22,6 +22,8 @@ GRAPHS = {
     "petersen": ("petersen",),
     "k33": ("complete_bipartite", 3, 3),
     "k34": ("complete_bipartite", 3, 4),
+    "k5": ("complete", 5),
+    "k44": ("complete_bipartite", 4, 4),
 }
 
 
@@ -100,3 +102,16 @@ def test_deep_semiregular_arc_average_matches_golden(graph_file, tmp_path):
     assert main(["average", "--graph", graph_file("k34"), "--field", str(GOLDEN / "k34e.fld"),
                  "--set", "arc", "--base", "0", "3", "--radius", "700", "-o", str(dest)]) == 0
     assert dest.read_bytes() == (GOLDEN / "k34-arc.average.csv").read_bytes()
+
+
+@pytest.mark.parametrize("stem,name,field,argv", [
+    # every arc grows by 3 per step, so the rescaled distribution never repeats
+    # bit for bit, though it is flat from a block start on
+    ("k5-arc", "k5", "k5v", ["--set", "arc", "--base", "0", "1", "--radius", "600"]),
+    ("k44-sphere", "k44", "k44v", ["--set", "sphere", "--root", "0", "--radius", "400"]),
+])
+def test_deep_average_with_growth_3_matches_golden(stem, name, field, argv, graph_file, tmp_path):
+    dest = tmp_path / "series.csv"
+    assert main(["average", "--graph", graph_file(name), "--field", str(GOLDEN / f"{field}.fld"),
+                 *argv, "-o", str(dest)]) == 0
+    assert dest.read_bytes() == (GOLDEN / f"{stem}.average.csv").read_bytes()
