@@ -190,11 +190,19 @@ def set_family(g, kind, anchor, support):
                      what="tube" if vertices else "edge tube")
 
 
+# on an irregular graph the arc averages tend to lf(head) / l1, l the left Perron
+# vector of Hashimoto's operator, not to the plain graph average they are measured from
+IRREGULAR_TARGET_NOTE = ("irregular graph: the target is the plain graph average, not the "
+                         "series' limit, which where it exists is a Perron-weighted mean; "
+                         "the deviations need not decay")
+
+
 def _report(g, f, cls, family, sizes, averages):
     """The series of one field, an array of ``averages``, with its targets: the
     graph average, but for a vertex field on a regular bipartite or semiregular
     graph the average of the part that holds every element of radius r, if one part
-    does.  A piece's elements at arc radius k lie in its tail's part, flipped k times."""
+    does.  A piece's elements at arc radius k lie in its tail's part, flipped k times.
+    On an irregular graph the report notes that the target is not the limit."""
     targets = np.full(len(sizes), cover.graph_average(f))
     if f.support == cover.VERTICES and cls.p is not None:  # regular bipartite or semiregular
         means = [cover.part_average(f, cls.part_p), cover.part_average(f, cls.part_q)]
@@ -205,7 +213,9 @@ def _report(g, f, cls, family, sizes, averages):
                 sides = {v in cls.part_q for v in family.zero}
             targets[r] = means[sides.pop()] if len(sides) == 1 else targets[r]
     return ConvergenceReport(family.kind, list(range(len(sizes))), list(sizes), averages.tolist(),
-                             targets.tolist(), np.abs(averages - targets).tolist())
+                             targets.tolist(), np.abs(averages - targets).tolist(),
+                             notes=[IRREGULAR_TARGET_NOTE] if cls.kind == graph_core.IRREGULAR
+                             else [])
 
 
 def deviation_series(g, f, *, set_kind, radius, base=None, root=None,

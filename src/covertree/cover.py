@@ -724,7 +724,7 @@ class TransferOperator:
     base's class, so they are counted once per class and kept (see sizes)."""
 
     __slots__ = ("size", "src", "dst", "preds", "heads", "edges", "shift", "classes", "quotient",
-                 "rows", "floats")
+                 "rows", "floats", "cycle")
 
     def __init__(self, g):
         self.size = size = g.half_edge_count
@@ -750,6 +750,7 @@ class TransferOperator:
         self.edges = np.fromiter(map(g.edge_of, range(size)), np.intp, size)
         self.classes, self.quotient = _equitable_partition(g)
         self.rows, self.floats = {}, {}
+        self.cycle = None
 
     def sizes(self, base, support, max_radius):
         """The sizes of the vertex or edge arcs at ``base``, radius 0 .. max_radius,
@@ -841,17 +842,44 @@ class TransferOperator:
         p = np.zeros(buf.shape[1])
         p[base] = 1.0
         moments = np.empty((n, len(rows), 2))
-        kept = None
+        kept = flat = None
+        probe = preds is not None  # support cycles are found through the table
         for start in range(0, n, block):
             stop = min(start + block, n)
             if start:
-                p = np.ldexp(p, -math.frexp(total)[1] - shift)
-                state = p.tobytes()
-                if state == kept:  # p repeats p of step start - block
+                if flat:
+                    x = math.ldexp(x, -math.frexp(total)[1] - shift)
+                    state = x, place
+                else:
+                    p = np.ldexp(p, -math.frexp(total)[1] - shift)
+                    state = p.tobytes()
+                if state == kept:  # the state repeats the state of step start - block
                     moments[start:] = moments[start - block + np.arange(n - start) % block]
                     break
                 kept = state
-            if gather:
+                if probe:
+                    flat = self._flat(p, state, block)
+                    probe = flat is None
+                    if flat:
+                        masks, steps, product, x, place = flat
+                        kept, line = (x, place), np.empty(block + 1)
+            if flat:  # row k is x_k on its place's mask, x_(k+1) c copies of x_k added up
+                m, first = stop - start, place + 1
+                line[0] = x
+                line[1:m + 1] = steps[place:place + m]  # the c of each step
+                if product:  # every c <= 3, and 2x is exact: the sum is c * x rounded once
+                    np.multiply.accumulate(line[:m + 1], out=line[:m + 1])
+                else:
+                    for j in range(1, m + 1):
+                        y = x = line.item(j - 1)
+                        for _ in range(int(line[j]) - 1):
+                            y += x
+                        line[j] = y
+                x, place = line.item(m), (place + m) % len(masks)
+                for i in range(min(len(masks), m)):  # in place, one product per place
+                    np.multiply(masks[(first + i) % len(masks)], line[1 + i:m + 1:len(masks), None],
+                                out=cells[i:m:len(masks)])
+            elif gather:
                 for k in range(start, stop):
                     if k:
                         terms = p[preds]
@@ -875,6 +903,58 @@ class TransferOperator:
         out = np.zeros((n, len(rows)))
         out[:len(moments)] = centre + moments[..., 1] / moments[..., 0]
         return out.reshape((n, *at.shape[1:]))
+
+    def _flat(self, p, state, limit):
+        """(masks, steps, product, x, place) when every nonzero entry of the
+        rescaled distribution ``p``, whose bytes are ``state``, is one float x
+        and its support is a place on the kept support cycle, or on a cycle of
+        at most ``limit`` places found from it and kept instead (see
+        _support_cycle); None while p is not flat, and False when it is flat
+        off any such cycle.  Its first and last nonzero entries, found as the
+        first and last nonzero bytes of ``state``, turn most unflat p away."""
+        first = (len(state) - len(state.lstrip(b"\0"))) // 8  # p holds a nonzero total
+        x = p.item(first)
+        if x != p.item((len(state.rstrip(b"\0")) - 1) // 8):
+            return None
+        support = p[:self.size] == x
+        if np.count_nonzero(support) != np.count_nonzero(p):
+            return None
+        key = support.tobytes()
+        if self.cycle is None or key not in self.cycle[0]:
+            cycle = _support_cycle(self.preds, support, limit)
+            if cycle is None:
+                return False
+            self.cycle = cycle
+        index, *cycle = self.cycle
+        return (*cycle, x, index[key])
+
+
+def _support_cycle(preds, support, limit):
+    """The support cycle S_0 = ``support`` -> S_1 -> .. -> S_L = S_0 of at most
+    ``limit`` places, S_(i+1) the half-edges with a predecessor in S_i (read
+    through the predecessor table ``preds``), when every member of S_(i+1)
+    has the same number c_i of them; else None.  On x times S_i's mask a
+    step adds up c_i copies of x on S_(i+1)'s, under either kernel, since
+    every other predecessor holds 0.0.  The cycle is (each place's index by
+    its mask's bytes, the read-only (L, H) 0/1 masks, the read-only counts of
+    32 steps, c_0, c_1, .., so the steps from place i read [i:], and whether
+    every c_i is at most 3): O(H) for L <= 16."""
+    size = len(support)
+    masks, counts, mask = [support], [], np.zeros(size + 1)  # a zero slot, as in the gather
+    for _ in range(limit):
+        mask[:size] = masks[-1]
+        into = mask[preds].sum(axis=0)
+        c = int(into.max())
+        if not c or np.count_nonzero(into == c) != np.count_nonzero(into):
+            return None
+        counts.append(c)
+        if into.astype(bool).tobytes() == support.tobytes():
+            places, steps = np.array(masks, dtype=float), np.resize(np.array(counts, float), 32)
+            places.setflags(write=False)
+            steps.setflags(write=False)
+            return {m.tobytes(): i for i, m in enumerate(masks)}, places, steps, max(counts) <= 3
+        masks.append(into.astype(bool))
+    return None
 
 
 def _equitable_partition(g):

@@ -40,7 +40,7 @@ class Graph:
     __slots__ = (
         "vertex_count", "edge_count", "allows_loops", "allows_multi",
         "tails", "heads", "twins",
-        "_edge_of", "_edge_pairs", "_out", "_degrees", "_continuations",
+        "_edge_of", "_edge_pairs", "_out", "_degrees", "_continuations", "_distances",
         # derived data built on first use (classify, cover.transfer_operator,
         # cover's arc enumeration)
         "_classification", "_transfer", "_arc_table",
@@ -108,10 +108,9 @@ class Graph:
         self._classification = None
         self._transfer = None
         self._arc_table = None
-        self._check_connected()
-
-    def _check_connected(self):
-        reached = self.vertex_count - all_distances(self, 0).count(-1)
+        # BFS distances from vertex 0: the connectivity check, kept for the two-colouring
+        self._distances = tuple(all_distances(self, 0))
+        reached = self.vertex_count - self._distances.count(-1)
         if reached != self.vertex_count:
             raise DisconnectedGraphError(
                 f"only {reached} of {self.vertex_count} vertices reachable from vertex 0"
@@ -245,7 +244,7 @@ def _two_coloring(g):
     Part 0 is the vertices at even distance from vertex 0; the graph is
     bipartite iff no half-edge joins two vertices of equal distance parity.
     """
-    parity = [d & 1 for d in all_distances(g, 0)].__getitem__
+    parity = [d & 1 for d in g._distances].__getitem__
     if not all(map(operator.xor, map(parity, g.tails), map(parity, g.heads))):
         return None
     part0 = frozenset(v for v in range(g.vertex_count) if not parity(v))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import time
 from fractions import Fraction
@@ -22,7 +23,7 @@ from covertree.analysis import (
     envelope_series,
     fit_rate,
 )
-from covertree.cli import VERIFY_BLOCK, generic_field, random_field
+from covertree.cli import VERIFY_BLOCK, generic_field, main, random_field
 from covertree.cover import EDGES, VERTICES, ScalarField
 from covertree.errors import (
     BudgetExceededError,
@@ -186,6 +187,38 @@ def test_semiregular_vertex_arcs_approach_their_parts_by_parity(k34):
         last_in_p = -1 if tail is cls.part_p else -2  # even radii lie in the tail's part
         assert report.deviations[last_in_p] < analysis.DEVIATION_FLOOR
         assert max(report.deviations[-2:]) < 1e-9  # part_q's halve every two radii
+
+
+def test_irregular_reports_note_that_the_target_is_not_the_limit(petersen, k33, k34, tmp_path):
+    # the arc averages tend to the field's mean weighted by the left Perron
+    # vector of Hashimoto's B, here 0.0068 from the graph average the report
+    # measures against, so the deviations stay near 0.0068 for ever
+    g = graph_core.generate("cycle_with_chords", 12, 0, 5, 3, 9)
+    f = random_field(g, VERTICES, 14)
+    hashimoto = np.zeros((g.half_edge_count, g.half_edge_count))
+    for h in range(g.half_edge_count):
+        for x in g.continuations(h):
+            hashimoto[h, x] += 1
+    values, vectors = np.linalg.eig(hashimoto.T)
+    left = np.abs(vectors[:, np.argmax(values.real)].real)
+    limit = left @ f.values[list(g.heads)] / left.sum()
+    report = deviation_series(g, f, set_kind="arc", radius=300, base=0)
+    assert report.notes == [analysis.IRREGULAR_TARGET_NOTE]
+    assert abs(report.averages[-1] - limit) < 1e-8
+    assert abs(report.deviations[-1] - abs(limit - cover.graph_average(f))) < 1e-8
+    assert min(report.deviations[200:]) > 0.0067
+    graph_core.save_graph(g, tmp_path / "g.g")
+    cover.save_field(f, tmp_path / "f.fld")
+    assert main(["average", "--graph", str(tmp_path / "g.g"), "--field", str(tmp_path / "f.fld"),
+                 "--set", "arc", "--base", "0", "1", "--radius", "200", "--format", "json",
+                 "-o", str(tmp_path / "r.json")]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["notes"] == [analysis.IRREGULAR_TARGET_NOTE]
+    # regular, regular bipartite and semiregular reports carry no note
+    for h in (petersen, k33, k34):
+        fv, fe = random_field(h, VERTICES, 15), random_field(h, EDGES, 16)
+        for field, kind, anchor in ((fv, "arc", {"base": 0}), (fe, "arc", {"base": 1}),
+                                    (fv, "sphere", {"root": 0}), (fe, "edge-sphere", {"root": 0})):
+            assert deviation_series(h, field, set_kind=kind, radius=20, **anchor).notes == []
 
 
 def test_eigenfield_deviations_equal_radial_profile(petersen):

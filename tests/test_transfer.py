@@ -6,7 +6,9 @@ same path-weighted averages to 1e-12, on regular, semiregular, irregular,
 dead-end and loop/multi-edge graphs.
 """
 
+import contextlib
 import math
+import random
 import re
 import sys
 import time
@@ -25,6 +27,7 @@ from covertree.cover import EDGES, VERTICES
 from covertree.errors import (
     BudgetExceededError,
     CovertreeError,
+    DisconnectedGraphError,
     EmptySetError,
     SizeOutOfRangeError,
     SupportMismatchError,
@@ -119,8 +122,11 @@ def _check_against_big_integers(g, radius, size_radius):
 
 # --- the float loop stops at an exact repeat of its path distribution ---
 
-def reference_float_averages(op, at, base, n):
-    """The transfer's float loop stepped to the end, with no repeat check."""
+def reference_float_averages(op, at, base, n, block=1):
+    """The transfer's float loop stepped to the end, with no repeat check and
+    no flat phase, rescaled before every ``block``-th step (before each for
+    the default; values small enough that products go subnormal take the
+    loop's own blocks, 16 steps for them)."""
     cols = at.reshape(op.size, -1)
     centre = cols[base]
     rows = np.ones((len(centre), 2, op.size))
@@ -130,11 +136,11 @@ def reference_float_averages(op, at, base, n):
     moments = np.empty((n, len(rows), 2))
     for k in range(n):
         if k:
-            p = np.ldexp(p, -math.frexp(total)[1] - op.shift)
+            if k % block == 0:
+                p = np.ldexp(p, -math.frexp(moments.item(k - 1, 0, 0))[1] - op.shift)
             p = np.bincount(op.dst, weights=p[op.src], minlength=op.size)
         np.matmul(rows, p, out=moments[k])
-        total = moments.item(k, 0, 0)
-        if total == 0.0:
+        if moments.item(k, 0, 0) == 0.0:
             moments = moments[:k]
             break
     out = np.zeros((n, len(rows)))
@@ -291,14 +297,101 @@ def test_a_hub_keeps_no_predecessor_table_and_steps_with_bincount():
     assert got[0].tobytes() == reference_float_averages(op, at, 0, 60).tobytes()
 
 
-def test_repeat_exit_stops_petersen_early_and_k34_never(petersen, k34):
-    # Petersen's rescaled distribution repeats with period 1 from step 117;
-    # K(3,4)'s does not repeat within 3000 steps
+def test_flat_distributions_leave_the_vector_loop_early_and_others_never(petersen, k34,
+                                                                       seeded_cubic):
+    # Petersen's rescaled distribution repeats with period 1 from step 117.
+    # K(3,4)'s grows by 2 and 3 in turn and K5's by 3, so neither repeats bit
+    # for bit, but both are flat on a support cycle from a block start on
+    # (step 112 or 128 on K(3,4), 80 on K5), and every later row is written
+    # from one number
     f = random_field(petersen, VERTICES, 1)
     assert _steps_of(lambda: cover.arc_vertex_sums(petersen, f, 0, 900)) < 200
     f = random_field(k34, EDGES, 1)
-    # a step for each of the paths of 2 .. 701 half-edges
-    assert _steps_of(lambda: cover.arc_edge_sums(k34, f, 0, 700)) == 700
+    assert _steps_of(lambda: cover.arc_edge_sums(k34, f, 0, 700)) <= 144
+    k5 = graph_core.generate("complete", 5)
+    f = random_field(k5, VERTICES, 1)
+    assert _steps_of(lambda: cover.arc_vertex_sums(k5, f, 0, 600)) <= 96
+    # on an irregular graph and on the looped multigraph it never flattens: a
+    # step for each of the paths of 2 .. 700 half-edges, at every base
+    for g in (graph_core.generate("cycle_with_chords", 12, 0, 5, 3, 9),
+              _graphs(seeded_cubic)["loops"]):
+        op = cover.transfer_operator(g)
+        at = random_field(g, VERTICES, 1).values[op.heads]
+        for base in range(g.half_edge_count):
+            assert _steps_of(lambda: op.averages(at, base, 700)) == 699, base
+        assert op.cycle is None
+
+
+def _biregular(seed):
+    """A seeded (3,4)-biregular graph: 30 vertices of degree 4 and 40 of degree
+    3, their 120 edge ends paired by a shuffle, redrawn until simple and connected."""
+    rng = random.Random(seed)
+    while True:
+        ends = [30 + v for v in range(40) for _ in range(3)]
+        rng.shuffle(ends)
+        edges = list(zip([v for v in range(30) for _ in range(4)], ends))
+        if len(set(edges)) == len(edges):
+            with contextlib.suppress(DisconnectedGraphError):
+                return graph_core.build_graph(70, edges)
+
+
+def _flat_graphs(seeded_cubic):
+    return {
+        "k5": graph_core.generate("complete", 5),
+        "k34": graph_core.generate("complete_bipartite", 3, 4),
+        "k35": graph_core.generate("complete_bipartite", 3, 5),
+        "k44": graph_core.generate("complete_bipartite", 4, 4),
+        "k25": graph_core.generate("complete_bipartite", 2, 5),
+        "k33": graph_core.generate("complete_bipartite", 3, 3),
+        "petersen": graph_core.generate("petersen"),
+        "cubic60": seeded_cubic(60, 5),
+        "biregular": _biregular(34),
+    }
+
+
+@pytest.mark.parametrize("name", ("k5", "k34", "k35", "k44", "k25", "k33", "petersen", "cubic60",
+                                  "biregular"))
+def test_flat_phase_keeps_every_bit_of_the_stepped_loop(name, seeded_cubic, monkeypatch):
+    # each distribution is flat on a support cycle of 1, 2 or 4 places (K(2,5))
+    # from a block start on, after which the loop writes its rows from one
+    # number per place; every byte equals the stepped loop's, under either
+    # kernel, for two columns and one, for values near both ends of the float
+    # range, subnormal ones included, and for series that stop inside a block
+    g = _flat_graphs(seeded_cubic)[name]
+    op = cover.transfer_operator(g)
+    two = np.column_stack([random_field(g, VERTICES, 51).values[op.heads],
+                           random_field(g, EDGES, 52).values[op.edges]])
+    for scale in (1.0, 2.0 ** -500, 2.0 ** 1000, 1e-310, 2.0 ** -1060):
+        for base in _sample_bases(g):
+            want = reference_float_averages(op, two * scale, base, 600,
+                                            16 if scale < 2.0 ** -1000 else 1)
+            for kernel, threshold in KERNELS.items():
+                monkeypatch.setattr(cover, "_GATHER_MIN", threshold)
+                if scale == 1.0:
+                    steps = _kernel_steps(lambda: op.averages(two, base, 600))
+                    assert steps.keys() == {kernel} and steps[kernel] <= 144, (name, steps)
+                for n in (600, 333):
+                    for at, cols in ((two, slice(None)), (two[:, 0], 0)):
+                        got = op.averages(at * scale, base, n)
+                        assert got.tobytes() == want[:n, cols].tobytes(), (name, scale, base, n)
+    assert op.cycle is not None
+
+
+def test_a_support_walking_round_the_whole_graph_keeps_no_cycle():
+    # on a 2000-cycle the distribution is one half-edge walking round the
+    # graph: flat at every block start, but back on its support only after
+    # 2,000 steps, far past a block, so no support cycle is kept (it would
+    # hold 2,000 masks of 4,000 entries) and the loop steps to the end
+    g = graph_core.generate("cycle_with_chords", 2000)
+    op = cover.transfer_operator(g)
+    f = random_field(g, VERTICES, 41)
+    at = f.values[op.heads]
+    got = []
+    assert _steps_of(lambda: got.append(op.averages(at, 0, 5000))) == 4999
+    assert got[0].tobytes() == reference_float_averages(op, at, 0, 5000).tobytes()
+    assert op.cycle is None
+    sizes, sums = cover.arc_vertex_sums(g, f, 0, 5000)
+    assert sizes == [1] * 5001 and op.cycle is None
 
 
 def test_equitable_partition_is_coarsest_on_regular_and_semiregular(seeded_cubic):
@@ -588,6 +681,27 @@ class KeptRowsAreHistoryIndependent(RuleBasedStateMachine):
             for c, images in op.floats.items():
                 assert not images.flags.writeable and len(images) <= len(op.rows[c])
                 assert images.tolist() == [float(n) for n in op.rows[c][:len(images)]]
+
+
+    @invariant()
+    def kept_support_cycle_is_read_only_and_a_cycle(self):
+        # at most 16 places of H entries each; place i's successors are place
+        # i + 1, each with the c_i predecessors in place i that the steps hold
+        for g in self.graphs.values():
+            if g._transfer is None or g._transfer.cycle is None:
+                continue
+            op = g._transfer
+            index, masks, steps, product = op.cycle
+            places = len(masks)
+            assert 1 <= places <= 16 and masks.shape == (places, op.size)
+            assert not masks.flags.writeable and not steps.flags.writeable
+            assert index == {m.astype(bool).tobytes(): i for i, m in enumerate(masks)}
+            assert steps.tolist() == [steps[i % places] for i in range(32)]
+            assert product == (steps.max() <= 3)
+            for i, mask in enumerate(masks):
+                into = Counter(x for h in np.flatnonzero(mask).tolist() for x in g.continuations(h))
+                assert sorted(into) == np.flatnonzero(masks[(i + 1) % places]).tolist()
+                assert set(into.values()) == {steps[i]}
 
 
 TestKeptRowsAreHistoryIndependent = KeptRowsAreHistoryIndependent.TestCase
