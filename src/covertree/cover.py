@@ -721,7 +721,9 @@ class TransferOperator:
     ``preds`` of every half-edge's predecessors, with the class of every
     half-edge in the coarsest equitable partition and the integer quotient
     matrix as sparse rows of (class, count) pairs.  Arc sizes depend only on the
-    base's class, so they are counted once per class and kept (see sizes)."""
+    base's class, so they are counted once per class and kept (see sizes); the
+    last support cycle a flat path distribution was found on is kept too (see
+    averages)."""
 
     __slots__ = ("size", "src", "dst", "preds", "heads", "edges", "shift", "classes", "quotient",
                  "rows", "floats", "cycle")
@@ -816,10 +818,21 @@ class TransferOperator:
         they are equal, every later row repeats the row a block before it, so
         the remaining rows are copied instead of stepped and have the bits
         stepping would give.  A repeat shows when its period divides the
-        block.  On every regular graph tried, and on K(2,5), the distribution
-        repeats from step 55-140 with period 1, 2 or 4, so with blocks of 4 or
-        more the loop stops by step 160; on K(3,4) and the irregular graphs
-        tried it never repeats, and the loop steps to the end."""
+        block.
+
+        Once every nonzero entry of the rescaled ``p`` is one float x, and its
+        support is a place on a cycle of supports in which every member of
+        the next place has the same count c of predecessors in this one (see
+        _support_cycle), the state is x and the place: a step adds up c copies
+        of x, exactly what either kernel adds, and a row is x times its place's
+        0/1 mask, written in place, so the products, the rescaling and the
+        repeat check, of (x, place), stay as they are.  On the regular and
+        semiregular graphs tried the distribution is flat from step 64-144 and
+        the loop leaves its vector steps there; it then stops at a repeat a
+        block later where every growth factor is a power of two (K4, Petersen,
+        seeded cubic graphs, K(3,3), K(2,5)), and writes one number per row to
+        the end where not (K5, K(3,4), K(4,4)).  On the irregular graphs tried
+        the distribution never flattens, and the loop steps to the end."""
         cols = at.reshape(self.size, -1)
         centre = cols[base]
         if not np.abs(cols).max() < 2.0 ** 1023:  # only then can a difference overflow
@@ -905,13 +918,14 @@ class TransferOperator:
         return out.reshape((n, *at.shape[1:]))
 
     def _flat(self, p, state, limit):
-        """(masks, steps, product, x, place) when every nonzero entry of the
+        """The support cycle's masks as floats, its steps and product flag (see
+        _support_cycle), x and the place, when every nonzero entry of the
         rescaled distribution ``p``, whose bytes are ``state``, is one float x
-        and its support is a place on the kept support cycle, or on a cycle of
-        at most ``limit`` places found from it and kept instead (see
-        _support_cycle); None while p is not flat, and False when it is flat
-        off any such cycle.  Its first and last nonzero entries, found as the
-        first and last nonzero bytes of ``state``, turn most unflat p away."""
+        and its support is a place on the kept cycle, or on a cycle of at most
+        ``limit`` places found from it and kept instead; None while p is not
+        flat, and False when it is flat off any such cycle.  Its first and last
+        nonzero entries, found as the first and last nonzero bytes of
+        ``state``, turn most unflat p away."""
         first = (len(state) - len(state.lstrip(b"\0"))) // 8  # p holds a nonzero total
         x = p.item(first)
         if x != p.item((len(state.rstrip(b"\0")) - 1) // 8):
@@ -925,8 +939,8 @@ class TransferOperator:
             if cycle is None:
                 return False
             self.cycle = cycle
-        index, *cycle = self.cycle
-        return (*cycle, x, index[key])
+        index, masks, *cycle = self.cycle
+        return (masks.astype(float), *cycle, x, index[key])
 
 
 def _support_cycle(preds, support, limit):
@@ -936,9 +950,9 @@ def _support_cycle(preds, support, limit):
     has the same number c_i of them; else None.  On x times S_i's mask a
     step adds up c_i copies of x on S_(i+1)'s, under either kernel, since
     every other predecessor holds 0.0.  The cycle is (each place's index by
-    its mask's bytes, the read-only (L, H) 0/1 masks, the read-only counts of
-    32 steps, c_0, c_1, .., so the steps from place i read [i:], and whether
-    every c_i is at most 3): O(H) for L <= 16."""
+    its mask's bytes, the read-only (L, H) masks, the read-only counts
+    c_0, c_1, .. of L + 16 steps, so a block's steps from place i read
+    [i:], and whether every c_i is at most 3): O(H) for L <= 16."""
     size = len(support)
     masks, counts, mask = [support], [], np.zeros(size + 1)  # a zero slot, as in the gather
     for _ in range(limit):
@@ -949,7 +963,7 @@ def _support_cycle(preds, support, limit):
             return None
         counts.append(c)
         if into.astype(bool).tobytes() == support.tobytes():
-            places, steps = np.array(masks, dtype=float), np.resize(np.array(counts, float), 32)
+            places, steps = np.array(masks), np.resize(np.array(counts, float), len(counts) + 16)
             places.setflags(write=False)
             steps.setflags(write=False)
             return {m.tobytes(): i for i, m in enumerate(masks)}, places, steps, max(counts) <= 3

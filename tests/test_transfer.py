@@ -695,8 +695,8 @@ class KeptRowsAreHistoryIndependent(RuleBasedStateMachine):
             places = len(masks)
             assert 1 <= places <= 16 and masks.shape == (places, op.size)
             assert not masks.flags.writeable and not steps.flags.writeable
-            assert index == {m.astype(bool).tobytes(): i for i, m in enumerate(masks)}
-            assert steps.tolist() == [steps[i % places] for i in range(32)]
+            assert index == {m.tobytes(): i for i, m in enumerate(masks)}
+            assert steps.tolist() == [steps[i % places] for i in range(places + 16)]
             assert product == (steps.max() <= 3)
             for i, mask in enumerate(masks):
                 into = Counter(x for h in np.flatnonzero(mask).tolist() for x in g.continuations(h))
