@@ -826,7 +826,9 @@ class TransferOperator:
         _support_cycle), the state is x and the place: a step adds up c copies
         of x, exactly what either kernel adds, and a row is x times its place's
         0/1 mask, written in place, so the products, the rescaling and the
-        repeat check, of (x, place), stay as they are.  On the regular and
+        repeat check, of (x, place), stay as they are.  While the raw path
+        counts total below 2**53 p holds them exactly and no block start is
+        probed: rounding is what flattens them.  On the regular and
         semiregular graphs tried the distribution is flat from step 64-144 and
         the loop leaves its vector steps there; it then stops at a repeat a
         block later where every growth factor is a power of two (K4, Petersen,
@@ -857,24 +859,33 @@ class TransferOperator:
         moments = np.empty((n, len(rows), 2))
         kept = flat = None
         probe = preds is not None  # support cycles are found through the table
+        bits = -shift  # the raw path counts total less than 2**bits
         for start in range(0, n, block):
             stop = min(start + block, n)
             if start:
+                drop = math.frexp(total)[1] + shift
+                bits += drop
                 if flat:
-                    x = math.ldexp(x, -math.frexp(total)[1] - shift)
+                    x = math.ldexp(x, -drop)
                     state = x, place
                 else:
-                    p = np.ldexp(p, -math.frexp(total)[1] - shift)
+                    p = np.ldexp(p, -drop)
                     state = p.tobytes()
                 if state == kept:  # the state repeats the state of step start - block
                     moments[start:] = moments[start - block + np.arange(n - start) % block]
                     break
                 kept = state
-                if probe:
-                    flat = self._flat(p, state, block)
+                # below 2**53 p holds the exact path counts, whose flatness, if any, is
+                # left to the stepping (rounding flattens them); after that p's first
+                # and last nonzero entries, found by two byte scans, turn most unflat
+                # p away before any array operation
+                if probe and bits > 53 and \
+                        (x := p.item((len(state) - len(state.lstrip(b"\0"))) // 8)) == \
+                        p.item((len(state.rstrip(b"\0")) - 1) // 8):
+                    flat = self._flat(p, x, block)
                     probe = flat is None
                     if flat:
-                        masks, steps, product, x, place = flat
+                        masks, steps, product, place = flat
                         kept, line = (x, place), np.empty(block + 1)
             if flat:  # row k is x_k on its place's mask, x_(k+1) c copies of x_k added up
                 m, first = stop - start, place + 1
@@ -884,12 +895,13 @@ class TransferOperator:
                     np.multiply.accumulate(line[:m + 1], out=line[:m + 1])
                 else:
                     for j in range(1, m + 1):
-                        y = x = line.item(j - 1)
+                        y = v = line.item(j - 1)
                         for _ in range(int(line[j]) - 1):
-                            y += x
+                            y += v
                         line[j] = y
                 x, place = line.item(m), (place + m) % len(masks)
-                for i in range(min(len(masks), m)):  # in place, one product per place
+                for i in range(min(len(masks), m)):  # in place, one product per place,
+                    # where a mask's True and False read as 1.0 and 0.0
                     np.multiply(masks[(first + i) % len(masks)], line[1 + i:m + 1:len(masks), None],
                                 out=cells[i:m:len(masks)])
             elif gather:
@@ -917,19 +929,13 @@ class TransferOperator:
         out[:len(moments)] = centre + moments[..., 1] / moments[..., 0]
         return out.reshape((n, *at.shape[1:]))
 
-    def _flat(self, p, state, limit):
-        """The support cycle's masks as floats, its steps and product flag (see
-        _support_cycle), x and the place, when every nonzero entry of the
-        rescaled distribution ``p``, whose bytes are ``state``, is one float x
-        and its support is a place on the kept cycle, or on a cycle of at most
-        ``limit`` places found from it and kept instead; None while p is not
-        flat, and False when it is flat off any such cycle.  Its first and last
-        nonzero entries, found as the first and last nonzero bytes of
-        ``state``, turn most unflat p away."""
-        first = (len(state) - len(state.lstrip(b"\0"))) // 8  # p holds a nonzero total
-        x = p.item(first)
-        if x != p.item((len(state.rstrip(b"\0")) - 1) // 8):
-            return None
+    def _flat(self, p, x, limit):
+        """The support cycle's masks, its steps and product flag (see
+        _support_cycle) and p's place on it, when every nonzero entry of the
+        rescaled distribution ``p`` is ``x`` and its support is a place on the
+        kept cycle, or on a cycle of at most ``limit`` places found from it and
+        kept instead; None while p is not flat, and False when it is flat off
+        any such cycle."""
         support = p[:self.size] == x
         if np.count_nonzero(support) != np.count_nonzero(p):
             return None
@@ -939,8 +945,8 @@ class TransferOperator:
             if cycle is None:
                 return False
             self.cycle = cycle
-        index, masks, *cycle = self.cycle
-        return (masks.astype(float), *cycle, x, index[key])
+        index, *cycle = self.cycle
+        return (*cycle, index[key])
 
 
 def _support_cycle(preds, support, limit):
@@ -950,8 +956,8 @@ def _support_cycle(preds, support, limit):
     has the same number c_i of them; else None.  On x times S_i's mask a
     step adds up c_i copies of x on S_(i+1)'s, under either kernel, since
     every other predecessor holds 0.0.  The cycle is (each place's index by
-    its mask's bytes, the read-only (L, H) masks, the read-only counts
-    c_0, c_1, .. of L + 16 steps, so a block's steps from place i read
+    its mask's bytes, the read-only (L, H) boolean masks, the read-only
+    counts c_0, c_1, .. of L + 16 steps, so a block's steps from place i read
     [i:], and whether every c_i is at most 3): O(H) for L <= 16."""
     size = len(support)
     masks, counts, mask = [support], [], np.zeros(size + 1)  # a zero slot, as in the gather

@@ -377,21 +377,48 @@ def test_flat_phase_keeps_every_bit_of_the_stepped_loop(name, seeded_cubic, monk
     assert op.cycle is not None
 
 
-def test_a_support_walking_round_the_whole_graph_keeps_no_cycle():
+def _theta(length):
+    """Two vertices joined by three paths of ``length`` edges."""
+    edges, inner = [], 2
+    for _ in range(3):
+        path = [0, *range(inner, inner + length - 1), 1]
+        edges += zip(path, path[1:])
+        inner += length - 1
+    return graph_core.build_graph(inner, edges)
+
+
+@pytest.mark.parametrize("g,n", [(graph_core.generate("cycle_with_chords", 2000), 5000),
+                                 (_theta(10), 3000)], ids=["cycle2000", "theta10"])
+def test_a_support_walking_round_the_whole_graph_keeps_no_cycle(g, n):
     # on a 2000-cycle the distribution is one half-edge walking round the
-    # graph: flat at every block start, but back on its support only after
-    # 2,000 steps, far past a block, so no support cycle is kept (it would
-    # hold 2,000 masks of 4,000 entries) and the loop steps to the end
-    g = graph_core.generate("cycle_with_chords", 2000)
+    # graph, flat but back on its support only after 2,000 steps; its counts
+    # stay 1, so it is never probed.  On three paths of 10 edges between two
+    # vertices the counts double at each of them and pass 2**53, and the
+    # support, three half-edges, is back after 20 steps, past a block of 16.
+    # Either way no support cycle is kept (it would hold 2,000 or 20 masks)
+    # and the loop steps to the end
     op = cover.transfer_operator(g)
     f = random_field(g, VERTICES, 41)
     at = f.values[op.heads]
     got = []
-    assert _steps_of(lambda: got.append(op.averages(at, 0, 5000))) == 4999
-    assert got[0].tobytes() == reference_float_averages(op, at, 0, 5000).tobytes()
+    assert _steps_of(lambda: got.append(op.averages(at, 0, n))) == n - 1
+    assert got[0].tobytes() == reference_float_averages(op, at, 0, n).tobytes()
     assert op.cycle is None
-    sizes, sums = cover.arc_vertex_sums(g, f, 0, 5000)
-    assert sizes == [1] * 5001 and op.cycle is None
+    cover.arc_vertex_sums(g, f, 0, n)
+    assert op.cycle is None
+
+
+def test_exact_path_counts_are_not_probed_for_flatness():
+    # on an 8-cycle the distribution is one half-edge, flat on a support cycle
+    # of 8 places, but its counts stay exact (all 1), so no block start probes
+    # it: the repeat exit stops the loop at step 32, a block after the first
+    g = graph_core.generate("cycle_with_chords", 8)
+    op = cover.transfer_operator(g)
+    at = random_field(g, VERTICES, 3).values[op.heads]
+    got = []
+    assert _steps_of(lambda: got.append(op.averages(at, 0, 500))) == 31
+    assert got[0].tobytes() == reference_float_averages(op, at, 0, 500).tobytes()
+    assert op.cycle is None
 
 
 def test_equitable_partition_is_coarsest_on_regular_and_semiregular(seeded_cubic):
@@ -682,7 +709,6 @@ class KeptRowsAreHistoryIndependent(RuleBasedStateMachine):
                 assert not images.flags.writeable and len(images) <= len(op.rows[c])
                 assert images.tolist() == [float(n) for n in op.rows[c][:len(images)]]
 
-
     @invariant()
     def kept_support_cycle_is_read_only_and_a_cycle(self):
         # at most 16 places of H entries each; place i's successors are place
@@ -695,6 +721,7 @@ class KeptRowsAreHistoryIndependent(RuleBasedStateMachine):
             places = len(masks)
             assert 1 <= places <= 16 and masks.shape == (places, op.size)
             assert not masks.flags.writeable and not steps.flags.writeable
+            assert masks.dtype == bool
             assert index == {m.tobytes(): i for i, m in enumerate(masks)}
             assert steps.tolist() == [steps[i % places] for i in range(places + 16)]
             assert product == (steps.max() <= 3)
