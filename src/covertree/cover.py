@@ -714,6 +714,10 @@ def set_average(f, elements):
 # 258 on cubic graphs, 12 against 20 us at 3,000)
 _GATHER_MIN = 256
 
+# path counts below 2**_EXACT_BITS are exact floats, so a distribution whose
+# raw counts total below it is exact and not yet flattened by rounding
+_EXACT_BITS = 53
+
 
 class TransferOperator:
     """Hashimoto's operator of one graph as continuation pairs ``src -> dst``
@@ -827,8 +831,8 @@ class TransferOperator:
         of x, exactly what either kernel adds, and a row is x times its place's
         0/1 mask, written in place, so the products, the rescaling and the
         repeat check, of (x, place), stay as they are.  While the raw path
-        counts total below 2**53 p holds them exactly and no block start is
-        probed: rounding is what flattens them.  On the regular and
+        counts total below 2**_EXACT_BITS p holds them exactly and no block
+        start is probed: rounding is what flattens them.  On the regular and
         semiregular graphs tried the distribution is flat from step 64-144 and
         the loop leaves its vector steps there; it then stops at a repeat a
         block later where every growth factor is a power of two (K4, Petersen,
@@ -875,11 +879,9 @@ class TransferOperator:
                     moments[start:] = moments[start - block + np.arange(n - start) % block]
                     break
                 kept = state
-                # below 2**53 p holds the exact path counts, whose flatness, if any, is
-                # left to the stepping (rounding flattens them); after that p's first
-                # and last nonzero entries, found by two byte scans, turn most unflat
-                # p away before any array operation
-                if probe and bits > 53 and \
+                # p's first and last nonzero entries, found by two byte scans, turn
+                # most unflat p away before any array operation
+                if probe and bits > _EXACT_BITS and \
                         (x := p.item((len(state) - len(state.lstrip(b"\0"))) // 8)) == \
                         p.item((len(state.rstrip(b"\0")) - 1) // 8):
                     flat = self._flat(p, x, block)

@@ -212,7 +212,8 @@ def test_irregular_reports_note_that_the_target_is_not_the_limit(petersen, k33, 
     assert main(["average", "--graph", str(tmp_path / "g.g"), "--field", str(tmp_path / "f.fld"),
                  "--set", "arc", "--base", "0", "1", "--radius", "200", "--format", "json",
                  "-o", str(tmp_path / "r.json")]) == 0
-    assert json.loads((tmp_path / "r.json").read_text())["notes"] == [analysis.IRREGULAR_TARGET_NOTE]
+    notes = json.loads((tmp_path / "r.json").read_text())["notes"]
+    assert notes == [analysis.IRREGULAR_TARGET_NOTE]
     # regular, regular bipartite and semiregular reports carry no note
     for h in (petersen, k33, k34):
         fv, fe = random_field(h, VERTICES, 15), random_field(h, EDGES, 16)

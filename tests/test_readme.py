@@ -55,6 +55,8 @@ POLICY = [
     ("DEFAULT_BUDGET", r"The budget is (\S+) \(`analysis.DEFAULT_BUDGET`\)",
      analysis.DEFAULT_BUDGET),
     ("_GATHER_MIN", r"Below (\S+) half-edges \(`cover._GATHER_MIN`\)", cover._GATHER_MIN),
+    ("_EXACT_BITS", r"raw path counts total below 2\^(\S+) \(`cover._EXACT_BITS`\)",
+     cover._EXACT_BITS),
     ("VERIFY_BLOCK", r"in blocks of (\S+) columns \(`cli.VERIFY_BLOCK`", cli.VERIFY_BLOCK),
 ]
 
