@@ -3,8 +3,9 @@
 The goldens pin every check name, verdict and recursion residual of
 ``verify --radius 12`` and every row of the ``spectrum`` CSV for the three
 regimes, both orientations of the semiregular base included, and every row
-of four deep ``average`` CSVs.  The seeded cubic-60 and cubic-400 graphs are
-committed files, so their goldens need no generator.
+of five deep ``average`` CSVs.  The seeded cubic-60, cubic-400 and
+(3,4)-biregular graphs are committed files, so their goldens need no
+generator.
 """
 
 from pathlib import Path
@@ -115,3 +116,15 @@ def test_deep_average_with_growth_3_matches_golden(stem, name, field, argv, grap
     assert main(["average", "--graph", graph_file(name), "--field", str(GOLDEN / f"{field}.fld"),
                  *argv, "-o", str(dest)]) == 0
     assert dest.read_bytes() == (GOLDEN / f"{stem}.average.csv").read_bytes()
+
+
+def test_deep_biregular_sphere_average_matches_golden(tmp_path):
+    # a seeded (3,4)-biregular graph of 240 half-edges: the sphere's four arcs
+    # flatten on a support cycle whose steps add 3 and 2 copies in turn, so
+    # their rescaled distributions never repeat and every row to radius 790
+    # is written from one number per row
+    graph = GOLDEN / "biregular70.g"
+    dest = tmp_path / "sphere.csv"
+    assert main(["average", "--graph", str(graph), "--field", str(GOLDEN / "biregular70v.fld"),
+                 "--set", "sphere", "--root", "0", "--radius", "790", "-o", str(dest)]) == 0
+    assert dest.read_bytes() == (GOLDEN / "biregular70-sphere.average.csv").read_bytes()
