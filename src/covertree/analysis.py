@@ -107,13 +107,16 @@ def _count_union(g, family, radius, cap):
     and each base's arc sizes and images.  A radius over the cap fails before
     anything is counted, and a dead end at its first empty radius before any
     averaging: a path of H + 1 of the H half-edges repeats one and can go on for
-    ever, so an empty radius, if any, shows by radius H + period, counted first."""
+    ever, so an empty radius, if any, shows by radius H + period, counted first.
+    Where every half-edge has a continuation (every quotient row is nonempty)
+    no path ends, and the sizes are counted once."""
     if radius > cap:
         raise BudgetExceededError(f"{family.what} radius {radius} is over the cap {cap}")
     index = {h: i for i, h in enumerate(dict.fromkeys(itertools.chain(*family.pieces)))}
     bases, pieces = list(index), [[index[h] for h in piece] for piece in family.pieces]
     period, shift, op = len(pieces), family.shift, cover.transfer_operator(g)
-    for top in sorted({min(radius, op.size + period), radius}):
+    tops = {radius} if all(op.quotient) else {min(radius, op.size + period), radius}
+    for top in sorted(tops):
         arcs = [op.sizes(h, family.support, top + shift) for h in bases]
         sizes = [0] * (top + 1)
         for c, piece in enumerate(pieces):  # radius r has the pieces r mod period
@@ -196,13 +199,41 @@ IRREGULAR_TARGET_NOTE = ("irregular graph: the target is the plain graph average
                          "series' limit, which where it exists is a Perron-weighted mean; "
                          "the deviations need not decay")
 
+# on a semiregular graph with a part of degree 2, each of its vertices subdivides
+# an edge of a multigraph on the other part; where that multigraph is bipartite
+# the walk alternates between its two sides, and the averages with it
+ALTERNATING_TARGET_NOTE = ("semiregular graph whose degree-2 vertices join the other part "
+                           "into a bipartite multigraph: the averages alternate between its "
+                           "two sides, so the target is not the series' limit and the "
+                           "deviations need not decay")
+
+
+def _sides_alternate(g, cls):
+    """Whether ``g`` is semiregular with p = 1 and the multigraph on part_q whose
+    edges are part_p's degree-2 vertices is bipartite (a loop makes it not)."""
+    if cls.kind != graph_core.SEMIREGULAR or cls.p != 1:
+        return False
+    first = min(cls.part_q)
+    side, todo = {first: 0}, [first]
+    while todo:
+        a = todo.pop()
+        for h in g.out(a):
+            b, = (g.head(x) for x in g.continuations(h))  # through the degree-2 vertex
+            if b not in side:
+                side[b] = 1 - side[a]
+                todo.append(b)
+            elif side[b] == side[a]:
+                return False
+    return True
+
 
 def _report(g, f, cls, family, sizes, averages):
     """The series of one field, an array of ``averages``, with its targets: the
     graph average, but for a vertex field on a regular bipartite or semiregular
     graph the average of the part that holds every element of radius r, if one part
     does.  A piece's elements at arc radius k lie in its tail's part, flipped k times.
-    On an irregular graph the report notes that the target is not the limit."""
+    On an irregular graph, and on a semiregular one whose averages alternate (see
+    _sides_alternate), the report notes that the target is not the limit."""
     targets = np.full(len(sizes), cover.graph_average(f))
     if f.support == cover.VERTICES and cls.p is not None:  # regular bipartite or semiregular
         means = [cover.part_average(f, cls.part_p), cover.part_average(f, cls.part_q)]
@@ -212,10 +243,10 @@ def _report(g, f, cls, family, sizes, averages):
             if r == 0 and family.zero is not None:
                 sides = {v in cls.part_q for v in family.zero}
             targets[r] = means[sides.pop()] if len(sides) == 1 else targets[r]
+    notes = [IRREGULAR_TARGET_NOTE] if cls.kind == graph_core.IRREGULAR else \
+        [ALTERNATING_TARGET_NOTE] if _sides_alternate(g, cls) else []
     return ConvergenceReport(family.kind, list(range(len(sizes))), list(sizes), averages.tolist(),
-                             targets.tolist(), np.abs(averages - targets).tolist(),
-                             notes=[IRREGULAR_TARGET_NOTE] if cls.kind == graph_core.IRREGULAR
-                             else [])
+                             targets.tolist(), np.abs(averages - targets).tolist(), notes=notes)
 
 
 def deviation_series(g, f, *, set_kind, radius, base=None, root=None,

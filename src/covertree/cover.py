@@ -828,17 +828,21 @@ class TransferOperator:
         support is a place on a cycle of supports in which every member of
         the next place has the same count c of predecessors in this one (see
         _support_cycle), the state is x and the place: a step adds up c copies
-        of x, exactly what either kernel adds, and a row is x times its place's
-        0/1 mask, written in place, so the products, the rescaling and the
-        repeat check, of (x, place), stay as they are.  While the raw path
-        counts total below 2**_EXACT_BITS p holds them exactly and no block
-        start is probed: rounding is what flattens them.  On the regular and
-        semiregular graphs tried the distribution is flat from step 64-144 and
-        the loop leaves its vector steps there; it then stops at a repeat a
-        block later where every growth factor is a power of two (K4, Petersen,
-        seeded cubic graphs, K(3,3), K(2,5)), and writes one number per row to
-        the end where not (K5, K(3,4), K(4,4)).  On the irregular graphs tried
-        the distribution never flattens, and the loop steps to the end."""
+        of x, exactly what either kernel adds, and a row is x times its
+        place's 0/1 mask.  From that block start on, _flat_tail writes every
+        remaining row in one pass, with the bits the block loop would give.
+        While the raw path counts total below 2**_EXACT_BITS p holds them
+        exactly and no block start is probed: rounding is what flattens them.
+        On the regular and semiregular graphs tried the distribution is flat
+        from step 64-144.  The flat state then repeats a block later where
+        every growth factor is a power of two (K4, Petersen, seeded cubic
+        graphs, K(3,3), K(2,5)), and the tail builds one block; where not (K5,
+        K(3,4), K(4,4)) it never does, and the tail writes every row to the
+        end: a K(3,4) edge arc to radius 700 takes 255 us instead of 500 us a
+        block at a time (2-core Xeon VM, numpy 2.4, best of 5 x 400 calls),
+        137 us of it the vector steps before the flat start.  On the
+        irregular graphs tried the distribution never flattens, and the loop
+        steps to the end."""
         cols = at.reshape(self.size, -1)
         centre = cols[base]
         if not np.abs(cols).max() < 2.0 ** 1023:  # only then can a difference overflow
@@ -861,7 +865,7 @@ class TransferOperator:
         p = np.zeros(buf.shape[1])
         p[base] = 1.0
         moments = np.empty((n, len(rows), 2))
-        kept = flat = None
+        kept = None
         probe = preds is not None  # support cycles are found through the table
         bits = -shift  # the raw path counts total less than 2**bits
         for start in range(0, n, block):
@@ -869,14 +873,10 @@ class TransferOperator:
             if start:
                 drop = math.frexp(total)[1] + shift
                 bits += drop
-                if flat:
-                    x = math.ldexp(x, -drop)
-                    state = x, place
-                else:
-                    p = np.ldexp(p, -drop)
-                    state = p.tobytes()
+                p = np.ldexp(p, -drop)
+                state = p.tobytes()
                 if state == kept:  # the state repeats the state of step start - block
-                    moments[start:] = moments[start - block + np.arange(n - start) % block]
+                    _repeat(moments, start, block)
                     break
                 kept = state
                 # p's first and last nonzero entries, found by two byte scans, turn
@@ -887,26 +887,9 @@ class TransferOperator:
                     flat = self._flat(p, x, block)
                     probe = flat is None
                     if flat:
-                        masks, steps, product, place = flat
-                        kept, line = (x, place), np.empty(block + 1)
-            if flat:  # row k is x_k on its place's mask, x_(k+1) c copies of x_k added up
-                m, first = stop - start, place + 1
-                line[0] = x
-                line[1:m + 1] = steps[place:place + m]  # the c of each step
-                if product:  # every c <= 3, and 2x is exact: the sum is c * x rounded once
-                    np.multiply.accumulate(line[:m + 1], out=line[:m + 1])
-                else:
-                    for j in range(1, m + 1):
-                        y = v = line.item(j - 1)
-                        for _ in range(int(line[j]) - 1):
-                            y += v
-                        line[j] = y
-                x, place = line.item(m), (place + m) % len(masks)
-                for i in range(min(len(masks), m)):  # in place, one product per place,
-                    # where a mask's True and False read as 1.0 and 0.0
-                    np.multiply(masks[(first + i) % len(masks)], line[1 + i:m + 1:len(masks), None],
-                                out=cells[i:m:len(masks)])
-            elif gather:
+                        _flat_tail(rows, *flat, x, moments, start, block, shift, cells)
+                        break
+            if gather:
                 for k in range(start, stop):
                     if k:
                         terms = p[preds]
@@ -959,8 +942,9 @@ def _support_cycle(preds, support, limit):
     step adds up c_i copies of x on S_(i+1)'s, under either kernel, since
     every other predecessor holds 0.0.  The cycle is (each place's index by
     its mask's bytes, the read-only (L, H) boolean masks, the read-only
-    counts c_0, c_1, .. of L + 16 steps, so a block's steps from place i read
-    [i:], and whether every c_i is at most 3): O(H) for L <= 16."""
+    counts c_0, c_1, .. of L + 512 steps, so the steps of a segment of the
+    flat tail from place i read [i:], and whether every c_i is at most 3):
+    O(H) for L <= 16."""
     size = len(support)
     masks, counts, mask = [support], [], np.zeros(size + 1)  # a zero slot, as in the gather
     for _ in range(limit):
@@ -971,12 +955,107 @@ def _support_cycle(preds, support, limit):
             return None
         counts.append(c)
         if into.astype(bool).tobytes() == support.tobytes():
-            places, steps = np.array(masks), np.resize(np.array(counts, float), len(counts) + 16)
+            places = np.array(masks)  # steps: a tail segment's, at most 512, from any place
+            steps = np.array(counts, float)[np.arange(len(counts) + 512) % len(counts)]
             places.setflags(write=False)
             steps.setflags(write=False)
             return {m.tobytes(): i for i, m in enumerate(masks)}, places, steps, max(counts) <= 3
         masks.append(into.astype(bool))
     return None
+
+
+# the flat tail builds its rows, and the block ends whose totals give the
+# rescaling, in chunks of at most this many floats (one row where a row holds more)
+_TAIL_FLOATS = 1 << 16
+
+
+def _flat_tail(rows, masks, steps, product, place, x, moments, start, block, shift, cells):
+    """Write the moments of rows ``start`` .. n - 1 of ``averages`` once its
+    distribution is flat: at the block start ``start`` the rescaled row
+    start - 1 is ``x`` on place ``place`` of the support cycle (``masks``, its
+    ``steps`` and ``product``, see _support_cycle), and every later row is
+    found in one pass with the bits the block loop would give it.
+
+    Every row's x comes from one chain y, where a step adds up c copies of
+    the last y: c * y rounded once where every c <= 3 (2y is exact), one
+    multiply.accumulate per segment, and otherwise the sum left to right.
+    The first segment, one block, starts from x, and each later one from the
+    last y scaled into [0.5, 1), exactly, so the chain stays normal and below
+    2**512.  A sum of copies of a positive normal number scales exactly with
+    it by any power of two that keeps it normal, so the block loop's rows are
+    the chain's, each block's scaled by a power of two: the one that takes
+    the total of the row before the block below 2**-shift, as the loop's
+    rescaling does.  The totals of those block-end
+    rows come from one stacked product of the same (2, H) @ (H, 1) items as
+    the loop's moments, so they have its bits up to that power.
+
+    The loop stops at the first block start whose (x, place) equals the one
+    a block before and copies the later rows.  The places there are equal
+    when the cycle's length divides the block, and then the x are equal when
+    y's mantissas at the two block ends are.  That is checked as the chain
+    grows, before any total is taken or any row is built, so a series that
+    repeats at once builds one block, from its first segment.  The rows are
+    built and their moments taken in chunks of at most _TAIL_FLOATS floats,
+    in the loop's block buffer ``cells`` where they fit."""
+    n, places, size = len(moments), len(masks), masks.shape[1]
+    tail = n - start  # row start - 1 + j is y[j] * 2**scales[(j - 1) // block] at x's scale
+    y, scales = np.empty(tail + 1), np.empty(-(-tail // block), int)
+    y[0], live = x, tail  # live: the rows before a repeat, if any
+    j, length, frac, exponent = 0, block, x, 0
+    while j < tail:
+        k = min(tail, j + length)
+        if j:  # a later segment starts from y[j] scaled into [0.5, 1)
+            frac, e = math.frexp(y.item(j))
+            exponent += e
+        scales[j // block:-(-k // block)] = exponent
+        c = steps[(place + j) % places:][:k - j]  # the c of the steps into y[j + 1 .. k]
+        if product:
+            y[j + 1:k + 1] = c
+            y[j + 1] *= frac
+            np.multiply.accumulate(y[j + 1:k + 1], out=y[j + 1:k + 1])
+        else:
+            for i, copies in enumerate(c.tolist(), j + 1):
+                added = frac
+                for _ in range(int(copies) - 1):
+                    added += frac
+                y[i] = frac = added
+        if block % places == 0:  # compare the mantissas at the block ends j, j + block, .. k
+            mantissas = [math.frexp(v)[0] for v in y[j:k + 1:block].tolist()]
+            same = next((i for i in range(1, len(mantissas)) if mantissas[i] == mantissas[i - 1]),
+                        None)
+            if same is not None and j + same * block < tail:
+                live = j + same * block
+                break
+        j, length = k, block * max(1, 512 // (block * shift))  # a step multiplies by < 2**shift
+    blocks, chunk = -(-live // block), max(1, _TAIL_FLOATS // size)
+    xs = y[1:live + 1]  # block 0's rows are the chain's first segment, at x's scale
+    if blocks > 1:
+        drops = np.zeros(blocks, int)
+        for first in range(1, blocks, chunk):  # block b >= 1 starts from y[b * block]
+            b = np.arange(first, min(blocks, first + chunk))
+            ends = masks[(place + b * block) % places] * y[b * block, None]
+            totals = np.matmul(np.ones((1, 2, size)), ends[:, None, :, None])[:, 0, 0, 0]
+            drops[b] = np.frexp(totals)[1] + scales[b - 1] + shift
+        xs = np.ldexp(xs, np.repeat(scales[:blocks] - drops, block)[:live])
+    if min(chunk, live) > len(cells):
+        cells = np.empty((min(chunk, live), size))
+    for first in range(0, live, chunk):
+        last = min(live, first + chunk)
+        at = masks[0] if places == 1 else masks[np.arange(place + 1 + first, place + 1 + last) % places]
+        out = cells[:last - first]  # in place, where a mask's True and False read as 1.0 and 0.0
+        np.multiply(at, xs[first:last, None], out=out)
+        np.matmul(rows, out[:, None, :, None], out=moments[start + first:start + last, ..., None])
+    if live < tail:
+        _repeat(moments, start + live, block)
+
+
+def _repeat(moments, start, block):
+    """Copy rows start - block .. start - 1 of ``moments`` over every later row,
+    whole periods by one broadcast copy."""
+    whole, rest = divmod(len(moments) - start, block)
+    period = moments[start - block:start]
+    moments[start:start + whole * block].reshape(whole, *period.shape)[:] = period
+    moments[start + whole * block:] = period[:rest]
 
 
 def _equitable_partition(g):

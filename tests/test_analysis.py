@@ -222,6 +222,49 @@ def test_irregular_reports_note_that_the_target_is_not_the_limit(petersen, k33, 
             assert deviation_series(h, field, set_kind=kind, radius=20, **anchor).notes == []
 
 
+
+def _subdivided(g):
+    """``g`` with a new vertex on each edge."""
+    ends = sorted({tuple(sorted((g.tail(h), g.head(h)))) for h in range(g.half_edge_count)})
+    n = g.vertex_count
+    return graph_core.build_graph(n + len(ends), [(u, n + i) for i, (u, _) in enumerate(ends)]
+                                  + [(v, n + i) for i, (_, v) in enumerate(ends)])
+
+
+def test_semiregular_reports_note_where_the_sides_alternate(tmp_path):
+    # K(2,3) is K2 with its edge tripled and subdivided: from vertex 0 every
+    # path crosses to vertex 1 and back, so the even-radius averages of an arc
+    # alternate between f(0) and f(1) and stay 0.662969 from the part average
+    g = graph_core.generate("complete_bipartite", 2, 3)
+    assert graph_core.classify(g).p == 1
+    f = random_field(g, VERTICES, 5)
+    report = deviation_series(g, f, set_kind="arc", radius=400, base=0)
+    assert report.notes == [analysis.ALTERNATING_TARGET_NOTE]
+    for r in range(2, 401, 2):
+        assert abs(report.averages[r] - f.values[r // 2 % 2]) < 1e-12, r
+        assert abs(report.deviations[r] - 0.662969) < 1e-6, r
+    fe = random_field(g, EDGES, 5)
+    assert deviation_series(g, fe, set_kind="arc", radius=40, base=1).notes == \
+        [analysis.ALTERNATING_TARGET_NOTE]
+    graph_core.save_graph(g, tmp_path / "g.g")
+    cover.save_field(f, tmp_path / "f.fld")
+    assert main(["average", "--graph", str(tmp_path / "g.g"), "--field", str(tmp_path / "f.fld"),
+                 "--set", "sphere", "--root", "0", "--radius", "20", "--format", "json",
+                 "-o", str(tmp_path / "r.json")]) == 0
+    notes = json.loads((tmp_path / "r.json").read_text())["notes"]
+    assert notes == [analysis.ALTERNATING_TARGET_NOTE]
+    # subdivided Petersen also has p = 1, but Petersen is not bipartite: the
+    # walk mixes over both sides and every arc converges, with no note
+    g = _subdivided(graph_core.generate("petersen"))
+    cls = graph_core.classify(g)
+    assert cls.kind == graph_core.SEMIREGULAR and (cls.p, cls.q) == (1, 2)
+    for support in (VERTICES, EDGES):
+        f = random_field(g, support, 5)
+        for base in range(0, g.half_edge_count, 7):
+            report = deviation_series(g, f, set_kind="arc", radius=400, base=base)
+            assert report.notes == []
+            assert max(report.deviations[-20:]) < 1e-13, (support, base)
+
 def test_eigenfield_deviations_equal_radial_profile(petersen):
     decomp = spectral.eig_sym(spectral.vertex_laplacian(petersen))
     for k, mu in enumerate(decomp.distinct):

@@ -6,6 +6,7 @@ must exit 0; and each value its numerical policy states equals the constant
 that holds it.
 """
 
+import math
 import re
 import shlex
 from pathlib import Path
@@ -57,6 +58,8 @@ POLICY = [
     ("_GATHER_MIN", r"Below (\S+) half-edges \(`cover._GATHER_MIN`\)", cover._GATHER_MIN),
     ("_EXACT_BITS", r"raw path counts total below 2\^(\S+) \(`cover._EXACT_BITS`\)",
      cover._EXACT_BITS),
+    ("_TAIL_FLOATS", r"in chunks of at most 2\^(\S+) floats \(`cover._TAIL_FLOATS`",
+     math.log2(cover._TAIL_FLOATS)),
     ("VERIFY_BLOCK", r"in blocks of (\S+) columns \(`cli.VERIFY_BLOCK`", cli.VERIFY_BLOCK),
 ]
 

@@ -377,6 +377,80 @@ def test_flat_phase_keeps_every_bit_of_the_stepped_loop(name, seeded_cubic, monk
     assert op.cycle is not None
 
 
+
+def _quartic(n, seed):
+    """A seeded 4-regular graph on n vertices: four ends per vertex paired by
+    a shuffle, redrawn until simple and connected."""
+    rng = random.Random(seed)
+    while True:
+        ends = [v for v in range(n) for _ in range(4)]
+        rng.shuffle(ends)
+        edges = list(zip(ends[::2], ends[1::2]))
+        if all(u != v for u, v in edges) and len({frozenset(e) for e in edges}) == len(edges):
+            with contextlib.suppress(DisconnectedGraphError):
+                return graph_core.build_graph(n, edges)
+
+
+def _moment_operands(call):
+    """The right operands' shapes of every np.matmul in ``call()``."""
+    shapes = []
+    original = np.matmul
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cover.np, "matmul", lambda a, b, **kwargs:
+                      shapes.append(np.shape(b)) or original(a, b, **kwargs))
+        call()
+    return shapes
+
+
+@pytest.mark.parametrize("name", ("k34", "biregular", "quartic"))
+def test_flat_tail_keeps_every_bit_across_its_segments_and_chunks(name, monkeypatch):
+    # past its flat start (step 80-112) the tail writes 680-710 rows: its
+    # chain restarts at rows 16, 272 and 528 of them, and it builds rows and block
+    # ends in chunks of _TAIL_FLOATS floats, which on the 4-regular graph's
+    # 1,600 half-edges (on the gather) is 40 rows: 18 chunks of rows and two
+    # of its 45 block ends; bounds of 3 rows and of less than a row split the
+    # other graphs too.  Every byte is the stepped loop's, for values near
+    # both ends of the float range, subnormal ones included; at 8e307 the
+    # block is one step, so only the one-place cycle of the 4-regular graph is
+    # kept, and its tail takes a total at every row
+    g = {"k34": graph_core.generate("complete_bipartite", 3, 4), "biregular": _biregular(34),
+         "quartic": _quartic(400, 400)}[name]
+    op = cover.transfer_operator(g)
+    two = np.column_stack([random_field(g, VERTICES, 53).values[op.heads],
+                           random_field(g, EDGES, 54).values[op.edges]])
+    n, bounds = 790, (cover._TAIL_FLOATS, 3 * op.size, op.size - 1)
+    bases = _sample_bases(g) if op.size < cover._GATHER_MIN else (0, op.size - 1)
+    for scale in (1.0, 2.0 ** -500, 2.0 ** 600, 2.0 ** 1000, 8e307, 1e-310, 2.0 ** -1060):
+        for base in bases:
+            want = reference_float_averages(op, two * scale, base, n,
+                                            16 if scale < 2.0 ** -1000 else 1)
+            for kernel, threshold in KERNELS.items():
+                monkeypatch.setattr(cover, "_GATHER_MIN", threshold)
+                for bound in bounds if kernel == "bincount" else bounds[:1]:
+                    monkeypatch.setattr(cover, "_TAIL_FLOATS", bound)
+                    got = op.averages(two * scale, base, n)
+                    assert got.tobytes() == want.tobytes(), (name, scale, base, kernel, bound)
+            monkeypatch.undo()
+    # at the default bound no product takes more than _TAIL_FLOATS floats
+    shapes = _moment_operands(lambda: op.averages(two, 0, n))
+    assert max(math.prod(shape) for shape in shapes) <= cover._TAIL_FLOATS
+    if name == "quartic":
+        assert max(shape[0] for shape in shapes) == cover._TAIL_FLOATS // op.size == 40
+
+
+def test_a_repeating_flat_tail_builds_one_block(petersen, seeded_cubic):
+    # Petersen and seeded cubic graphs grow by 2, so the flat state repeats a
+    # block after the tail starts: it builds one block of rows, takes no
+    # block-end total, and copies every later row
+    for g, n in ((petersen, 900), (seeded_cubic(60, 5), 700), (seeded_cubic(1000, 1000), 400)):
+        op = cover.transfer_operator(g)
+        at = random_field(g, VERTICES, 41).values[op.heads]
+        steps = []
+        shapes = _moment_operands(lambda: steps.append(_steps_of(lambda: op.averages(at, 0, n))))
+        assert op.cycle is not None
+        assert sum(shape[0] for shape in shapes) == steps[0] + 1 + 16, (g.vertex_count, shapes)
+
+
 def _theta(length):
     """Two vertices joined by three paths of ``length`` edges."""
     edges, inner = [], 2
@@ -723,7 +797,7 @@ class KeptRowsAreHistoryIndependent(RuleBasedStateMachine):
             assert not masks.flags.writeable and not steps.flags.writeable
             assert masks.dtype == bool
             assert index == {m.tobytes(): i for i, m in enumerate(masks)}
-            assert steps.tolist() == [steps[i % places] for i in range(places + 16)]
+            assert steps.tolist() == [steps[i % places] for i in range(places + 512)]
             assert product == (steps.max() <= 3)
             for i, mask in enumerate(masks):
                 into = Counter(x for h in np.flatnonzero(mask).tolist() for x in g.continuations(h))
